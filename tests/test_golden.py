@@ -1,0 +1,112 @@
+"""Golden corpus: CLI output and fuzz traces that must not change.
+
+tests/golden/cli.json holds the exact stdout of ``openride lower-bound``
+and ``openride ratio`` on the half-line lower-bound family.
+tests/golden/fuzz.jsonl holds one line per (policy, index) over the
+first instances of FuzzConfig(seed=0): the ratio, a sha256 of the full
+trace, each planned schedule, and OPT's schedule.
+
+A difference is a behaviour change.  To re-record after an intended
+change, run ``python tests/test_golden.py`` with ``src`` on PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from openride.cli import main
+from openride.engine import simulate
+from openride.experiments import (OPTIMAL_ALPHA_GENERAL, FuzzConfig, competitive_ratio,
+                                  generate_instance, make_policy)
+from openride.model import canonical_json, schedule_to_obj, trace_to_dict
+from openride.offline import OptCache
+
+GOLDEN = Path(__file__).with_name("golden")
+CLI_FILE = GOLDEN / "cli.json"
+FUZZ_FILE = GOLDEN / "fuzz.jsonl"
+
+ALPHAS = ("1.0", "1.1", "1.2", "1.3")
+EPSILON = "0.01"
+FUZZ_COUNT = 200
+POLICIES = (("lazy", OPTIMAL_ALPHA_GENERAL), ("replan", None), ("ignore", None))
+
+
+def _cli(argv: list[str], stdin: str = "") -> str:
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def cli_outputs() -> dict[str, str]:
+    """Exact stdout of each command, keyed by its command line."""
+    out = {}
+    for alpha in ALPHAS:
+        lb = ["lower-bound", "--alpha", alpha, "--epsilon", EPSILON]
+        out[" ".join(lb)] = _cli(lb)
+        inst = _cli(lb + ["--emit-instance"])
+        for algo in ("lazy", "replan", "ignore"):
+            ratio = ["ratio", "--instance", "-", "--algo", algo]
+            if algo == "lazy":
+                ratio += ["--alpha", alpha]
+            out[" ".join(ratio) + " < " + " ".join(lb + ["--emit-instance"])] = _cli(ratio, inst)
+    return out
+
+
+def fuzz_lines() -> list[str]:
+    """One canonical JSON line per (policy, index) of the seed-0 fuzz stream."""
+    cfg = FuzzConfig(seed=0)
+    lines = []
+    for algo, alpha in POLICIES:
+        for index in range(FUZZ_COUNT):
+            inst = generate_instance(cfg, index)
+            cache = OptCache(inst)
+            trace = simulate(inst, make_policy(algo, alpha), cache)
+            opt_sched, _ = cache.solve_prefix(len(inst.requests))
+            digest = hashlib.sha256(canonical_json(trace_to_dict(trace)).encode()).hexdigest()
+            lines.append(canonical_json({
+                "policy": algo,
+                "index": index,
+                "ratio": competitive_ratio(inst, algo, alpha),
+                "trace_sha256": digest,
+                "schedules": [schedule_to_obj(rec.schedule) for rec in trace.schedules],
+                "opt": schedule_to_obj(opt_sched),
+            }))
+    return lines
+
+
+def test_cli_output_matches_golden():
+    want = json.loads(CLI_FILE.read_text())
+    got = cli_outputs()
+    assert list(got) == list(want)
+    for key, text in want.items():
+        assert got[key] == text, key
+
+
+def test_fuzz_stream_matches_golden():
+    want = FUZZ_FILE.read_text().splitlines()
+    got = fuzz_lines()
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {i + 1} of {FUZZ_FILE.name} differs"
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    CLI_FILE.write_text(json.dumps(cli_outputs(), indent=1) + "\n")
+    FUZZ_FILE.write_text("\n".join(fuzz_lines()) + "\n")
+
+
+if __name__ == "__main__":
+    record()
