@@ -20,7 +20,7 @@ import sys
 
 from .engine import EngineError, simulate
 from .experiments import (FuzzConfig, competitive_ratio, fuzz, gen_halfline_lb,
-                          make_policy, sweep_lower_bounds)
+                          make_policy, measure_ratio, sweep_lower_bounds)
 from .factor_revealing import (FactorRevealingError, fr_closed_form, solve_fr)
 from .metric import LINE, HALF_LINE, MATRIX
 from .model import (InstanceError, canonical_json, instance_to_dict,
@@ -101,9 +101,7 @@ def _cmd_opt(args, parser) -> int:
 def _cmd_ratio(args, parser) -> int:
     alpha = _require_alpha(args, parser)
     inst = _read_instance(args.instance)
-    trace = simulate(inst, make_policy(args.algo, alpha))
-    _, opt = opt_upto(inst, math.inf)
-    ratio = competitive_ratio(inst, args.algo, alpha)
+    trace, opt, ratio = measure_ratio(inst, args.algo, alpha)
     obj = {"algo": args.algo, "alpha": alpha, "completion": trace.completion,
            "opt": opt, "ratio": ratio}
     _emit(args, obj, (("algo", "alpha", "completion", "opt", "ratio"),
@@ -299,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_tolerance(args.tolerance)
     try:
+        set_tolerance(args.tolerance)
         return args.func(args, parser)
     except BrokenPipeError:
         return 0

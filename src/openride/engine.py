@@ -23,8 +23,7 @@ how interrupted routes are re-planned mid-edge.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metric import MATRIX, MetricSpace, Point
 from .model import (
@@ -40,12 +39,7 @@ from .model import (
     schedule_length,
 )
 from .numeric import TIE_EPS, tolerance
-from .offline import (
-    DEFAULT_SEARCH_CAP,
-    OptCache,
-    fastest_delivery_and_return,
-    shortest_schedule,
-)
+from .offline import OptCache, fastest_delivery_and_return, shortest_schedule
 
 
 class EngineError(RuntimeError):
@@ -119,12 +113,10 @@ def _steps_of_schedule(sched: Schedule) -> list:
 class Simulation:
     """State of one online run: clock, server, pending requests, command."""
 
-    def __init__(self, inst: Instance, policy, opt_cache: OptCache | None = None,
-                 search_cap: int = DEFAULT_SEARCH_CAP):
+    def __init__(self, inst: Instance, policy, opt_cache: OptCache | None = None):
         self.inst = inst
         self.space = inst.space
         self.policy = policy
-        self.search_cap = search_cap
         self.req_by_id = {r.id: r for r in inst.requests}
         self.time = 0.0
         self.pos: Position = inst.space.origin
@@ -137,37 +129,40 @@ class Simulation:
         self.events: list[TraceEvent] = []
         self.schedule_counter = 0
         self.last_unload = 0.0
-        self._opt_cache = opt_cache
+        # every policy plans against the cache, so it is built up front
+        self.opt_cache = opt_cache if opt_cache is not None else OptCache(inst)
 
     # -- queries used by policies ------------------------------------
-
-    @property
-    def opt_cache(self) -> OptCache:
-        if self._opt_cache is None:
-            self._opt_cache = OptCache(self.inst, self.search_cap)
-        return self._opt_cache
 
     def opt_now(self) -> float:
         """Optimal completion over everything released so far."""
         return self.opt_cache.value(self.released_count)
 
+    def _plan_from_here(self, plan):
+        """Plan from the server's position, via the better end of its edge.
+
+        plan(p) returns (length, result) for a plan starting at point p.
+        Returns (total length, lead steps, start point, result); mid-edge
+        the lead step moves to the end node whose plan finishes first,
+        ties going to u.
+        """
+        pos = self.pos
+        if not isinstance(pos, EdgePos):
+            length, result = plan(pos)
+            return length, [], pos, result
+        back, ahead = pos.offset, self.space.distance(pos.u, pos.v) - pos.offset
+        lu, ru = plan(pos.u)
+        lv, rv = plan(pos.v)
+        if back + lu <= ahead + lv + TIE_EPS:
+            return back + lu, [MoveStep(pos, pos.u, back)], pos.u, ru
+        return ahead + lv, [MoveStep(pos, pos.v, ahead)], pos.v, rv
+
     def fastest_return_plan(self):
         """Duration and steps of the quickest deliver-all-and-go-home route."""
         dests = sorted({self.req_by_id[rid].b for rid in self.loaded})
-        pos = self.pos
-        if isinstance(pos, EdgePos):
-            duv = self.space.distance(pos.u, pos.v)
-            du, route_u = fastest_delivery_and_return(dests, pos.u, self.space, self.search_cap)
-            dv, route_v = fastest_delivery_and_return(dests, pos.v, self.space, self.search_cap)
-            if pos.offset + du <= (duv - pos.offset) + dv + TIE_EPS:
-                total, node, route = pos.offset + du, pos.u, route_u
-                first = MoveStep(pos, pos.u, pos.offset)
-            else:
-                total, node, route = (duv - pos.offset) + dv, pos.v, route_v
-                first = MoveStep(pos, pos.v, duv - pos.offset)
-            return total, [first] + self._route_steps(node, route)
-        dur, route = fastest_delivery_and_return(dests, pos, self.space, self.search_cap)
-        return dur, self._route_steps(pos, route)
+        total, lead, node, route = self._plan_from_here(
+            lambda p: fastest_delivery_and_return(dests, p, self.space))
+        return total, lead + self._route_steps(node, route)
 
     def _route_steps(self, start: Point, route) -> list:
         """Moves along route waypoints, unloading at matching dropoffs."""
@@ -200,11 +195,15 @@ class Simulation:
         self.cmd = None
         self.log("idle")
 
-    def start_deliver_return(self, steps: list) -> None:
+    def _interrupt(self) -> None:
+        """Mark a running schedule as interrupted."""
         if self.cmd is not None and self.cmd.kind == "schedule":
             rec = self.records[self.cmd.schedule_no]
             rec.interrupted = True
             self.log("interrupt", schedule=rec.index)
+
+    def start_deliver_return(self, steps: list) -> None:
+        self._interrupt()
         self.cmd = Command("return", steps)
         self.log("return")
 
@@ -212,37 +211,20 @@ class Simulation:
         """Plan and follow a shortest schedule over the pending set."""
         if isinstance(self.pos, EdgePos) or self.loaded:
             raise EngineError("schedules start empty-handed at a node")
-        reqs = [self.req_by_id[rid] for rid in sorted(self.pending)]
-        sched = shortest_schedule(reqs, self.pos, self.space, self.inst.capacity,
-                                  search_cap=self.search_cap, start_time=self.time)
-        self._follow(sched, schedule_length(sched), self.pos, _steps_of_schedule(sched))
+        self.start_replan_schedule()
 
     def start_replan_schedule(self) -> None:
         """Re-plan over all unserved requests, keeping what is on board."""
-        if self.cmd is not None and self.cmd.kind == "schedule":
-            rec = self.records[self.cmd.schedule_no]
-            rec.interrupted = True
-            self.log("interrupt", schedule=rec.index)
+        self._interrupt()
         reqs = [self.req_by_id[rid] for rid in sorted(self.pending)]
         loaded = sorted(self.loaded)
-        pos = self.pos
-        if isinstance(pos, EdgePos):
-            duv = self.space.distance(pos.u, pos.v)
-            su = shortest_schedule(reqs, pos.u, self.space, self.inst.capacity, loaded,
-                                   self.search_cap, self.time)
-            sv = shortest_schedule(reqs, pos.v, self.space, self.inst.capacity, loaded,
-                                   self.search_cap, self.time)
-            lu = pos.offset + schedule_length(su)
-            lv = (duv - pos.offset) + schedule_length(sv)
-            if lu <= lv + TIE_EPS:
-                first, sched, total = MoveStep(pos, pos.u, pos.offset), su, lu
-            else:
-                first, sched, total = MoveStep(pos, pos.v, duv - pos.offset), sv, lv
-            self._follow(sched, total, pos, [first] + _steps_of_schedule(sched))
-        else:
-            sched = shortest_schedule(reqs, pos, self.space, self.inst.capacity, loaded,
-                                      self.search_cap, self.time)
-            self._follow(sched, schedule_length(sched), pos, _steps_of_schedule(sched))
+
+        def plan(p):
+            sched = shortest_schedule(reqs, p, self.opt_cache, loaded, self.time)
+            return schedule_length(sched), sched
+
+        total, lead, _, sched = self._plan_from_here(plan)
+        self._follow(sched, total, self.pos, lead + _steps_of_schedule(sched))
 
     def _follow(self, sched: Schedule, length: float, pos: Position, steps: list) -> None:
         self.schedule_counter += 1
@@ -447,10 +429,9 @@ class IgnorePolicy:
             sim.note_idle()
 
 
-def simulate(inst: Instance, policy, opt_cache: OptCache | None = None,
-             search_cap: int = DEFAULT_SEARCH_CAP) -> Trace:
+def simulate(inst: Instance, policy, opt_cache: OptCache | None = None) -> Trace:
     """Run a policy on an instance; deterministic for fixed inputs."""
-    return Simulation(inst, policy, opt_cache, search_cap).run()
+    return Simulation(inst, policy, opt_cache).run()
 
 
 # ---------------------------------------------------------------------------

@@ -69,15 +69,25 @@ def make_policy(algo: str, alpha: float | None):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def competitive_ratio(inst: Instance, algo: str, alpha: float | None = None,
-                      opt_cache: OptCache | None = None) -> float:
-    """Online completion divided by the offline optimum for one instance."""
+def measure_ratio(inst: Instance, algo: str, alpha: float | None = None,
+                  opt_cache: OptCache | None = None) -> tuple[Trace, float, float]:
+    """Run algo once; return its trace, the offline optimum and their ratio.
+
+    A zero optimum gives ratio 1 when the run also finishes at time 0,
+    and infinity otherwise.
+    """
     cache = opt_cache if opt_cache is not None else OptCache(inst)
     trace = simulate(inst, make_policy(algo, alpha), cache)
     opt = cache.value(len(inst.requests))
     if opt <= tolerance():
-        return 1.0 if trace.completion <= tolerance() else math.inf
-    return trace.completion / opt
+        return trace, opt, 1.0 if trace.completion <= tolerance() else math.inf
+    return trace, opt, trace.completion / opt
+
+
+def competitive_ratio(inst: Instance, algo: str, alpha: float | None = None,
+                      opt_cache: OptCache | None = None) -> float:
+    """Online completion divided by the offline optimum for one instance."""
+    return measure_ratio(inst, algo, alpha, opt_cache)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +219,7 @@ def _fuzz_task(args) -> tuple[float, int]:
     cfg, algo, index = args
     inst = generate_instance(cfg, index)
     cache = OptCache(inst)
-    policy = make_policy(algo, cfg.alpha)
-    trace = simulate(inst, policy, cache)
-    opt = cache.value(len(inst.requests))
-    if opt <= tolerance():
-        ratio = 1.0 if trace.completion <= tolerance() else math.inf
-    else:
-        ratio = trace.completion / opt
+    trace, _, ratio = measure_ratio(inst, algo, cfg.alpha, cache)
     bad = _check_trace(inst, trace, algo, cfg.alpha, cache) if cfg.check_schedules else 0
     return ratio, bad
 

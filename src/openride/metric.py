@@ -8,6 +8,7 @@ matrix space are integer node indices.  The origin is 0 in every kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .numeric import tolerance
@@ -29,7 +30,7 @@ class InvalidPointError(ValueError):
 class MetricViolation:
     """First metric axiom broken by a distance matrix."""
 
-    reason: str  # "shape" | "diagonal" | "symmetry" | "negative" | "triangle"
+    reason: str  # "shape" | "finite" | "diagonal" | "symmetry" | "negative" | "triangle"
     where: tuple[int, ...]
     detail: str
 
@@ -57,7 +58,7 @@ class MetricSpace:
     def is_point(self, p: Point) -> bool:
         if self.kind == MATRIX:
             return isinstance(p, int) and not isinstance(p, bool) and 0 <= p < len(self.matrix)
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
             return False
         if self.kind == HALF_LINE:
             return p >= -tolerance()
@@ -83,8 +84,9 @@ class MetricSpace:
         """Check the metric axioms; report the first violation found.
 
         Line kinds are valid by construction.  For matrices the checks
-        run in order: shape, zero diagonal, symmetry, nonnegativity,
-        triangle inequality (all up to the global tolerance).
+        run in order: shape, finite entries, zero diagonal, symmetry,
+        nonnegativity, triangle inequality (all up to the global
+        tolerance).
         """
         if self.kind != MATRIX:
             return None
@@ -94,6 +96,10 @@ class MetricSpace:
         for i, row in enumerate(d):
             if len(row) != n:
                 return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")
+        for i, row in enumerate(d):
+            for j, v in enumerate(row):
+                if not math.isfinite(v):
+                    return MetricViolation("finite", (i, j), f"d[{i}][{j}] = {v} is not finite")
         for i in range(n):
             if abs(d[i][i]) > tol:
                 return MetricViolation("diagonal", (i,), f"d[{i}][{i}] = {d[i][i]} is not 0")

@@ -23,6 +23,7 @@ Request ids are assigned by input order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -81,8 +82,9 @@ class Instance:
                         f"{p!r} is not a point of the {self.space.kind} space",
                         f"requests[{r.id}].{label}",
                     )
-            if r.release < 0:
-                raise SemanticError("release time must be nonnegative", f"requests[{r.id}].t")
+            if not math.isfinite(r.release) or r.release < 0:
+                raise SemanticError("release time must be finite and nonnegative",
+                                    f"requests[{r.id}].t")
         # kept sorted by release time, ties by id, so release prefixes are contiguous
         object.__setattr__(
             self, "requests", tuple(sorted(self.requests, key=lambda r: (r.release, r.id)))
@@ -258,6 +260,12 @@ class Trace:
 # JSON
 
 
+def _number(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SemanticError(f"{v!r} is not a number", where)
+    return float(v)
+
+
 def instance_from_dict(obj: dict) -> Instance:
     if not isinstance(obj, dict):
         raise SemanticError("instance must be a JSON object", "$")
@@ -300,8 +308,8 @@ def instance_from_dict(obj: dict) -> Instance:
             if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
                 raise SemanticError("matrix points must be integer node indices", f"requests[{i}]")
         else:
-            a, b = float(a), float(b)
-        triples.append((a, b, r["t"]))
+            a, b = _number(a, f"requests[{i}].a"), _number(b, f"requests[{i}].b")
+        triples.append((a, b, _number(r["t"], f"requests[{i}].t")))
     return make_instance(space, capacity, triples)
 
 

@@ -20,8 +20,8 @@ _tolerance = DEFAULT_TOLERANCE
 def set_tolerance(tol: float) -> None:
     """Replace the global comparison tolerance (CLI --tolerance)."""
     global _tolerance
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError("tolerance must be positive and finite")
     _tolerance = float(tol)
 
 

@@ -2,16 +2,21 @@
 
 Three problems are solved exactly for small request sets:
 
+* opt_upto (through OptCache): the release-respecting optimum starting
+  at the origin at time 0 over all requests released up to a cutoff
+  (depth-first branch and bound with a release-free relaxation
+  shortcut);
 * shortest_schedule: minimal-travel serving order ignoring release
-  times, from an arbitrary start point (memoized search over
-  pickup/delivery event orders);
-* opt_upto: the release-respecting optimum starting at the origin at
-  time 0 over all requests released up to a cutoff (depth-first branch
-  and bound with a release-free relaxation shortcut);
+  times, over some of an instance's requests, from an arbitrary start
+  point;
 * fastest_delivery_and_return: quickest way to drop off everything on
   board and come back to the origin.
 
-Searches are exponential in the number of requests; the cap defaults to
+OptCache compiles an instance once (its points and distance table) and
+memoizes one release-free (position, loaded, done) DP over it.  The
+planner shares that cache: it marks every request outside its set as
+done, so one run has one table and one DP.  Searches are exponential in
+the number of requests and are capped at a fixed DEFAULT_SEARCH_CAP of
 10 requests.  opt_upto_naive is a deliberately structure-free
 enumeration over all feasible event orders used as an oracle; it shares
 nothing with the branch and bound beyond the greedy timing rule
@@ -34,24 +39,23 @@ _INF = float("inf")
 
 
 class SearchCapExceeded(RuntimeError):
-    """Request set larger than the configured exact-search cap."""
+    """Request set larger than the exact-search cap."""
 
 
 class _Compiled:
     """Request data flattened for the searches.
 
-    Points are indexed 0 (start) then pickup/dropoff pairs in request
-    order: pickup of local request j is point 1 + 2j, dropoff 2 + 2j.
-    All pairwise distances are precomputed.
+    Points are indexed 0 (the origin) then pickup/dropoff pairs in
+    request order: pickup of local request j is point 1 + 2j, dropoff
+    2 + 2j.  All pairwise distances are precomputed.
     """
 
-    __slots__ = ("reqs", "ids", "points", "dist", "rel", "cap", "m")
+    __slots__ = ("ids", "points", "dist", "rel", "cap", "m")
 
-    def __init__(self, space: MetricSpace, requests: list[Request], start: Point, capacity: int | None):
-        self.reqs = requests
+    def __init__(self, space: MetricSpace, requests: list[Request], capacity: int | None):
         self.m = len(requests)
         self.ids = [r.id for r in requests]
-        pts: list[Point] = [start]
+        pts: list[Point] = [space.origin]
         for r in requests:
             pts.append(r.a)
             pts.append(r.b)
@@ -60,28 +64,25 @@ class _Compiled:
         self.rel = [r.release for r in requests]
         self.cap = self.m if capacity is None else capacity
 
-    def pickup(self, j: int) -> int:
-        return 1 + 2 * j
 
-    def dropoff(self, j: int) -> int:
-        return 2 + 2 * j
+def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
+                    start_time: float = 0.0):
+    """Turn an event sequence [(j, is_unload), ...] from start into a Schedule.
 
-
-def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start_time: float = 0.0):
-    """Turn an event sequence [(j, is_unload), ...] into a Schedule.
-
-    Returns (schedule, finish_time).  Waits are inserted before loads
-    that would otherwise happen ahead of the release time.
+    row holds the distances from start to the compiled points.  Returns
+    (schedule, finish_time).  Waits are inserted before loads that would
+    otherwise happen ahead of the release time.
     """
     actions = []
-    cur = 0
+    here = start
     t = start_time
     for j, is_unload in seq:
-        tgt = comp.dropoff(j) if is_unload else comp.pickup(j)
-        if not space.same_point(comp.points[cur], comp.points[tgt]):
-            actions.append(Move(comp.points[cur], comp.points[tgt], comp.dist[cur][tgt]))
-            t += comp.dist[cur][tgt]
-        cur = tgt
+        tgt = 2 + 2 * j if is_unload else 1 + 2 * j
+        there = comp.points[tgt]
+        if not space.same_point(here, there):
+            actions.append(Move(here, there, row[tgt]))
+            t += row[tgt]
+        here, row = there, comp.dist[tgt]
         if is_unload:
             actions.append(Unload(comp.ids[j]))
         else:
@@ -89,7 +90,7 @@ def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start_time: float 
                 actions.append(Wait(comp.rel[j]))
                 t = comp.rel[j]
             actions.append(Load(comp.ids[j]))
-    return Schedule(comp.points[0], tuple(actions)), t
+    return Schedule(start, tuple(actions)), t
 
 
 def _min_remaining(comp: _Compiled, memo: dict):
@@ -133,73 +134,74 @@ def _min_remaining(comp: _Compiled, memo: dict):
     return rest
 
 
-def _reconstruct_free(comp: _Compiled, rest, pos: int, loaded: int, done: int):
-    """Lexicographically smallest event order achieving rest(pos, ...)."""
-    m = comp.m
-    full = (1 << m) - 1
+def _reconstruct_free(comp: _Compiled, rest, row, loaded: int, done: int, order):
+    """Event order achieving the release-free minimum from a point.
+
+    row holds the distances from that point to the compiled points.
+    Among optimal orders the lexicographically smallest wins, requests
+    ranked by their place in order, which lists every request not done.
+    """
+    full = (1 << comp.m) - 1
     seq = []
     while done != full:
-        target = rest(pos, loaded, done)
         room = loaded.bit_count() < comp.cap
-        for j in range(m):
+        steps = []
+        for j in order:
             bit = 1 << j
             if done & bit:
                 continue
             if loaded & bit:
-                tgt = 2 + 2 * j
-                if comp.dist[pos][tgt] + rest(tgt, loaded & ~bit, done | bit) <= target + TIE_EPS:
-                    seq.append((j, True))
-                    pos, loaded, done = tgt, loaded & ~bit, done | bit
-                    break
+                state = (2 + 2 * j, loaded & ~bit, done | bit)
             elif room:
-                tgt = 1 + 2 * j
-                if comp.dist[pos][tgt] + rest(tgt, loaded | bit, done) <= target + TIE_EPS:
-                    seq.append((j, False))
-                    pos, loaded = tgt, loaded | bit
-                    break
-        else:  # pragma: no cover - the recursion guarantees a witness
-            raise AssertionError("no optimal transition found")
+                state = (1 + 2 * j, loaded | bit, done)
+            else:
+                continue
+            steps.append((row[state[0]] + rest(*state), j, state))
+        target = min(step[0] for step in steps)
+        _, j, (pos, loaded, done) = next(step for step in steps if step[0] <= target + TIE_EPS)
+        seq.append((j, pos == 2 + 2 * j))
+        row = comp.dist[pos]
     return seq
 
 
-def shortest_schedule(
-    requests,
-    start: Point,
-    space: MetricSpace,
-    capacity: int | None = None,
-    loaded_ids=(),
-    search_cap: int = DEFAULT_SEARCH_CAP,
-    start_time: float = 0.0,
-) -> Schedule:
-    """Minimal-length schedule serving all given requests from start.
+def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
+                      start_time: float = 0.0) -> Schedule:
+    """Minimal-length schedule serving the given requests from start.
 
-    Release times are ignored for routing; a wait is only inserted when
-    a pickup would happen before its request is released relative to
-    start_time.  loaded_ids marks requests already on board (their
-    pickups are skipped; they count against capacity from the start).
-    Ties are broken toward the lexicographically smallest event order
-    by request id, loads before unloads.
+    The requests belong to the cache's instance; the plan uses its
+    distance table and release-free DP with every other request marked
+    done.  Release times are ignored for routing; a wait is only
+    inserted when a pickup would happen before its request is released
+    relative to start_time.  loaded_ids marks requests already on board
+    (their pickups are skipped; they count against capacity from the
+    start).  Ties are broken toward the lexicographically smallest event
+    order by request id.
     """
-    reqs = sorted(requests, key=lambda r: r.id)
-    if len(reqs) > search_cap:
-        raise SearchCapExceeded(f"{len(reqs)} requests exceed the search cap {search_cap}")
+    comp = cache.comp
+    space = cache.inst.space
+    order = [cache.index[r.id] for r in sorted(requests, key=lambda r: r.id)]
+    if len(order) > DEFAULT_SEARCH_CAP:
+        raise SearchCapExceeded(f"{len(order)} requests exceed the search cap {DEFAULT_SEARCH_CAP}")
     space.check_point(start)
-    if not reqs:
+    if not order:
         return Schedule(start, ())
-    comp = _Compiled(space, reqs, start, capacity)
-    loaded0 = 0
+    done = (1 << comp.m) - 1
+    for j in order:
+        done &= ~(1 << j)
+    loaded = 0
     for rid in loaded_ids:
-        j = comp.ids.index(rid)
-        loaded0 |= 1 << j
-    if loaded0.bit_count() > comp.cap:
+        j = cache.index.get(rid)
+        if j is None or done >> j & 1:
+            raise ValueError(f"request {rid} is on board but not planned")
+        loaded |= 1 << j
+    if loaded.bit_count() > comp.cap:
         raise ValueError("more requests on board than the capacity allows")
-    rest = _min_remaining(comp, {})
-    seq = _reconstruct_free(comp, rest, 0, loaded0, 0)
-    sched, _ = _build_schedule(comp, seq, space, start_time)
-    return sched
+    row = [space.distance(start, p) for p in comp.points]
+    seq = _reconstruct_free(comp, cache._rest, row, loaded, done, order)
+    return _build_schedule(comp, seq, space, start, row, start_time)[0]
 
 
-def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace, search_cap: int = DEFAULT_SEARCH_CAP):
+def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace):
     """Quickest drop-everything-and-go-home route.
 
     destinations is the multiset of dropoff points currently on board.
@@ -209,8 +211,8 @@ def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace, se
     """
     space.check_point(pos)
     pts = sorted(set(destinations))
-    if len(pts) > search_cap:
-        raise SearchCapExceeded(f"{len(pts)} distinct destinations exceed the search cap {search_cap}")
+    if len(pts) > DEFAULT_SEARCH_CAP:
+        raise SearchCapExceeded(f"{len(pts)} distinct destinations exceed the search cap {DEFAULT_SEARCH_CAP}")
     o = space.origin
     if not pts:
         return space.distance(pos, o), (o,)
@@ -263,20 +265,18 @@ class OptCache:
     released requests many times; the released set only changes at
     release epochs, so results are memoized per prefix (requests are
     stored sorted by release time).  The release-free relaxation memo is
-    shared across prefixes.
+    shared across prefixes and with shortest_schedule.
     """
 
-    def __init__(self, inst: Instance, search_cap: int = DEFAULT_SEARCH_CAP):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.search_cap = search_cap
-        self.comp = _Compiled(inst.space, list(inst.requests), inst.space.origin, inst.capacity)
-        self._releases = [r.release for r in inst.requests]
-        self._free_memo: dict = {}
-        self._rest = _min_remaining(self.comp, self._free_memo)
+        self.comp = _Compiled(inst.space, list(inst.requests), inst.capacity)
+        self.index = {rid: j for j, rid in enumerate(self.comp.ids)}  # request id -> position
+        self._rest = _min_remaining(self.comp, {})
         self._solved: dict[int, tuple[Schedule, float]] = {}
 
     def prefix_for(self, t: float) -> int:
-        return bisect_right(self._releases, t + tolerance())
+        return bisect_right(self.comp.rel, t + tolerance())
 
     def solve_prefix(self, k: int) -> tuple[Schedule, float]:
         got = self._solved.get(k)
@@ -327,8 +327,8 @@ class OptCache:
 
     def _solve(self, k: int) -> tuple[Schedule, float]:
         comp = self.comp
-        if k > self.search_cap:
-            raise SearchCapExceeded(f"{k} released requests exceed the search cap {self.search_cap}")
+        if k > DEFAULT_SEARCH_CAP:
+            raise SearchCapExceeded(f"{k} released requests exceed the search cap {DEFAULT_SEARCH_CAP}")
         if k == 0:
             return Schedule(self.inst.space.origin, ()), 0.0
         dist, rel = comp.dist, comp.rel
@@ -387,9 +387,8 @@ class OptCache:
         seq = best[1]
         if best[2] is not None:
             pos, loaded, done = best[2]
-            seq = seq + _reconstruct_free(comp, rest, pos, loaded, done | hidden)
-        sched, completion = _build_schedule(comp, seq, self.inst.space)
-        return sched, completion
+            seq = seq + _reconstruct_free(comp, rest, dist[pos], loaded, done | hidden, range(k))
+        return _build_schedule(comp, seq, self.inst.space, self.inst.space.origin, dist[0])
 
 
 def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[Schedule, float]:
@@ -416,7 +415,7 @@ def opt_upto_naive(inst: Instance, t: float) -> float:
         raise SearchCapExceeded(f"{k} released requests exceed the oracle cap {NAIVE_CAP}")
     if k == 0:
         return 0.0
-    comp = _Compiled(inst.space, list(inst.requests[:k]), inst.space.origin, inst.capacity)
+    comp = _Compiled(inst.space, list(inst.requests[:k]), inst.capacity)
     dist, rel, cap = comp.dist, comp.rel, comp.cap
     full = (1 << k) - 1
     best = [_INF]

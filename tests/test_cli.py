@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import openride
 from openride.cli import main
 from openride.numeric import DEFAULT_TOLERANCE, tolerance
 
@@ -276,3 +282,53 @@ def test_tolerance_flag_is_restored(capsys, lb_instance):
     )
     assert code == 0
     assert tolerance() == DEFAULT_TOLERANCE
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_guarded(*argv, stdin=""):
+    """Run the CLI in a child process with a time and memory limit.
+
+    A hang or runaway allocation then fails the test instead of stalling
+    the suite.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(openride.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "openride.cli", *argv], input=stdin,
+                          capture_output=True, text=True, timeout=30, env=env,
+                          preexec_fn=_limit_memory)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _line_instance(a="0", t="0"):
+    return ('{"metric": {"type": "line"}, "capacity": 1, '
+            f'"requests": [{{"a": {a}, "b": 1, "t": {t}}}]}}')
+
+
+NAN_MATRIX = ('{"metric": {"type": "matrix", "d": [[0, NaN], [NaN, 0]]}, "capacity": 1, '
+              '"requests": [{"a": 0, "b": 1, "t": 0}]}')
+
+
+@pytest.mark.parametrize("argv, stdin, field", [
+    (("opt",), _line_instance(t="NaN"), "requests[0].t"),
+    (("simulate", "--algo", "ignore"), _line_instance(t="NaN"), "requests[0].t"),
+    (("opt",), _line_instance(t="true"), "requests[0].t"),
+    (("opt",), _line_instance(a="Infinity"), "requests[0].a"),
+    (("opt",), NAN_MATRIX, "metric.d"),
+], ids=["opt-nan-release", "simulate-nan-release", "bool-release", "inf-coordinate",
+        "nan-matrix-entry"])
+def test_non_finite_instance_fails_fast(argv, stdin, field):
+    code, out, err = run_guarded(*argv, "--instance", "-", stdin=stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_bad_tolerance_fails_fast(tol):
+    code, out, err = run_guarded("opt", "--instance", "-", "--tolerance", tol,
+                                 stdin=_line_instance())
+    assert code == 1
+    assert out == ""
+    assert err == "error: tolerance must be positive and finite\n"

@@ -95,6 +95,13 @@ def test_validate_shape():
     assert v is not None and v.reason == "shape" and v.where == (1,)
 
 
+def test_validate_finite():
+    v = matrix_space([[0, float("nan")], [float("nan"), 0]]).validate()
+    assert v.reason == "finite" and v.where == (0, 1)
+    assert matrix_space([[float("inf"), 1], [1, 0]]).validate().reason == "finite"
+    assert not line().is_point(float("inf")) and not half_line().is_point(float("nan"))
+
+
 def test_validate_diagonal():
     v = matrix_space([[0, 1], [1, 0.5]]).validate()
     assert v is not None and v.reason == "diagonal" and v.where == (1,)

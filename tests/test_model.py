@@ -59,6 +59,22 @@ def test_negative_release_rejected():
         make_instance(line(), 1, [(0.0, 1.0, -0.5)])
 
 
+def test_non_finite_release_and_point_rejected():
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(SemanticError) as ei:
+            make_instance(line(), 1, [(0.0, 1.0, t)])
+        assert ei.value.where == "requests[0].t"
+    with pytest.raises(SemanticError) as ei:
+        make_instance(line(), 1, [(0.0, float("-inf"), 0.0)])
+    assert ei.value.where == "requests[0].b"
+    base = {"metric": {"type": "line"}, "capacity": 1}
+    for field_, value in (("t", True), ("t", "1"), ("a", None)):
+        req = {"a": 0.0, "b": 1.0, "t": 0.0, field_: value}
+        with pytest.raises(SemanticError) as ei:
+            instance_from_dict({**base, "requests": [req]})
+        assert ei.value.where == f"requests[0].{field_}"
+
+
 def test_bad_capacity_rejected():
     for cap in (0, -2, 1.5):
         with pytest.raises(SemanticError):
