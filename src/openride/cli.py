@@ -29,6 +29,7 @@ from .numeric import DEFAULT_TOLERANCE, set_tolerance
 from .offline import SearchCapExceeded, opt_upto
 
 ALGOS = ("lazy", "replan", "ignore")
+MAX_GRID_POINTS = 100_000
 
 
 class CliError(Exception):
@@ -67,6 +68,16 @@ def _emit(args, obj, table=None) -> None:
         sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write(canonical_json(_round(obj, args.precision)) + "\n")
+
+
+def _check_numbers(args) -> None:
+    """Reject non-finite numeric options, naming the option."""
+    for name in ("alpha", "epsilon"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"--{name} must be a finite number, got {value}")
+    if getattr(args, "upto", None) is not None and math.isnan(args.upto):
+        raise CliError("--upto must be a number, got nan")
 
 
 def _require_alpha(args, parser: argparse.ArgumentParser) -> float | None:
@@ -180,9 +191,14 @@ def _parse_grid(text: str):
     try:
         a, b, step = (float(v) for v in text.split(":"))
     except ValueError as e:
-        raise CliError(f"bad grid {text!r}; expected a:b:step") from e
+        raise CliError(f"bad --grid {text!r}; expected a:b:step") from e
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise CliError(f"bad --grid {text!r}; a, b and step must be finite")
     if step <= 0 or b < a:
-        raise CliError(f"bad grid {text!r}; need a <= b and step > 0")
+        raise CliError(f"bad --grid {text!r}; need a <= b and step > 0")
+    # count the points before building the list
+    if not (b - a) / step < MAX_GRID_POINTS:
+        raise CliError(f"bad --grid {text!r}; more than {MAX_GRID_POINTS} points")
     out = []
     k = 0
     while True:
@@ -299,6 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         set_tolerance(args.tolerance)
+        _check_numbers(args)
         return args.func(args, parser)
     except BrokenPipeError:
         return 0

@@ -23,6 +23,7 @@ how interrupted routes are re-planned mid-edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .metric import MATRIX, MetricSpace, Point
@@ -380,8 +381,8 @@ class LazyPolicy:
     name = "lazy"
 
     def __init__(self, alpha: float):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         self.alpha = alpha
 
     def on_request(self, sim: Simulation) -> None:

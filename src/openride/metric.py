@@ -71,6 +71,10 @@ class MetricSpace:
     def distance(self, x: Point, y: Point) -> float:
         self.check_point(x)
         self.check_point(y)
+        return self.raw_distance(x, y)
+
+    def raw_distance(self, x: Point, y: Point) -> float:
+        """distance() without the membership checks, for points checked once."""
         if self.kind == MATRIX:
             return float(self.matrix[x][y])
         return abs(float(x) - float(y))

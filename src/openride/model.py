@@ -89,16 +89,14 @@ class Instance:
         object.__setattr__(
             self, "requests", tuple(sorted(self.requests, key=lambda r: (r.release, r.id)))
         )
+        object.__setattr__(self, "_by_id", {r.id: r for r in self.requests})
 
     @property
     def effective_capacity(self) -> int:
         return len(self.requests) if self.capacity is None else self.capacity
 
     def request(self, rid: int) -> Request:
-        for r in self.requests:
-            if r.id == rid:
-                return r
-        raise KeyError(rid)
+        return self._by_id[rid]
 
 
 def make_instance(space: MetricSpace, capacity: int | None, triples) -> Instance:
@@ -263,7 +261,10 @@ class Trace:
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SemanticError(f"{v!r} is not a number", where)
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SemanticError("integer is beyond the float range", where) from None
 
 
 def instance_from_dict(obj: dict) -> Instance:
@@ -283,7 +284,11 @@ def instance_from_dict(obj: dict) -> Instance:
     elif kind == MATRIX:
         if "d" not in m:
             raise SemanticError("matrix metric needs entries under 'd'", "metric.d")
-        space = matrix_space(m["d"])
+        d = m["d"]
+        if not isinstance(d, list) or not all(isinstance(row, list) for row in d):
+            raise SemanticError("matrix entries must be an array of arrays", "metric.d")
+        space = matrix_space([[_number(v, f"metric.d[{i}][{j}]") for j, v in enumerate(row)]
+                              for i, row in enumerate(d)])
         bad = space.validate()
         if bad is not None:
             raise SemanticError(f"invalid distance matrix: {bad.reason}: {bad.detail}", "metric.d")
@@ -334,7 +339,7 @@ def parse_instance(text: str) -> Instance:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def action_to_obj(act: Action) -> list:

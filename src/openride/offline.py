@@ -5,19 +5,25 @@ Three problems are solved exactly for small request sets:
 * opt_upto (through OptCache): the release-respecting optimum starting
   at the origin at time 0 over all requests released up to a cutoff
   (depth-first branch and bound with a release-free relaxation
-  shortcut);
+  shortcut, and dominance pruning: a state entered no earlier than a
+  previous visit of it is cut);
 * shortest_schedule: minimal-travel serving order ignoring release
   times, over some of an instance's requests, from an arbitrary start
   point;
 * fastest_delivery_and_return: quickest way to drop off everything on
   board and come back to the origin.
 
-OptCache compiles an instance once (its points and distance table) and
-memoizes one release-free (position, loaded, done) DP over it.  The
-planner shares that cache: it marks every request outside its set as
-done, so one run has one table and one DP.  Searches are exponential in
-the number of requests and are capped at a fixed DEFAULT_SEARCH_CAP of
-10 requests.  opt_upto_naive is a deliberately structure-free
+OptCache compiles an instance once (its points, checked once, and its
+distance table) and fills the release-free (position, loaded, done) DP
+over it bottom-up, as one numpy table indexed by a ternary code per
+request (untouched, on board, done).  The planner shares that cache: it
+marks every request outside its set as done, so one run has one table
+and one DP.  Searches are exponential in the number of requests and are
+capped at a fixed DEFAULT_SEARCH_CAP of 10 requests.  An instance with
+more requests than the cap gets no table over all of them (3**m rows
+would not fit in memory); each table then covers only the caller's
+scope, a release prefix or the planned requests, and only the last one
+is kept.  opt_upto_naive is a deliberately structure-free
 enumeration over all feasible event orders used as an oracle; it shares
 nothing with the branch and bound beyond the greedy timing rule
 (earliest feasible execution of a fixed order, which is optimal per
@@ -27,6 +33,9 @@ order because event times are monotone in their predecessors).
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
+
+import numpy as np
 
 from .metric import MetricSpace, Point
 from .model import Instance, Load, Move, Request, Schedule, Unload, Wait
@@ -59,8 +68,10 @@ class _Compiled:
         for r in requests:
             pts.append(r.a)
             pts.append(r.b)
+        for p in pts:
+            space.check_point(p)
         self.points = pts
-        self.dist = [[space.distance(p, q) for q in pts] for p in pts]
+        self.dist = [[space.raw_distance(p, q) for q in pts] for p in pts]
         self.rel = [r.release for r in requests]
         self.cap = self.m if capacity is None else capacity
 
@@ -93,44 +104,70 @@ def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
     return Schedule(start, tuple(actions)), t
 
 
-def _min_remaining(comp: _Compiled, memo: dict):
-    """Memoized release-free minimum remaining travel.
+@lru_cache(maxsize=16)
+def _layers(k: int, cap: int):
+    """Transitions of the release-free DP over k requests, by progress layer.
 
-    State is (position index, loaded mask, done mask); requests flagged
-    done in the mask are simply skipped, so one memo serves every scope
-    that marks out-of-scope requests as done.
+    A state is a ternary code: digit j is 0 while request j is untouched,
+    1 while it is on board and 2 once it is done, so picking up or
+    dropping off request j always leads to the state code + 3**j.  Only
+    states with at most cap requests on board are kept.  Returns one
+    (parents, children, targets, starts) tuple per layer, last layer
+    first: the transitions of parents[i] are children[s:e] reached at
+    point targets[s:e], with s, e = starts[i], starts[i + 1].
     """
-    dist = comp.dist
-    cap = comp.cap
-    m = comp.m
-    full = (1 << m) - 1
+    codes = np.arange(3 ** k)
+    steps = 3 ** np.arange(k)
+    digits = codes[:, None] // steps % 3
+    onboard = (digits == 1).sum(axis=1)
+    progress = digits.sum(axis=1)
+    moves = (digits == 1) | ((digits == 0) & (onboard < cap)[:, None])
+    layers = []
+    for p in range(2 * k - 1, -1, -1):
+        parents = np.flatnonzero((progress == p) & (onboard <= cap))
+        rows, js = np.nonzero(moves[parents])
+        frm = parents[rows]
+        starts = np.searchsorted(rows, np.arange(len(parents)))
+        layers.append((parents, frm + steps[js], 1 + 2 * js + digits[frm, js], starts))
+    return tuple(layers)
 
-    def rest(pos: int, loaded: int, done: int) -> float:
-        if done == full:
-            return 0.0
-        key = (pos, loaded, done)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        best = _INF
-        room = loaded.bit_count() < cap
-        for j in range(m):
-            bit = 1 << j
-            if done & bit:
-                continue
-            if loaded & bit:
-                tgt = 2 + 2 * j
-                c = dist[pos][tgt] + rest(tgt, loaded & ~bit, done | bit)
-            elif room:
-                tgt = 1 + 2 * j
-                c = dist[pos][tgt] + rest(tgt, loaded | bit, done)
-            else:
-                continue
-            if c < best:
-                best = c
-        memo[key] = best
-        return best
 
+def _table_rest(comp: _Compiled, scope):
+    """Release-free minimum remaining travel, as one bottom-up table.
+
+    The table covers the requests at the cache positions in scope
+    (ascending).  The returned rest(pos, loaded, done) takes compiled
+    point indices and request bitmasks, and is valid for every state
+    that marks all requests outside scope done.  Each layer of the table
+    takes the same min over the same float sums as the top-down
+    recursion, so values match it bit for bit.
+    """
+    k = len(scope)
+    pts = [0] + [p for j in scope for p in (1 + 2 * j, 2 + 2 * j)]
+    dist_t = np.array(comp.dist)[np.ix_(pts, pts)].T.copy()  # dist_t[tgt, pos] = dist[pos][tgt]
+    table = np.full((3 ** k, len(pts)), _INF)
+    table[-1] = 0.0
+    for parents, children, targets, starts in _layers(k, min(comp.cap, k)):
+        cost = dist_t[targets] + table[children, targets][:, None]
+        table[parents] = np.minimum.reduceat(cost, starts, axis=0)
+    item = table.item
+    code = [0]  # ternary code of a bitmask over the scope
+    for j in range(k):
+        code += [c + 3 ** j for c in code]
+    if list(scope) == list(range(k)):  # compiled indices are table indices
+        mask = (1 << k) - 1
+
+        def rest(pos: int, loaded: int, done: int) -> float:
+            return item(code[loaded & mask] + 2 * code[done & mask], pos)
+    else:
+        local = {p: i for i, p in enumerate(pts)}
+
+        def rest(pos: int, loaded: int, done: int) -> float:
+            lo = dn = 0
+            for i, j in enumerate(scope):
+                lo |= (loaded >> j & 1) << i
+                dn |= (done >> j & 1) << i
+            return item(code[lo] + 2 * code[dn], local[pos])
     return rest
 
 
@@ -196,8 +233,8 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
         loaded |= 1 << j
     if loaded.bit_count() > comp.cap:
         raise ValueError("more requests on board than the capacity allows")
-    row = [space.distance(start, p) for p in comp.points]
-    seq = _reconstruct_free(comp, cache._rest, row, loaded, done, order)
+    row = [space.raw_distance(start, p) for p in comp.points]
+    seq = _reconstruct_free(comp, cache._rest_over(sorted(order)), row, loaded, done, order)
     return _build_schedule(comp, seq, space, start, row, start_time)[0]
 
 
@@ -264,7 +301,7 @@ class OptCache:
     The simulator asks for the optimal completion over the currently
     released requests many times; the released set only changes at
     release epochs, so results are memoized per prefix (requests are
-    stored sorted by release time).  The release-free relaxation memo is
+    stored sorted by release time).  The release-free DP table is
     shared across prefixes and with shortest_schedule.
     """
 
@@ -272,8 +309,22 @@ class OptCache:
         self.inst = inst
         self.comp = _Compiled(inst.space, list(inst.requests), inst.capacity)
         self.index = {rid: j for j, rid in enumerate(self.comp.ids)}  # request id -> position
-        self._rest = _min_remaining(self.comp, {})
+        self._table: tuple | None = None  # (scope, rest) of the last DP table built
         self._solved: dict[int, tuple[Schedule, float]] = {}
+
+    def _rest_over(self, scope):
+        """The release-free DP for states marking every request outside scope done.
+
+        Up to the search cap one table over all requests serves every
+        scope.  Above it a table over all requests would not fit in
+        memory, so each table covers only the caller's scope, and only
+        the last one is kept.
+        """
+        m = self.comp.m
+        key = tuple(range(m) if m <= DEFAULT_SEARCH_CAP else scope)
+        if self._table is None or self._table[0] != key:
+            self._table = (key, _table_rest(self.comp, key))
+        return self._table[1]
 
     def prefix_for(self, t: float) -> int:
         return bisect_right(self.comp.rel, t + tolerance())
@@ -334,7 +385,8 @@ class OptCache:
         dist, rel = comp.dist, comp.rel
         full = (1 << k) - 1
         hidden = ((1 << comp.m) - 1) ^ full  # out-of-prefix requests count as done
-        rest = self._rest
+        rest = self._rest_over(range(k))
+        seen: dict = {}  # (pos, loaded, done) -> earliest time dfs entered it
 
         seq0, val0 = self._greedy(k)
         best: list = [val0, list(seq0), None]
@@ -344,6 +396,12 @@ class OptCache:
                 if t < best[0]:
                     best[0], best[1], best[2] = t, list(seq), None
                 return
+            # event times are monotone in t, so an earlier visit of the same
+            # state already reached every completion this one could reach
+            key = (pos, loaded, done)
+            if seen.get(key, _INF) <= t:
+                return
+            seen[key] = t
             # once every remaining pickup is released, the rest is the
             # release-free relaxation, solved once and shared
             pending_rel = 0.0

@@ -332,3 +332,52 @@ def test_bad_tolerance_fails_fast(tol):
     assert code == 1
     assert out == ""
     assert err == "error: tolerance must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("ratio", "--algo", "lazy", "--alpha", "nan"), "--alpha"),
+    (("ratio", "--algo", "replan", "--alpha", "inf"), "--alpha"),
+    (("simulate", "--algo", "lazy", "--alpha=-inf"), "--alpha"),
+    (("opt", "--upto", "nan"), "--upto"),
+], ids=["alpha-nan", "alpha-inf", "alpha-minus-inf", "upto-nan"])
+def test_non_finite_option_fails_fast(argv, field):
+    code, out, err = run_guarded(*argv, "--instance", "-", stdin=_line_instance())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("stdin, field", [
+    (_line_instance(a=HUGE), "requests[0].a"),
+    (_line_instance().replace('"b": 1', f'"b": {HUGE}'), "requests[0].b"),
+    (_line_instance(t=HUGE), "requests[0].t"),
+    (NAN_MATRIX.replace("NaN", HUGE), "metric.d[0][1]"),
+], ids=["a", "b", "t", "matrix-entry"])
+def test_integer_beyond_float_range_fails_fast(stdin, field):
+    code, out, err = run_guarded("opt", "--instance", "-", stdin=stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--grid", "0:1e9:1e-9"),
+    ("sweep", "--grid", "0:1:1e-320"),
+    ("sweep", "--grid", "0:inf:1"),
+    ("factor-reveal", "--grid", "1:2:nan"),
+], ids=["too-many-points", "subnormal-step", "infinite-end", "nan-step"])
+def test_oversized_or_non_finite_grid_fails_fast(argv):
+    code, out, err = run_guarded(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad --grid")
+
+
+def test_sweep_grid_at_the_cap(capsys):
+    from openride.cli import MAX_GRID_POINTS
+    code, out, _ = run(capsys, "sweep", "--grid", f"0:{MAX_GRID_POINTS - 1}:1", "--format", "csv")
+    assert code == 0
+    assert len(out.strip().split("\n")) == MAX_GRID_POINTS + 1

@@ -259,6 +259,12 @@ def test_parse_instance_invalid_matrix():
     }
     with pytest.raises(SemanticError, match="triangle"):
         instance_from_dict(obj)
+    for d, where in ((5, "metric.d"), ([0, 1], "metric.d"),
+                     ([[0, "x"], [1, 0]], r"metric.d\[0\]\[1\]"),
+                     ([[0, True], [1, 0]], r"metric.d\[0\]\[1\]")):
+        obj["metric"]["d"] = d
+        with pytest.raises(SemanticError, match=where):
+            instance_from_dict(obj)
 
 
 def test_parse_instance_capacity_forms():
@@ -291,6 +297,9 @@ def test_canonical_json_is_sorted_and_compact():
     s = canonical_json({"b": 1, "a": [1.5, {"z": None, "y": 2}]})
     assert s == '{"a":[1.5,{"y":2,"z":null}],"b":1}'
     assert json.loads(s) == {"b": 1, "a": [1.5, {"z": None, "y": 2}]}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):  # NaN and Infinity are not JSON
+            canonical_json({"ratio": bad})
 
 
 def test_schedule_to_obj():

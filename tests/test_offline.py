@@ -1,8 +1,16 @@
 """Exact offline solvers: shortest schedules and release-aware optima."""
 
+import os
+import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import openride
 
 from openride.metric import half_line, line, matrix_space
 from openride.model import (
@@ -20,6 +28,7 @@ from openride.offline import (
     DEFAULT_SEARCH_CAP,
     OptCache,
     SearchCapExceeded,
+    _table_rest,
     fastest_delivery_and_return,
     opt_upto,
     opt_upto_naive,
@@ -239,3 +248,176 @@ def test_shortest_schedule_shares_the_instance_cache():
         shortest_schedule([inst.request(0)], 0.0, cache, loaded_ids=(1,))
     with pytest.raises(ValueError):
         shortest_schedule(inst.requests, 0.0, cache, loaded_ids=(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the release-free DP table
+
+
+def recursive_rest(comp, memo):
+    """Top-down, dict-memoised release-free DP: the oracle for the table."""
+    dist, cap, m = comp.dist, comp.cap, comp.m
+    full = (1 << m) - 1
+
+    def rest(pos, loaded, done):
+        if done == full:
+            return 0.0
+        key = (pos, loaded, done)
+        val = memo.get(key)
+        if val is not None:
+            return val
+        best = float("inf")
+        room = loaded.bit_count() < cap
+        for j in range(m):
+            bit = 1 << j
+            if done & bit:
+                continue
+            if loaded & bit:
+                tgt = 2 + 2 * j
+                c = dist[pos][tgt] + rest(tgt, loaded & ~bit, done | bit)
+            elif room:
+                tgt = 1 + 2 * j
+                c = dist[pos][tgt] + rest(tgt, loaded | bit, done)
+            else:
+                continue
+            if c < best:
+                best = c
+        memo[key] = best
+        return best
+
+    return rest
+
+
+def random_instance(rng, space, m, capacity):
+    """m requests over few distinct points, so many of them coincide."""
+    def pick():
+        if space.kind == "matrix":
+            return rng.randrange(space.size)
+        sign = 1 if space.kind == "halfline" else rng.choice((1, -1))
+        return sign * rng.choice((0.0, 0.5, 1.0, 2.25, 3.0))
+
+    return make_instance(space, capacity, [(pick(), pick(), float(rng.randrange(3)))
+                                           for _ in range(m)])
+
+
+def test_dp_table_equals_the_recursion():
+    rng = random.Random(5)
+    sp = matrix_space([[0, 1.5, 2, 3.25], [1.5, 0, 0.5, 1.75], [2, 0.5, 0, 1.25],
+                       [3.25, 1.75, 1.25, 0]])
+    checked = 0
+    for space in (line(), half_line(), sp):
+        for m in range(7):
+            for capacity in (1, 2, None):
+                cache = OptCache(random_instance(rng, space, m, capacity))
+                comp = cache.comp
+                memo = {}
+                oracle = recursive_rest(comp, memo)
+                full = (1 << m) - 1
+                # scopes: every request, a prefix, and a scattered subset
+                scopes = {tuple(range(m)), tuple(range(m // 2)), tuple(range(0, m, 2))}
+                for scope in scopes:
+                    table = _table_rest(comp, scope)
+                    hidden = full ^ sum(1 << j for j in scope)
+                    memo.clear()
+                    # roots: the origin and every point of the scope, with up
+                    # to two requests on board and one more already done
+                    for pos in [0] + [p for j in scope for p in (1 + 2 * j, 2 + 2 * j)]:
+                        for loaded in (0, sum(1 << j for j in scope[:1]),
+                                       sum(1 << j for j in scope[:2])):
+                            for done in {hidden, hidden | sum(1 << j for j in scope[2:3])}:
+                                if capacity is None or loaded.bit_count() <= capacity:
+                                    oracle(pos, loaded, done)
+                    for (pos, loaded, done), want in memo.items():
+                        assert table(pos, loaded, done) == want
+                        checked += 1
+                assert cache._rest_over(range(m))(0, 0, 0) == oracle(0, 0, 0)
+    assert checked > 20_000
+
+
+def test_dp_table_above_the_cap_covers_only_the_scope():
+    # 14 requests: a table over all of them would hold 3**14 * 29 values
+    rng = random.Random(3)
+    inst = make_instance(line(), 2, [(rng.uniform(-4, 4), rng.uniform(-4, 4), 0.0)
+                                     for _ in range(14)])
+    cache = OptCache(inst)
+    scope = (1, 4, 5, 9, 13)
+    rest = cache._rest_over(scope)
+    hidden = ((1 << 14) - 1) ^ sum(1 << j for j in scope)
+    assert rest(0, 0, hidden) == recursive_rest(cache.comp, {})(0, 0, hidden)
+    assert cache._rest_over(scope) is rest  # the last table is kept
+    cache._rest_over(range(3))
+    assert cache._rest_over(scope) is not rest  # and only the last one
+
+
+def test_dominance_pruning_keeps_the_optimum():
+    # coincident points and nearly equal releases make the search re-enter
+    # states at different times; only a later visit may be cut
+    rng = random.Random(7)
+    sp = matrix_space([[0, 1.5, 2, 3.25], [1.5, 0, 0.5, 1.75], [2, 0.5, 0, 1.25],
+                       [3.25, 1.75, 1.25, 0]])
+    for n in range(600):
+        space = (line(), half_line(), sp)[n % 3]
+        inst = random_instance(rng, space, rng.randint(2, 4), (1, 2, None)[n // 3 % 3])
+        inst = Instance(inst.space, inst.capacity, tuple(
+            replace(r, release=rng.choice((0.0, 1.0, 2.5, 4.0)) + rng.random() * 1e-4)
+            for r in inst.requests))
+        _, value = opt_upto(inst, 10.0)
+        assert value == pytest.approx(opt_upto_naive(inst, 10.0), abs=1e-9)
+
+
+def run_child(code: str, timeout: float):
+    """Run python code in a child process under a 1 GiB address-space limit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(openride.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_many_requests_plan_within_the_cap_in_bounded_memory():
+    # 14 line requests released 40 apart: each plan covers one or two requests,
+    # so replan and ignore run although the instance is above the search cap
+    out = run_child("""
+import random
+from openride.engine import simulate
+from openride.experiments import make_policy
+from openride.metric import line
+from openride.model import make_instance
+from openride.offline import SearchCapExceeded
+rng = random.Random(1)
+inst = make_instance(line(), 1, [(rng.uniform(-5, 5), rng.uniform(-5, 5), 40.0 * i)
+                                 for i in range(14)])
+for algo in ("replan", "ignore"):
+    print(repr(simulate(inst, make_policy(algo, None)).completion))
+try:
+    simulate(inst, make_policy("lazy", 1.5))
+except SearchCapExceeded:
+    print("lazy-capped")
+""", timeout=30)
+    assert out == ["525.8572666670602", "525.8572666670602", "lazy-capped"]
+
+
+COINCIDENT_MATRIX = (
+    '{"capacity":"inf","metric":{"d":[[0.0,2.367190582682123,2.0,5.0,1.0,5.0,2.0],'
+    '[2.367190582682123,0.0,1.75392132178873,4.431789866612513,1.367190582682123,'
+    '5.367190582682123,1.0],[2.0,1.75392132178873,0.0,3.0,1.0,5.0,2.0],'
+    '[5.0,4.431789866612513,3.0,0.0,4.0,4.99398625539929,3.4317898666125126],'
+    '[1.0,1.367190582682123,1.0,4.0,0.0,4.0,1.0],'
+    '[5.0,5.367190582682123,5.0,4.99398625539929,4.0,0.0,5.0],'
+    '[2.0,1.0,2.0,3.4317898666125126,1.0,5.0,0.0]],"type":"matrix"},'
+    '"requests":[{"a":1,"b":6,"t":0.0},{"a":1,"b":3,"t":0.0},{"a":4,"b":2,"t":0.0},'
+    '{"a":4,"b":0,"t":0.0},{"a":0,"b":4,"t":0.22567964484654368},{"a":0,"b":5,"t":2.0},'
+    '{"a":4,"b":5,"t":3.1421317199781496},{"a":5,"b":6,"t":9.992269504166494}]}'
+)
+
+
+def test_coincident_points_do_not_blow_up_the_search():
+    # many equal-cost orders through shared nodes; the dominance check in the
+    # branch and bound keeps this to a fraction of a second
+    out = run_child(f"""
+from openride.model import parse_instance
+from openride.offline import opt_upto
+print(repr(opt_upto(parse_instance({COINCIDENT_MATRIX!r}), float("inf"))[1]))
+""", timeout=10)
+    assert out == ["19.257229879848293"]
