@@ -13,11 +13,9 @@ optimum traces the waiting policy's ratio on the half-line.
 from .engine import (EngineError, GoodnessRow, IgnorePolicy, LazyPolicy,
                      ReplanPolicy, Simulation, check_alpha_good,
                      check_lazy_starts, simulate)
-from .experiments import (FuzzConfig, HALF_LINE_LOWER_BOUND,
-                          OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE,
-                          RatioReport, SweepRow, competitive_ratio, fuzz,
-                          gen_halfline_lb, generate_instance, make_policy,
-                          sweep_lower_bounds)
+from .experiments import (FuzzConfig, HALF_LINE_LOWER_BOUND, RatioReport,
+                          SweepRow, competitive_ratio, fuzz, gen_halfline_lb,
+                          generate_instance, make_policy, sweep_lower_bounds)
 from .factor_revealing import (BOX_BOUND, DEFAULT_BIG_M, FactorRevealingError,
                                FrBranchResult, FrSolution, MilpInstance,
                                VARIABLES, build_fr_milp, check_unlinearized,
@@ -32,7 +30,8 @@ from .model import (Instance, InstanceError, Load, Move, ParseError, Request,
                     instance_from_dict, instance_to_dict, make_instance,
                     parse_instance, schedule_length, trace_to_dict,
                     validate_schedule)
-from .numeric import DEFAULT_TOLERANCE, set_tolerance, tolerance
+from .numeric import (DEFAULT_TOLERANCE, OPTIMAL_ALPHA_GENERAL,
+                      OPTIMAL_ALPHA_HALF_LINE, set_tolerance, tolerance)
 from .offline import (OptCache, SearchCapExceeded, fastest_delivery_and_return,
                       opt_upto, opt_upto_naive, shortest_schedule)
 

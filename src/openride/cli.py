@@ -138,7 +138,10 @@ def _parse_capacities(text: str):
     out = []
     for part in text.split(","):
         part = part.strip()
-        out.append(None if part in ("inf", "none") else int(part))
+        try:
+            out.append(None if part in ("inf", "none") else int(part))
+        except ValueError as e:
+            raise CliError(f"bad --capacities {text!r}; expected integers or inf") from e
     return tuple(out)
 
 
@@ -149,13 +152,20 @@ def _cmd_fuzz(args, parser) -> int:
             raw = open(args.config, encoding="utf-8").read()
         except OSError as e:
             raise CliError(f"cannot read config: {e}") from e
-        base = json.loads(raw)
-        if "capacities" in base:
-            base["capacities"] = tuple(None if c in ("inf", "none", None) else int(c)
-                                       for c in base["capacities"])
-        for key in ("spaces", "matrix_nodes"):
+        try:
+            base = json.loads(raw)
+        except ValueError as e:
+            raise CliError(f"bad fuzz config: {e}") from e
+        if not isinstance(base, dict):
+            raise CliError("bad fuzz config: expected a JSON object")
+        for key in ("spaces", "capacities", "matrix_nodes"):
             if key in base:
+                if not isinstance(base[key], list):
+                    raise CliError(f"bad fuzz config: {key} must be a list")
                 base[key] = tuple(base[key])
+        if "capacities" in base:
+            base["capacities"] = tuple(None if c in ("inf", "none", None) else c
+                                       for c in base["capacities"])
     for key, value in (("count", args.count), ("seed", args.seed),
                        ("alpha", args.alpha), ("workers", args.workers),
                        ("max_requests", args.max_requests)):

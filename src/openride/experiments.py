@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
 from .model import Instance, Load, Schedule, Trace, Unload, make_instance, validate_schedule
-from .numeric import tolerance
+from .numeric import OPTIMAL_ALPHA_HALF_LINE, tolerance
+from .numeric import OPTIMAL_ALPHA_GENERAL  # noqa: F401  re-exported for existing importers
 from .offline import OptCache
 
-# best waiting parameters and the half-line impossibility threshold
-OPTIMAL_ALPHA_GENERAL = 0.5 + math.sqrt(11.0 / 12.0)
-OPTIMAL_ALPHA_HALF_LINE = (1.0 + math.sqrt(3.0)) / 2.0
+# the half-line impossibility threshold
 HALF_LINE_LOWER_BOUND = (3.0 + math.sqrt(3.0)) / 2.0
 
 
@@ -93,9 +92,24 @@ def competitive_ratio(inst: Instance, algo: str, alpha: float | None = None,
 # ---------------------------------------------------------------------------
 # fuzzing
 
+# most worker processes one fuzz run may start
+MAX_FUZZ_WORKERS = 64
+# most instances one worker takes per hand-off; bounds the tasks in flight
+_MAX_CHUNK = 256
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
+    """Generator settings; every field is checked when the config is built."""
+
     count: int = 100
     seed: int = 0
     spaces: tuple[str, ...] = (LINE, HALF_LINE, MATRIX)
@@ -108,6 +122,38 @@ class FuzzConfig:
     alpha: float | None = None
     workers: int | None = None
     check_schedules: bool = False
+
+    def __post_init__(self):
+        def bad(field_name, rule):
+            value = getattr(self, field_name)
+            raise ValueError(f"fuzz config: {field_name} must be {rule}, got {value!r}")
+
+        if not _is_int(self.count) or self.count < 0:
+            bad("count", "a nonnegative integer")
+        if not _is_int(self.seed):
+            bad("seed", "an integer")
+        if not _is_int(self.max_requests) or self.max_requests < 1:
+            bad("max_requests", "a positive integer")
+        if self.workers is not None and not (
+                _is_int(self.workers) and 0 <= self.workers <= MAX_FUZZ_WORKERS):
+            bad("workers", f"null or an integer from 0 to {MAX_FUZZ_WORKERS}")
+        if self.alpha is not None and not _is_real(self.alpha):
+            bad("alpha", "a finite number or null")
+        if (not isinstance(self.spaces, (tuple, list)) or not self.spaces
+                or any(k not in (LINE, HALF_LINE, MATRIX) for k in self.spaces)):
+            bad("spaces", f"a non-empty list of {LINE}, {HALF_LINE}, {MATRIX}")
+        if (not isinstance(self.capacities, (tuple, list)) or not self.capacities
+                or any(c is not None and not (_is_int(c) and c >= 1) for c in self.capacities)):
+            bad("capacities", "a non-empty list of positive integers or unbounded")
+        nodes = self.matrix_nodes
+        if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2 and all(map(_is_int, nodes))
+                and 1 <= nodes[0] <= nodes[1]):
+            bad("matrix_nodes", "two integers lo, hi with 1 <= lo <= hi")
+        for field_name in ("span", "horizon", "same_point_prob"):
+            if not _is_real(getattr(self, field_name)):
+                bad(field_name, "a finite number")
+        if not isinstance(self.check_schedules, bool):
+            bad("check_schedules", "true or false")
 
 
 @dataclass(frozen=True)
@@ -224,19 +270,27 @@ def _fuzz_task(args) -> tuple[float, int]:
     return ratio, bad
 
 
+def _results(cfg: FuzzConfig, algo: str):
+    """(ratio, violations) per instance in index order, in memory bounded by
+    the worker count rather than by cfg.count."""
+    if not (cfg.workers and cfg.workers > 1):
+        yield from map(_fuzz_task, ((cfg, algo, i) for i in range(cfg.count)))
+        return
+    chunk = max(1, min(cfg.count // (cfg.workers * 8), _MAX_CHUNK))
+    window = chunk * cfg.workers * 8
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        for start in range(0, cfg.count, window):
+            stop = min(start + window, cfg.count)
+            yield from pool.map(_fuzz_task, ((cfg, algo, i) for i in range(start, stop)),
+                                chunksize=chunk)
+
+
 def fuzz(cfg: FuzzConfig, algo: str) -> RatioReport:
     """Run `algo` over cfg.count random instances and report the ratios."""
-    tasks = [(cfg, algo, i) for i in range(cfg.count)]
-    if cfg.workers and cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_fuzz_task, tasks,
-                                    chunksize=max(1, cfg.count // (cfg.workers * 8))))
-    else:
-        results = [_fuzz_task(t) for t in tasks]
     worst, worst_index = -math.inf, -1
     total = 0.0
     violations = 0
-    for i, (ratio, bad) in enumerate(results):
+    for i, (ratio, bad) in enumerate(_results(cfg, algo)):
         total += ratio
         violations += bad
         if ratio > worst:

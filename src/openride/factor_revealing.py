@@ -35,13 +35,13 @@ scenarios the waiting rule would interrupt).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .experiments import OPTIMAL_ALPHA_HALF_LINE
 from .lp import LinearProgram, LpSolution, solve_lp
+from .numeric import OPTIMAL_ALPHA_HALF_LINE
 
 VARIABLES = (
     "prev_start",
@@ -90,6 +90,23 @@ class MilpInstance:
     def __post_init__(self):
         if self.big_m <= 0:
             raise ValueError("big_m must be positive")
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """(objective, coeffs, rhs, m_const, m_coef) as arrays, built once.
+
+        Every branch program shares them, so they are read-only.
+        """
+        arrays = (
+            np.array(self.objective),
+            np.array([r.coeffs for r in self.rows]),
+            np.array([r.rhs for r in self.rows]),
+            np.array([r.m_const for r in self.rows]),
+            np.array([r.m_coef for r in self.rows]),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -170,21 +187,23 @@ def build_fr_milp(alpha: float, big_m: float = DEFAULT_BIG_M) -> MilpInstance:
     return MilpInstance(alpha=a, big_m=float(big_m), objective=objective, rows=rows)
 
 
+def _m_mult(milp: MilpInstance, binaries) -> np.ndarray:
+    """Per row, m_const + m_coef @ binaries: how many big-Ms relax it."""
+    *_, m_const, m_coef = milp._arrays
+    return m_const + m_coef @ np.asarray(binaries, dtype=float)
+
+
 def substitute(milp: MilpInstance, binaries) -> LinearProgram:
     """Fix the four binaries and return the continuous program."""
     b = tuple(int(v) for v in binaries)
     if len(b) != 4 or any(v not in (0, 1) for v in b):
         raise ValueError("binaries must be four 0/1 values")
-    a_ub = np.array([r.coeffs for r in milp.rows])
-    b_ub = np.array([
-        r.rhs + milp.big_m * (r.m_const + sum(c * v for c, v in zip(r.m_coef, b)))
-        for r in milp.rows
-    ])
+    objective, a_ub, rhs, _, _ = milp._arrays
     n = len(VARIABLES)
     return LinearProgram(
-        objective=np.array(milp.objective),
+        objective=objective,
         a_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=rhs + milp.big_m * _m_mult(milp, b),
         lb=np.zeros(n),
         ub=np.full(n, BOX_BOUND),
     )
@@ -199,15 +218,14 @@ def fr_closed_form(alpha: float) -> float:
 
 def _check_branch(milp: MilpInstance, binaries, sol: LpSolution) -> None:
     """Big-M and box sanity: relaxed rows and box bounds must stay slack."""
-    x = sol.x
-    for row in milp.rows:
-        m_mult = row.m_const + sum(c * v for c, v in zip(row.m_coef, binaries))
-        if m_mult > 0.5:  # this row is disabled in this branch
-            lhs = float(np.dot(row.coeffs, x))
-            if lhs > row.rhs + milp.big_m * m_mult - 1.0:
-                raise FactorRevealingError(
-                    f"big-M too small: relaxed row {row.name} nearly tight at {binaries}")
-    if np.any(x > BOX_BOUND - 1.0):
+    _, a_ub, rhs, _, _ = milp._arrays
+    m_mult = _m_mult(milp, binaries)
+    relaxed = np.flatnonzero(m_mult > 0.5)  # rows disabled in this branch
+    tight = relaxed[a_ub[relaxed] @ sol.x > rhs[relaxed] + milp.big_m * m_mult[relaxed] - 1.0]
+    if tight.size:
+        raise FactorRevealingError(
+            f"big-M too small: relaxed row {milp.rows[tight[0]].name} nearly tight at {binaries}")
+    if np.any(sol.x > BOX_BOUND - 1.0):
         raise FactorRevealingError(f"box bound active at {binaries}; model unbounded?")
 
 
@@ -240,7 +258,7 @@ def solve_fr(alpha: float, big_m: float = DEFAULT_BIG_M) -> FrSolution:
             branches.append(FrBranchResult(b, sol.status, None, None, ()))
             continue
         _check_branch(milp, b, sol)
-        x = tuple(float(v) for v in sol.x)
+        x = tuple(sol.x.tolist())
         branches.append(FrBranchResult(b, "optimal", sol.value, x, sol.active_rows))
         if best is None or sol.value > best[0] + _VALUE_TIE:
             best = (sol.value, x, code)

@@ -12,6 +12,13 @@ ratio-test ties, which prevents cycling on the degenerate vertices
 these programs produce.  Everything is dense numpy; the intended scale
 is tens of variables and rows, far below where sparsity or revised
 factorizations would pay off.
+
+Each pivot is one rank-1 array update of the whole tableau.  Every
+entry still gets one multiply and one subtract, as it would in a loop
+over rows, so the values are the same bit for bit (up to the sign of
+an exact zero, which no comparison sees).  The entering column and the
+ratio test's candidate rows are found by array masks; the ratio test's
+tolerance and tie-break still run in row order over the candidates.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ class LinearProgram:
             raise ValueError("b_ub length must match the number of rows")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise ValueError("bounds must cover every variable")
-        if not np.all(np.isfinite(self.lb)):
+        if not np.isfinite(self.lb).all():
             raise ValueError("lower bounds must be finite")
-        if np.any(self.ub < self.lb):
+        if (self.ub < self.lb).any():
             raise ValueError("upper bounds must dominate lower bounds")
 
 
@@ -64,10 +71,22 @@ class LpSolution:
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            T[i] -= T[i, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= f[:, None] * T[row]
     basis[row] = col
+
+
+def _set_costs(T: np.ndarray, basis: list[int], z: np.ndarray) -> None:
+    """Price z out against the basis and store it as the reduced-cost row.
+
+    Basic columns are exact unit vectors, so a row whose basic variable
+    has zero cost contributes nothing and is skipped; the others are
+    subtracted in row order.
+    """
+    for i in (z[basis] != 0.0).nonzero()[0].tolist():
+        z -= z[basis[i]] * T[i]
+    T[-1] = z
 
 
 def _run_simplex(T: np.ndarray, basis: list[int], enter_limit: int, tol: float):
@@ -78,22 +97,18 @@ def _run_simplex(T: np.ndarray, basis: list[int], enter_limit: int, tol: float):
     m = T.shape[0] - 1
     pivots = 0
     while True:
-        z = T[-1, :enter_limit]
-        col = -1
-        for j in range(enter_limit):  # Bland: smallest improving index
-            if z[j] > tol:
-                col = j
-                break
-        if col < 0:
+        improving = T[-1, :enter_limit] > tol
+        col = int(improving.argmax())  # Bland: smallest improving index
+        if not improving[col]:
             return "optimal", pivots
+        cand = (T[:m, col] > tol).nonzero()[0]
+        ratios = (T[cand, -1] / T[cand, col]).tolist()
         best, row = np.inf, -1
-        for i in range(m):
-            if T[i, col] > tol:
-                ratio = T[i, -1] / T[i, col]
-                if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
-                    if ratio < best:
-                        best = ratio
-                    row = i
+        for i, ratio in zip(cand.tolist(), ratios):
+            if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
+                if ratio < best:
+                    best = ratio
+                row = i
         if row < 0:
             return "unbounded", pivots
         _pivot(T, basis, row, col)
@@ -108,49 +123,33 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> LpSolution:
         return LpSolution("optimal", np.zeros(0), 0.0, (), 0)
 
     # shift to y = x - lb >= 0; finite upper bounds become rows
-    rows = [lp.a_ub]
-    rhs = [lp.b_ub - lp.a_ub @ lp.lb]
-    n_orig_rows = lp.a_ub.shape[0]
-    for j in range(n):
-        if np.isfinite(lp.ub[j]):
-            r = np.zeros(n)
-            r[j] = 1.0
-            rows.append(r.reshape(1, -1))
-            rhs.append(np.array([lp.ub[j] - lp.lb[j]]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    m = A.shape[0]
+    bounded = np.isfinite(lp.ub).nonzero()[0]
+    k = lp.a_ub.shape[0]
+    m = k + bounded.shape[0]
+    b = np.concatenate([lp.b_ub - lp.a_ub @ lp.lb, lp.ub[bounded] - lp.lb[bounded]])
 
-    # equalities A y + s = b with slacks; negate rows to make b nonnegative
-    full = np.hstack([A, np.eye(m)])
+    # equalities A y + s = b with slacks; negate rows to make b nonnegative,
+    # and give each negated row an artificial column as its basic variable
     neg = b < 0
-    full[neg] *= -1.0
-    b = np.where(neg, -b, b)
-    art_rows = np.nonzero(neg)[0]
+    art_rows = neg.nonzero()[0]
     n_art = art_rows.shape[0]
-    art = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
     ncols = n + m + n_art
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, : n + m] = full
-    T[:m, n + m : ncols] = art
-    T[:m, -1] = b
-    basis = [0] * m
-    for i in range(m):
-        basis[i] = n + i  # slack, unless this row was negated
-    for k, i in enumerate(art_rows):
-        basis[i] = n + m + k
-
+    T[:k, :n] = lp.a_ub
+    T[np.arange(k, m), bounded] = 1.0
+    T[:m, n : n + m] = np.eye(m)
+    T[art_rows, : n + m] *= -1.0
+    T[art_rows, n + m + np.arange(n_art)] = 1.0
+    T[:m, -1] = np.where(neg, -b, b)
+    basis = np.arange(n, n + m)
+    basis[art_rows] = n + m + np.arange(n_art)
+    basis = basis.tolist()
     pivots = 0
     if n_art:
         # phase one: maximize minus the sum of artificials
         z = np.zeros(ncols + 1)
         z[n + m : ncols] = -1.0
-        for i, bi in enumerate(basis):
-            if z[bi] != 0.0:
-                z -= z[bi] * T[i]
-        T[-1] = z
+        _set_costs(T, basis, z)
         status, p1 = _run_simplex(T, basis, ncols, tol)
         pivots += p1
         if status == "numerical":
@@ -159,30 +158,24 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> LpSolution:
             return LpSolution("infeasible", None, None, (), pivots)
         for i in range(m):  # drive leftover zero-level artificials out
             if basis[i] >= n + m:
-                for j in range(n + m):
-                    if abs(T[i, j]) > 1e-7:
-                        _pivot(T, basis, i, j)
-                        pivots += 1
-                        break
+                nonzero = (np.abs(T[i, : n + m]) > 1e-7).nonzero()[0]
+                if nonzero.size:
+                    _pivot(T, basis, i, int(nonzero[0]))
+                    pivots += 1
 
     # phase two over the real objective, artificials barred from entering
-    c_full = np.zeros(ncols + 1)
-    c_full[:n] = lp.objective
-    z = c_full.copy()
-    for i, bi in enumerate(basis):
-        if z[bi] != 0.0:
-            z -= z[bi] * T[i]
-    T[-1] = z
+    z = np.zeros(ncols + 1)
+    z[:n] = lp.objective
+    _set_costs(T, basis, z)
     status, p2 = _run_simplex(T, basis, n + m, tol)
     pivots += p2
     if status != "optimal":
         return LpSolution(status, None, None, (), pivots)
 
     y = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        y[bi] = T[i, -1]
+    y[basis] = T[:m, -1]
     x = lp.lb + y[:n]
     value = float(lp.objective @ x)
     resid = lp.a_ub @ x - lp.b_ub
-    active = tuple(i for i in range(n_orig_rows) if resid[i] >= -1e-7)
+    active = tuple((resid >= -1e-7).nonzero()[0].tolist())
     return LpSolution("optimal", x, value, active, pivots)

@@ -7,7 +7,13 @@ way in the solvers, the simulator, and the checkers.
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_TOLERANCE = 1e-9
+
+# best waiting parameters on general metrics and on the half-line
+OPTIMAL_ALPHA_GENERAL = 0.5 + math.sqrt(11.0 / 12.0)
+OPTIMAL_ALPHA_HALF_LINE = (1.0 + math.sqrt(3.0)) / 2.0
 
 # Reconstruction ties inside solvers are resolved at float-noise scale,
 # well below the contract tolerance, so tie-breaking never costs more

@@ -381,3 +381,32 @@ def test_sweep_grid_at_the_cap(capsys):
     code, out, _ = run(capsys, "sweep", "--grid", f"0:{MAX_GRID_POINTS - 1}:1", "--format", "csv")
     assert code == 0
     assert len(out.strip().split("\n")) == MAX_GRID_POINTS + 1
+
+
+@pytest.mark.parametrize("config, argv, field", [
+    ('{"alpha": NaN}', (), "alpha"),
+    ('{"alpha": Infinity}', (), "alpha"),
+    ('{"count": true}', (), "count"),
+    ('{"max_requests": false}', (), "max_requests"),
+    ('{"spaces": ["line", "moon"]}', (), "spaces"),
+    ('{"spaces": "line"}', (), "spaces"),
+    ('{"capacities": [0]}', (), "capacities"),
+    ('{"workers": 65}', ("--count", "1"), "workers"),
+    (None, ("--count", "-1"), "count"),
+    (None, ("--count", "1", "--workers", "65"), "workers"),
+    ('[1, 2]', (), "fuzz config"),
+    ('{"count": ', (), "fuzz config"),
+], ids=["alpha-nan", "alpha-inf", "bool-count", "bool-max-requests", "unknown-space",
+        "spaces-not-a-list", "zero-capacity", "workers-over-cap", "negative-count-flag",
+        "workers-over-cap-flag", "not-an-object", "bad-json"])
+def test_bad_fuzz_config_fails_fast(tmp_path, config, argv, field):
+    # the config is checked before any instance runs or any worker starts
+    args = ["fuzz", "--algo", "replan", *argv]
+    if config is not None:
+        path = tmp_path / "fuzz.json"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    code, out, err = run_guarded(*args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err

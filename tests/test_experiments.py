@@ -6,6 +6,7 @@ import pytest
 
 from openride.experiments import (
     HALF_LINE_LOWER_BOUND,
+    MAX_FUZZ_WORKERS,
     OPTIMAL_ALPHA_GENERAL,
     OPTIMAL_ALPHA_HALF_LINE,
     FuzzConfig,
@@ -138,6 +139,52 @@ def test_fuzz_empty_config():
     report = fuzz(FuzzConfig(count=0), "ignore")
     assert report.count == 0 and report.worst_index == -1
     assert report.worst_instance is None and report.mean == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("count", -1), ("count", True), ("count", 2.5), ("count", None),
+    ("seed", True), ("seed", "0"),
+    ("max_requests", 0), ("max_requests", False),
+    ("workers", True), ("workers", -1), ("workers", 1.0), ("workers", MAX_FUZZ_WORKERS + 1),
+    ("alpha", math.nan), ("alpha", math.inf), ("alpha", True), ("alpha", "1.2"),
+    ("spaces", ()), ("spaces", ("moon",)), ("spaces", "line"),
+    ("capacities", (0,)), ("capacities", (True,)), ("capacities", ("2",)), ("capacities", 2),
+    ("matrix_nodes", (3, 2)), ("matrix_nodes", (2,)),
+    ("span", math.nan), ("horizon", math.inf), ("same_point_prob", None),
+    ("check_schedules", "yes"),
+])
+def test_fuzz_config_rejects_bad_fields(field, value):
+    # the check runs when the config is built, so no pool is ever started
+    with pytest.raises(ValueError, match=f"fuzz config: {field} must be"):
+        FuzzConfig(**{field: value})
+
+
+def test_fuzz_config_accepts_the_worker_cap():
+    assert FuzzConfig(workers=MAX_FUZZ_WORKERS).workers == MAX_FUZZ_WORKERS
+    assert FuzzConfig(workers=0, alpha=1, count=0).alpha == 1
+
+
+def test_fuzz_streams_in_memory_independent_of_count(monkeypatch):
+    import tracemalloc
+
+    from openride import experiments
+
+    monkeypatch.setattr(experiments, "_fuzz_task", lambda task: (1.0 + (task[2] == 7), 0))
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            report = fuzz(FuzzConfig(count=count), "ignore")
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(1_000)
+    large, report = peak(200_000)
+    assert report.count == 200_000 and report.worst == 2.0 and report.worst_index == 7
+    assert report.mean == (200_000 + 1.0) / 200_000
+    # a list of 200 000 task tuples alone takes several megabytes
+    assert large - small < 100_000, (small, large)
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,21 @@ def test_check_unlinearized_flags_perturbations():
     negative = list(x)
     negative[0] = -0.5
     assert "nonnegative" in check_unlinearized(1.2, negative)
+
+
+def test_model_module_imports_no_simulation_layer():
+    import ast
+    from pathlib import Path
+
+    import openride.factor_revealing as fr
+
+    tree = ast.parse(Path(fr.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({"engine", "offline", "experiments"}), imported

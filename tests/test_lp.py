@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from openride import lp as lp_module
 from openride.lp import LinearProgram, LpSolution, solve_lp
 
 
@@ -151,3 +152,72 @@ def test_random_lps_match_vertex_enumeration(n, m, seed):
             # reported point must itself be feasible
             assert np.all(a @ sol.x <= b + 1e-7)
             assert np.all(sol.x >= -1e-9) and np.all(sol.x <= box + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the array pivots against the row-by-row loops they replaced
+
+
+def _loop_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and abs(T[i, col]) > 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
+def _loop_run_simplex(T, basis, enter_limit, tol):
+    m = T.shape[0] - 1
+    pivots = 0
+    while True:
+        z = T[-1, :enter_limit]
+        col = -1
+        for j in range(enter_limit):
+            if z[j] > tol:
+                col = j
+                break
+        if col < 0:
+            return "optimal", pivots
+        best, row = np.inf, -1
+        for i in range(m):
+            if T[i, col] > tol:
+                ratio = T[i, -1] / T[i, col]
+                if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
+                    if ratio < best:
+                        best = ratio
+                    row = i
+        if row < 0:
+            return "unbounded", pivots
+        _loop_pivot(T, basis, row, col)
+        pivots += 1
+        if pivots > lp_module._MAX_PIVOTS:
+            return "numerical", pivots
+
+
+def _exact(sol):
+    x = None if sol.x is None else sol.x.tolist()
+    return sol.status, sol.iterations, repr(sol.value), repr(x), sol.active_rows
+
+
+def test_array_pivots_equal_the_row_loops(monkeypatch):
+    rng = np.random.default_rng(7)
+    programs = []
+    for case in range(1500):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        if case % 3 == 0:
+            a, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        else:  # small integers: ties in the ratio test, zero-level artificials
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            b = rng.integers(-2, 3, size=m).astype(float)
+            if m > 1 and case % 2:
+                a[1], b[1] = -a[0], -b[0]
+        c = rng.integers(-3, 4, size=n).astype(float)
+        lb = np.where(rng.random(n) < 0.3, -1.0, 0.0)
+        ub = np.where(rng.random(n) < 0.5, lb + rng.integers(0, 4, size=n), np.inf)
+        programs.append(_lp(c, a, b, lb, ub))
+    got = [_exact(solve_lp(p)) for p in programs]
+    monkeypatch.setattr(lp_module, "_pivot", _loop_pivot)
+    monkeypatch.setattr(lp_module, "_run_simplex", _loop_run_simplex)
+    want = [_exact(solve_lp(p)) for p in programs]
+    assert got == want
+    assert {g[0] for g in got} == {"optimal", "infeasible", "unbounded"}
