@@ -94,8 +94,6 @@ def competitive_ratio(inst: Instance, algo: str, alpha: float | None = None,
 
 # most worker processes one fuzz run may start
 MAX_FUZZ_WORKERS = 64
-# most instances one worker takes per hand-off; bounds the tasks in flight
-_MAX_CHUNK = 256
 
 
 def _is_int(v) -> bool:
@@ -270,27 +268,23 @@ def _fuzz_task(args) -> tuple[float, int]:
     return ratio, bad
 
 
-def _results(cfg: FuzzConfig, algo: str):
-    """(ratio, violations) per instance in index order, in memory bounded by
-    the worker count rather than by cfg.count."""
-    if not (cfg.workers and cfg.workers > 1):
-        yield from map(_fuzz_task, ((cfg, algo, i) for i in range(cfg.count)))
-        return
-    chunk = max(1, min(cfg.count // (cfg.workers * 8), _MAX_CHUNK))
-    window = chunk * cfg.workers * 8
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for start in range(0, cfg.count, window):
-            stop = min(start + window, cfg.count)
-            yield from pool.map(_fuzz_task, ((cfg, algo, i) for i in range(start, stop)),
-                                chunksize=chunk)
-
-
 def fuzz(cfg: FuzzConfig, algo: str) -> RatioReport:
-    """Run `algo` over cfg.count random instances and report the ratios."""
+    """Run `algo` over cfg.count random instances and report the ratios.
+
+    The serial path streams its instances, so its memory does not grow
+    with cfg.count.
+    """
+    tasks = ((cfg, algo, i) for i in range(cfg.count))
+    if cfg.workers and cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(_fuzz_task, tasks,
+                                    chunksize=max(1, cfg.count // (cfg.workers * 8))))
+    else:
+        results = map(_fuzz_task, tasks)
     worst, worst_index = -math.inf, -1
     total = 0.0
     violations = 0
-    for i, (ratio, bad) in enumerate(_results(cfg, algo)):
+    for i, (ratio, bad) in enumerate(results):
         total += ratio
         violations += bad
         if ratio > worst:

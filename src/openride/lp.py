@@ -38,7 +38,7 @@ class LinearProgram:
     objective: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    lb: np.ndarray  # finite
+    lb: np.ndarray  # finite, like objective, a_ub and b_ub
     ub: np.ndarray  # np.inf entries allowed
 
     def __post_init__(self):
@@ -54,8 +54,11 @@ class LinearProgram:
             raise ValueError("b_ub length must match the number of rows")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise ValueError("bounds must cover every variable")
-        if not np.isfinite(self.lb).all():
-            raise ValueError("lower bounds must be finite")
+        for name in ("objective", "a_ub", "b_ub", "lb"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} entries must be finite")
+        if np.isnan(self.ub).any():
+            raise ValueError("ub entries must be numbers or +inf")
         if (self.ub < self.lb).any():
             raise ValueError("upper bounds must dominate lower bounds")
 

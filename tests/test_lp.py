@@ -154,6 +154,20 @@ def test_random_lps_match_vertex_enumeration(n, m, seed):
             assert np.all(sol.x >= -1e-9) and np.all(sol.x <= box + 1e-9)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("objective", np.nan), ("objective", np.inf),
+    ("a_ub", np.nan), ("a_ub", -np.inf),
+    ("b_ub", np.nan), ("b_ub", np.inf), ("b_ub", -np.inf),
+    ("lb", np.nan), ("ub", np.nan),
+])
+def test_non_finite_data_is_rejected(field, value):
+    # a single inf would turn the rank-1 pivot's 0 * inf into NaN
+    data = {"objective": [1.0], "a_ub": [[1.0]], "b_ub": [1.0], "lb": [0.0], "ub": [np.inf]}
+    data[field] = np.full(np.shape(data[field]), value)
+    with pytest.raises(ValueError, match=field):
+        LinearProgram(**{k: np.asarray(v, dtype=float) for k, v in data.items()})
+
+
 # ---------------------------------------------------------------------------
 # the array pivots against the row-by-row loops they replaced
 
