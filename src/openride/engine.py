@@ -145,15 +145,16 @@ class Simulation:
         plan(p) returns (length, result) for a plan starting at point p.
         Returns (total length, lead steps, start point, result); mid-edge
         the lead step moves to the end node whose plan finishes first,
-        ties going to u.
+        ties going to u.  Each plan checks its start point, so the edge
+        length is read unchecked.
         """
         pos = self.pos
         if not isinstance(pos, EdgePos):
             length, result = plan(pos)
             return length, [], pos, result
-        back, ahead = pos.offset, self.space.distance(pos.u, pos.v) - pos.offset
         lu, ru = plan(pos.u)
         lv, rv = plan(pos.v)
+        back, ahead = pos.offset, self.space.raw_distance(pos.u, pos.v) - pos.offset
         if back + lu <= ahead + lv + TIE_EPS:
             return back + lu, [MoveStep(pos, pos.u, back)], pos.u, ru
         return ahead + lv, [MoveStep(pos, pos.v, ahead)], pos.v, rv
@@ -166,13 +167,17 @@ class Simulation:
         return total, lead + self._route_steps(node, route)
 
     def _route_steps(self, start: Point, route) -> list:
-        """Moves along route waypoints, unloading at matching dropoffs."""
+        """Moves along route waypoints, unloading at matching dropoffs.
+
+        start and route come from fastest_delivery_and_return, which
+        checked every point of them.
+        """
         steps: list = []
         cur = start
         left = sorted(self.loaded)
         for w in route[:-1]:
             if not self.space.same_point(cur, w):
-                steps.append(MoveStep(cur, w, self.space.distance(cur, w)))
+                steps.append(MoveStep(cur, w, self.space.raw_distance(cur, w)))
                 cur = w
             for rid in list(left):
                 if self.space.same_point(self.req_by_id[rid].b, w):
@@ -180,7 +185,7 @@ class Simulation:
                     left.remove(rid)
         origin = route[-1]
         if not self.space.same_point(cur, origin):
-            steps.append(MoveStep(cur, origin, self.space.distance(cur, origin)))
+            steps.append(MoveStep(cur, origin, self.space.raw_distance(cur, origin)))
         return steps
 
     # -- commands issued by policies ---------------------------------

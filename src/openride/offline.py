@@ -15,10 +15,16 @@ Three problems are solved exactly for small request sets:
 
 OptCache compiles an instance once (its points, checked once, and its
 distance table) and fills the release-free (position, loaded, done) DP
-over it bottom-up, as one numpy table indexed by a ternary code per
-request (untouched, on board, done).  The planner shares that cache: it
-marks every request outside its set as done, so one run has one table
-and one DP.  Searches are exponential in the number of requests and are
+over it bottom-up, one numpy step per progress layer, with a state
+coded in ternary per request (untouched, on board, done).  The table
+holds only the cells a search can read: a state with the pickup of a
+request on board or the dropoff of a request done, which is where some
+event of that state left the server.  Every move ends on a cell, so
+the DP, the branch and bound and the schedule reconstruction read
+nothing else; a root off the cells, such as the origin, takes one
+explicit DP step over them.  The planner shares that cache: it marks
+every request outside its set as done, so one run has one table and
+one DP.  Searches are exponential in the number of requests and are
 capped at a fixed DEFAULT_SEARCH_CAP of 10 requests.  An instance with
 more requests than the cap gets no table over all of them (3**m rows
 would not fit in memory); each table then covers only the caller's
@@ -33,7 +39,6 @@ order because event times are monotone in their predecessors).
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +48,10 @@ from .numeric import TIE_EPS, tolerance
 
 DEFAULT_SEARCH_CAP = 10
 NAIVE_CAP = 6
+CELL_CACHE_BYTES = 32 << 20  # index arrays _cells keeps between tables
 
 _INF = float("inf")
+_cell_cache: dict = {}  # (k, cap) -> (layers, bytes), least recently used first
 
 
 class SearchCapExceeded(RuntimeError):
@@ -104,77 +111,145 @@ def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
     return Schedule(start, tuple(actions)), t
 
 
-@lru_cache(maxsize=16)
-def _layers(k: int, cap: int):
-    """Transitions of the release-free DP over k requests, by progress layer.
+def _cells(k: int, cap: int):
+    """Index arrays of the release-free DP over k requests, by progress layer.
 
     A state is a ternary code: digit j is 0 while request j is untouched,
     1 while it is on board and 2 once it is done, so picking up or
     dropping off request j always leads to the state code + 3**j.  Only
-    states with at most cap requests on board are kept.  Returns one
-    (parents, children, targets, starts) tuple per layer, last layer
-    first: the transitions of parents[i] are children[s:e] reached at
-    point targets[s:e], with s, e = starts[i], starts[i + 1].
+    states with at most cap requests on board are kept.  A cell is a
+    state and a request j it has touched, standing for the point where
+    j's last event left the server: its pickup while j is on board, its
+    dropoff once j is done.  Every move ends on a cell of the state it
+    leads to, so the DP reads cells only and only cells are computed.
+    Cell (code, j) is entry code * k + j of a flat table.
+
+    Returns one (cells, d_idx, v_idx, starts) tuple per layer, last
+    layer first.  Each cell pairs with every move of its state: cell
+    cells[i] owns the pairs s:e with s, e = starts[i], starts[i + 1],
+    and a pair costs entry d_idx of the flattened (2k+1)-square
+    distance table plus flat entry v_idx, the cell the move reaches.
+    The arrays are int32, and they are kept per (k, cap), least recently
+    used first, until they hold more than CELL_CACHE_BYTES; the newest
+    shape is always kept.  The largest shape, k = 10 with unbounded
+    capacity, takes 22.5 MiB, so the cache never holds more than
+    CELL_CACHE_BYTES (all ten k = 10 shapes, capacities 1 to 10, take
+    156 MiB together).
     """
+    key = (k, cap)
+    got = _cell_cache.pop(key, None)
+    if got is not None:
+        _cell_cache[key] = got  # now the most recently used
+        return got[0]
     codes = np.arange(3 ** k)
     steps = 3 ** np.arange(k)
     digits = codes[:, None] // steps % 3
     onboard = (digits == 1).sum(axis=1)
     progress = digits.sum(axis=1)
     moves = (digits == 1) | ((digits == 0) & (onboard < cap)[:, None])
+    width = 2 * k + 1
     layers = []
-    for p in range(2 * k - 1, -1, -1):
-        parents = np.flatnonzero((progress == p) & (onboard <= cap))
-        rows, js = np.nonzero(moves[parents])
-        frm = parents[rows]
-        starts = np.searchsorted(rows, np.arange(len(parents)))
-        layers.append((parents, frm + steps[js], 1 + 2 * js + digits[frm, js], starts))
-    return tuple(layers)
+    for p in range(2 * k - 1, 0, -1):
+        states = np.flatnonzero((progress == p) & (onboard <= cap))
+        sub = digits[states]
+        rows, js = np.nonzero(sub)  # the cells, by state
+        trows, tjs = np.nonzero(moves[states])  # the moves, by state
+        counts = np.bincount(trows, minlength=len(states))
+        first = np.cumsum(counts) - counts  # each state's first move
+        reps = counts[rows]  # every state below the top layer has a move
+        starts = np.cumsum(reps) - reps
+        # pair i of a cell is move first + (i - start) of the cell's state
+        move = np.repeat(first[rows] - starts, reps) + np.arange(reps.sum())
+        pos = 2 * js + sub[rows, js]
+        tgt = 1 + 2 * tjs + sub[trows, tjs]
+        reach = (states[trows] + steps[tjs]) * k + tjs
+        layers.append(tuple(a.astype(np.int32) for a in (
+            states[rows] * k + js, np.repeat(pos * width, reps) + tgt[move], reach[move], starts)))
+    layers = tuple(layers)
+    _cell_cache[key] = layers, sum(a.nbytes for layer in layers for a in layer)
+    held = sum(size for _, size in _cell_cache.values())
+    for old in list(_cell_cache)[:-1]:
+        if held <= CELL_CACHE_BYTES:
+            break
+        held -= _cell_cache.pop(old)[1]
+    return layers
 
 
 def _table_rest(comp: _Compiled, scope):
     """Release-free minimum remaining travel, as one bottom-up table.
 
     The table covers the requests at the cache positions in scope
-    (ascending).  The returned rest(pos, loaded, done) takes compiled
-    point indices and request bitmasks, and is valid for every state
-    that marks all requests outside scope done.  Each layer of the table
-    takes the same min over the same float sums as the top-down
-    recursion, so values match it bit for bit.
+    (ascending) and holds the cells of _cells only; the all-done row is
+    zero.  The returned rest(pos, loaded, done) takes compiled point
+    indices and request bitmasks, and is valid at every root that marks
+    all requests outside scope done.  A root that is not a cell, such as
+    the origin, takes one explicit DP step over the cells.  rest.lookup
+    is the same function for cells alone, which is every state a move
+    reaches.  Each layer and the explicit step take the same min over
+    the same float sums as the top-down recursion, so values match it
+    bit for bit.
     """
     k = len(scope)
     pts = [0] + [p for j in scope for p in (1 + 2 * j, 2 + 2 * j)]
-    dist_t = np.array(comp.dist)[np.ix_(pts, pts)].T.copy()  # dist_t[tgt, pos] = dist[pos][tgt]
-    table = np.full((3 ** k, len(pts)), _INF)
-    table[-1] = 0.0
-    for parents, children, targets, starts in _layers(k, min(comp.cap, k)):
-        cost = dist_t[targets] + table[children, targets][:, None]
-        table[parents] = np.minimum.reduceat(cost, starts, axis=0)
-    item = table.item
-    code = [0]  # ternary code of a bitmask over the scope
+    dist_flat = np.array(comp.dist)[np.ix_(pts, pts)].ravel()
+    flat = np.full(3 ** k * k, _INF)
+    flat[flat.size - k:] = 0.0
+    for cells, d_idx, v_idx, starts in _cells(k, min(comp.cap, k)):
+        cost = dist_flat.take(d_idx)
+        cost += flat.take(v_idx)
+        flat[cells] = np.minimum.reduceat(cost, starts)
+    item = flat.item
+    row = [0]  # flat offset k * (ternary code) of a bitmask over the scope
     for j in range(k):
-        code += [c + 3 ** j for c in code]
+        row += [c + k * 3 ** j for c in row]
     if list(scope) == list(range(k)):  # compiled indices are table indices
         mask = (1 << k) - 1
 
-        def rest(pos: int, loaded: int, done: int) -> float:
-            return item(code[loaded & mask] + 2 * code[done & mask], pos)
+        def lookup(pos: int, loaded: int, done: int) -> float:
+            return item(row[loaded & mask] + 2 * row[done & mask] + (pos - 1 >> 1))
     else:
         local = {p: i for i, p in enumerate(pts)}
 
-        def rest(pos: int, loaded: int, done: int) -> float:
+        def lookup(pos: int, loaded: int, done: int) -> float:
             lo = dn = 0
             for i, j in enumerate(scope):
                 lo |= (loaded >> j & 1) << i
                 dn |= (done >> j & 1) << i
-            return item(code[lo] + 2 * code[dn], local[pos])
+            return item(row[lo] + 2 * row[dn] + (local[pos] - 1 >> 1))
+
+    dist, cap = comp.dist, comp.cap
+    in_scope = sum(1 << j for j in scope)
+
+    def rest(pos: int, loaded: int, done: int) -> float:
+        if pos and (loaded if pos & 1 else done) >> (pos - 1 >> 1) & 1:
+            return lookup(pos, loaded, done)
+        if done & in_scope == in_scope:
+            return 0.0
+        best = _INF
+        room = loaded.bit_count() < cap
+        for j in scope:
+            bit = 1 << j
+            if done & bit:
+                continue
+            if loaded & bit:
+                c = dist[pos][2 + 2 * j] + lookup(2 + 2 * j, loaded & ~bit, done | bit)
+            elif room:
+                c = dist[pos][1 + 2 * j] + lookup(1 + 2 * j, loaded | bit, done)
+            else:
+                continue
+            if c < best:
+                best = c
+        return best
+
+    rest.lookup = lookup
     return rest
 
 
-def _reconstruct_free(comp: _Compiled, rest, row, loaded: int, done: int, order):
+def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, order):
     """Event order achieving the release-free minimum from a point.
 
-    row holds the distances from that point to the compiled points.
+    row holds the distances from that point to the compiled points, and
+    lookup is the DP table's read of a cell (rest.lookup of _table_rest).
     Among optimal orders the lexicographically smallest wins, requests
     ranked by their place in order, which lists every request not done.
     """
@@ -193,7 +268,7 @@ def _reconstruct_free(comp: _Compiled, rest, row, loaded: int, done: int, order)
                 state = (1 + 2 * j, loaded | bit, done)
             else:
                 continue
-            steps.append((row[state[0]] + rest(*state), j, state))
+            steps.append((row[state[0]] + lookup(*state), j, state))
         target = min(step[0] for step in steps)
         _, j, (pos, loaded, done) = next(step for step in steps if step[0] <= target + TIE_EPS)
         seq.append((j, pos == 2 + 2 * j))
@@ -234,7 +309,7 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
     if loaded.bit_count() > comp.cap:
         raise ValueError("more requests on board than the capacity allows")
     row = [space.raw_distance(start, p) for p in comp.points]
-    seq = _reconstruct_free(comp, cache._rest_over(sorted(order)), row, loaded, done, order)
+    seq = _reconstruct_free(comp, cache._rest_over(sorted(order)).lookup, row, loaded, done, order)
     return _build_schedule(comp, seq, space, start, row, start_time)[0]
 
 
@@ -244,19 +319,23 @@ def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace):
     destinations is the multiset of dropoff points currently on board.
     Returns (duration, waypoints) where waypoints visits every distinct
     destination and ends at the origin.  Ties prefer the
-    lexicographically smallest waypoint order.
+    lexicographically smallest waypoint order.  Each point is checked
+    once, and the distance tables are read unchecked.
     """
     space.check_point(pos)
     pts = sorted(set(destinations))
     if len(pts) > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(f"{len(pts)} distinct destinations exceed the search cap {DEFAULT_SEARCH_CAP}")
+    for p in pts:
+        space.check_point(p)
     o = space.origin
+    dist = space.raw_distance
     if not pts:
-        return space.distance(pos, o), (o,)
+        return dist(pos, o), (o,)
     k = len(pts)
-    start_d = [space.distance(pos, p) for p in pts]
-    d = [[space.distance(p, q) for q in pts] for p in pts]
-    home = [space.distance(p, o) for p in pts]
+    start_d = [dist(pos, p) for p in pts]
+    d = [[dist(p, q) for q in pts] for p in pts]
+    home = [dist(p, o) for p in pts]
     memo: dict = {}
 
     def rest(i: int, remaining: int) -> float:
@@ -382,11 +461,15 @@ class OptCache:
             raise SearchCapExceeded(f"{k} released requests exceed the search cap {DEFAULT_SEARCH_CAP}")
         if k == 0:
             return Schedule(self.inst.space.origin, ()), 0.0
-        dist, rel = comp.dist, comp.rel
+        dist, cap = comp.dist, comp.cap
         full = (1 << k) - 1
         hidden = ((1 << comp.m) - 1) ^ full  # out-of-prefix requests count as done
         rest = self._rest_over(range(k))
-        seen: dict = {}  # (pos, loaded, done) -> earliest time dfs entered it
+        lookup = rest.lookup
+        # (j, bit, pickup, dropoff, release, ride) per request of the prefix
+        reqs = [(j, 1 << j, 1 + 2 * j, 2 + 2 * j, comp.rel[j], dist[1 + 2 * j][2 + 2 * j])
+                for j in range(k)]
+        seen: dict = {}  # (pos, loaded, done) packed in an int -> earliest entry time
 
         seq0, val0 = self._greedy(k)
         best: list = [val0, list(seq0), None]
@@ -398,54 +481,54 @@ class OptCache:
                 return
             # event times are monotone in t, so an earlier visit of the same
             # state already reached every completion this one could reach
-            key = (pos, loaded, done)
+            key = (pos << k | loaded) << k | done
             if seen.get(key, _INF) <= t:
                 return
             seen[key] = t
             # once every remaining pickup is released, the rest is the
-            # release-free relaxation, solved once and shared
+            # release-free relaxation, solved once and shared; every state
+            # but the root at the origin is a cell of its table
+            row = dist[pos]
             pending_rel = 0.0
             bound = t
-            room = loaded.bit_count() < comp.cap
-            for j in range(k):
-                bit = 1 << j
+            for j, bit, a, b, r, ride in reqs:
                 if done & bit:
                     continue
                 if loaded & bit:
-                    tj = t + dist[pos][2 + 2 * j]
+                    tj = t + row[b]
                 else:
-                    if rel[j] > pending_rel:
-                        pending_rel = rel[j]
-                    tj = max(t + dist[pos][1 + 2 * j], rel[j]) + dist[1 + 2 * j][2 + 2 * j]
+                    if r > pending_rel:
+                        pending_rel = r
+                    x = t + row[a]
+                    tj = (r if r > x else x) + ride
                 if tj > bound:
                     bound = tj
             if pending_rel <= t:
-                val = t + rest(pos, loaded, done | hidden)
+                val = t + (lookup if pos else rest)(pos, loaded, done | hidden)
                 if val < best[0]:
                     best[0], best[1], best[2] = val, list(seq), (pos, loaded, done)
                 return
             if bound >= best[0]:
                 return
-            for j in range(k):
-                bit = 1 << j
+            room = loaded.bit_count() < cap
+            for j, bit, a, b, r, ride in reqs:
                 if done & bit:
                     continue
                 if loaded & bit:
-                    tgt = 2 + 2 * j
                     seq.append((j, True))
-                    dfs(tgt, t + dist[pos][tgt], loaded & ~bit, done | bit, seq)
+                    dfs(b, t + row[b], loaded & ~bit, done | bit, seq)
                     seq.pop()
                 elif room:
-                    tgt = 1 + 2 * j
                     seq.append((j, False))
-                    dfs(tgt, max(t + dist[pos][tgt], rel[j]), loaded | bit, done, seq)
+                    x = t + row[a]
+                    dfs(a, r if r > x else x, loaded | bit, done, seq)
                     seq.pop()
 
         dfs(0, 0.0, 0, 0, [])
         seq = best[1]
         if best[2] is not None:
             pos, loaded, done = best[2]
-            seq = seq + _reconstruct_free(comp, rest, dist[pos], loaded, done | hidden, range(k))
+            seq = seq + _reconstruct_free(comp, lookup, dist[pos], loaded, done | hidden, range(k))
         return _build_schedule(comp, seq, self.inst.space, self.inst.space.origin, dist[0])
 
 

@@ -421,3 +421,67 @@ from openride.offline import opt_upto
 print(repr(opt_upto(parse_instance({COINCIDENT_MATRIX!r}), float("inf"))[1]))
 """, timeout=10)
     assert out == ["19.257229879848293"]
+
+
+def test_dp_cells_equal_the_recursion_at_eight_requests():
+    # the benchmark's size: every cell the recursion reaches from the origin,
+    # and roots off the cells (the origin, a pickup not on board, a dropoff
+    # not done), which take the explicit step
+    rng = random.Random(11)
+    for capacity in (1, 2, None):
+        inst = make_instance(line(), capacity, [(rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0)
+                                                for _ in range(8)])
+        comp = OptCache(inst).comp
+        memo = {}
+        oracle = recursive_rest(comp, memo)
+        rest = _table_rest(comp, tuple(range(8)))
+        assert rest(0, 0, 0) == oracle(0, 0, 0)
+        cells = [(state, want) for state, want in memo.items() if state[0]]
+        assert len(cells) > 1000
+        for (pos, loaded, done), want in rng.sample(cells, 1000):
+            assert rest.lookup(pos, loaded, done) == want
+            assert rest(pos, loaded, done) == want
+        off = 0
+        while off < 300:
+            (_, loaded, done), _ = rng.choice(cells)
+            j = rng.randrange(8)
+            bit = 1 << j
+            digit = rng.randrange(3)  # request j untouched, on board or done
+            loaded = loaded & ~bit | (bit if digit == 1 else 0)
+            done = done & ~bit | (bit if digit == 2 else 0)
+            points = (0, 1 + 2 * j, 2 + 2 * j)
+            pos = rng.choice([p for p in points if p != points[digit]])
+            if capacity is None or loaded.bit_count() <= capacity:
+                assert rest(pos, loaded, done) == oracle(pos, loaded, done)
+                off += 1
+
+
+def test_root_at_the_origin_takes_the_off_cell_step():
+    # the first two requests are released at 0 and the greedy seed serves
+    # them in 4; the relaxation read at the origin must give the optimum 3
+    inst = make_instance(line(), 1, [(1.0, 1.0, 0.0), (1.0, -2.0, 1.0), (-1.0, 0.0, 0.0),
+                                     (3.0, 2.0, 1.0)])
+    cache = OptCache(inst)
+    assert cache._greedy(2)[1] == 4.0
+    assert cache.value(2) == opt_upto_naive(inst, 0.0) == 3.0
+
+
+def test_cell_cache_is_bounded_in_bytes():
+    # every k = 10 shape, capacities 1 to 10, held at once would take 156 MiB;
+    # the cache keeps the newest one and stays under its byte cap
+    out = run_child("""
+import random
+from openride import offline
+from openride.metric import line
+from openride.model import make_instance
+for cap in range(1, 11):
+    layers = offline._cells(10, cap)
+    assert offline._cells(10, cap) is layers
+    held = sum(size for _, size in offline._cell_cache.values())
+    assert held <= offline.CELL_CACHE_BYTES, held
+rng = random.Random(0)
+inst = make_instance(line(), None, [(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 10))
+                                    for _ in range(10)])
+print(repr(offline.OptCache(inst).value(10)), len(offline._cell_cache))
+""", timeout=60)
+    assert out == ["38.00904680302526", "1"]
