@@ -218,31 +218,30 @@ def _table_rest(comp: _Compiled, scope):
             return item(row[lo] + 2 * row[dn] + (local[pos] - 1 >> 1))
 
     dist, cap = comp.dist, comp.cap
-    in_scope = sum(1 << j for j in scope)
 
     def rest(pos: int, loaded: int, done: int) -> float:
         if pos and (loaded if pos & 1 else done) >> (pos - 1 >> 1) & 1:
             return lookup(pos, loaded, done)
-        if done & in_scope == in_scope:
-            return 0.0
-        best = _INF
-        room = loaded.bit_count() < cap
-        for j in scope:
-            bit = 1 << j
-            if done & bit:
-                continue
-            if loaded & bit:
-                c = dist[pos][2 + 2 * j] + lookup(2 + 2 * j, loaded & ~bit, done | bit)
-            elif room:
-                c = dist[pos][1 + 2 * j] + lookup(1 + 2 * j, loaded | bit, done)
-            else:
-                continue
-            if c < best:
-                best = c
-        return best
+        # one DP step over the cells; a state with every request of the
+        # scope done has no move and nothing left to travel
+        return min((dist[pos][s[0]] + lookup(*s) for _, s in _moves(cap, loaded, done, scope)),
+                   default=0.0)
 
     rest.lookup = lookup
     return rest
+
+
+def _moves(cap: int, loaded: int, done: int, order):
+    """Events possible next, as (j, (point, loaded, done) after it), in order."""
+    room = loaded.bit_count() < cap
+    for j in order:
+        bit = 1 << j
+        if done & bit:
+            continue
+        if loaded & bit:
+            yield j, (2 + 2 * j, loaded & ~bit, done | bit)
+        elif room:
+            yield j, (1 + 2 * j, loaded | bit, done)
 
 
 def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, order):
@@ -256,19 +255,7 @@ def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, orde
     full = (1 << comp.m) - 1
     seq = []
     while done != full:
-        room = loaded.bit_count() < comp.cap
-        steps = []
-        for j in order:
-            bit = 1 << j
-            if done & bit:
-                continue
-            if loaded & bit:
-                state = (2 + 2 * j, loaded & ~bit, done | bit)
-            elif room:
-                state = (1 + 2 * j, loaded | bit, done)
-            else:
-                continue
-            steps.append((row[state[0]] + lookup(*state), j, state))
+        steps = [(row[s[0]] + lookup(*s), j, s) for j, s in _moves(comp.cap, loaded, done, order)]
         target = min(step[0] for step in steps)
         _, j, (pos, loaded, done) = next(step for step in steps if step[0] <= target + TIE_EPS)
         seq.append((j, pos == 2 + 2 * j))
@@ -427,32 +414,16 @@ class OptCache:
         full = (1 << k) - 1
         seq = []
         while done != full:
-            room = loaded.bit_count() < comp.cap
-            best_t, best_j, best_u, best_tgt = _INF, -1, False, -1
-            for j in range(k):
-                bit = 1 << j
-                if done & bit:
-                    continue
-                if loaded & bit:
-                    tgt = 2 + 2 * j
-                    tj = t + dist[pos][tgt]
-                    u = True
-                elif room:
-                    tgt = 1 + 2 * j
-                    tj = max(t + dist[pos][tgt], rel[j])
-                    u = False
-                else:
-                    continue
+            best_t, best_j, best_s = _INF, -1, None
+            for j, s in _moves(comp.cap, loaded, done, range(k)):
+                tj = t + dist[pos][s[0]]
+                if s[1] >> j & 1:  # a pickup waits for its release
+                    tj = max(tj, rel[j])
                 if tj < best_t - TIE_EPS:
-                    best_t, best_j, best_u, best_tgt = tj, j, u, tgt
-            seq.append((best_j, best_u))
-            bit = 1 << best_j
-            if best_u:
-                loaded &= ~bit
-                done |= bit
-            else:
-                loaded |= bit
-            pos, t = best_tgt, best_t
+                    best_t, best_j, best_s = tj, j, s
+            pos, loaded, done = best_s
+            seq.append((best_j, pos == 2 + 2 * best_j))
+            t = best_t
         return seq, t
 
     def _solve(self, k: int) -> tuple[Schedule, float]:
