@@ -156,7 +156,7 @@ def _cells(k: int, cap: int):
         trows, tjs = np.nonzero(moves[states])  # the moves, by state
         counts = np.bincount(trows, minlength=len(states))
         first = np.cumsum(counts) - counts  # each state's first move
-        reps = counts[rows]  # every state below the top layer has a move
+        reps = counts[rows]  # >= 1 below the top layer, so no reduceat segment is empty
         starts = np.cumsum(reps) - reps
         # pair i of a cell is move first + (i - start) of the cell's state
         move = np.repeat(first[rows] - starts, reps) + np.arange(reps.sum())
