@@ -1,7 +1,8 @@
 """Golden corpus: CLI output and fuzz traces that must not change.
 
-tests/golden/cli.json holds the exact stdout of ``openride lower-bound``
-and ``openride ratio`` on the half-line lower-bound family.
+tests/golden/cli.json holds the exact stdout of ``openride lower-bound``,
+``ratio``, ``opt`` and ``simulate`` on the half-line lower-bound family,
+of one ``sweep`` grid and of one checked ``fuzz`` run.
 tests/golden/fuzz.jsonl holds one line per (policy, index) over the
 first instances of FuzzConfig(seed=0): the ratio, a sha256 of the full
 trace, each planned schedule, and OPT's schedule.
@@ -61,6 +62,15 @@ def cli_outputs() -> dict[str, str]:
             if algo == "lazy":
                 ratio += ["--alpha", alpha]
             out[" ".join(ratio) + " < " + " ".join(lb + ["--emit-instance"])] = _cli(ratio, inst)
+        for cmd in (["opt"], ["opt", "--upto", "4.0"],
+                    ["simulate", "--algo", "lazy", "--alpha", alpha],
+                    ["simulate", "--algo", "replan", "--format", "csv"]):
+            argv = cmd[:1] + ["--instance", "-"] + cmd[1:]
+            out[" ".join(argv) + " < " + " ".join(lb + ["--emit-instance"])] = _cli(argv, inst)
+    for argv in (["sweep", "--grid", "0:3:0.25"],
+                 ["fuzz", "--algo", "lazy", "--alpha", "1.4574271077563381", "--count", "50",
+                  "--check-schedules"]):
+        out[" ".join(argv)] = _cli(argv)
     return out
 
 
