@@ -25,7 +25,6 @@ from .factor_revealing import (FactorRevealingError, fr_closed_form, solve_fr)
 from .metric import LINE, HALF_LINE, MATRIX
 from .model import (InstanceError, canonical_json, instance_to_dict,
                     parse_instance, schedule_to_obj, trace_to_dict)
-from .numeric import DEFAULT_TOLERANCE, set_tolerance
 from .offline import SearchCapExceeded, opt_upto
 
 ALGOS = ("lazy", "replan", "ignore")
@@ -256,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--precision", type=int, default=6,
                         help="decimal places in output (default 6)")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="comparison tolerance (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="openride",
@@ -324,7 +321,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        set_tolerance(args.tolerance)
         _check_numbers(args)
         return args.func(args, parser)
     except BrokenPipeError:
@@ -333,8 +329,6 @@ def main(argv=None) -> int:
             FactorRevealingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        set_tolerance(DEFAULT_TOLERANCE)
 
 
 if __name__ == "__main__":

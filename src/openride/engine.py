@@ -31,15 +31,15 @@ from .model import (
     Instance,
     Load,
     Move,
-    Request,
     Schedule,
     ScheduleRecord,
     Trace,
     TraceEvent,
     Unload,
+    Wait,
     schedule_length,
 )
-from .numeric import TIE_EPS, tolerance
+from .numeric import CHECK_TOL, TIE_EPS, TOLERANCE
 from .offline import OptCache, fastest_delivery_and_return, shortest_schedule
 
 
@@ -65,50 +65,15 @@ def encode_pos(pos: Position):
     return pos
 
 
-# command steps
-@dataclass
-class MoveStep:
-    frm: Position
-    to: Point
-    dur: float
-
-
-@dataclass
-class WaitStep:
-    until: float
-
-
-@dataclass
-class LoadStep:
-    rid: int
-
-
-@dataclass
-class UnloadStep:
-    rid: int
-
-
 @dataclass
 class Command:
+    """A run of the model's actions; a lead Move may start at an EdgePos."""
+
     kind: str  # "wait" | "schedule" | "return"
     steps: list
     schedule_no: int | None = None  # index into the trace's schedule records
     idx: int = 0
     moved: float = 0.0  # progress inside the current move step
-
-
-def _steps_of_schedule(sched: Schedule) -> list:
-    steps: list = []
-    for act in sched.actions:
-        if isinstance(act, Move):
-            steps.append(MoveStep(act.start, act.end, act.distance))
-        elif isinstance(act, Load):
-            steps.append(LoadStep(act.request_id))
-        elif isinstance(act, Unload):
-            steps.append(UnloadStep(act.request_id))
-        else:
-            raise EngineError("planned schedules never wait")
-    return steps
 
 
 class Simulation:
@@ -144,7 +109,7 @@ class Simulation:
 
         plan(p) returns (length, result) for a plan starting at point p.
         Returns (total length, lead steps, start point, result); mid-edge
-        the lead step moves to the end node whose plan finishes first,
+        the lead step is a Move to the end node whose plan finishes first,
         ties going to u.  Each plan checks its start point, so the edge
         length is read unchecked.
         """
@@ -156,8 +121,8 @@ class Simulation:
         lv, rv = plan(pos.v)
         back, ahead = pos.offset, self.space.raw_distance(pos.u, pos.v) - pos.offset
         if back + lu <= ahead + lv + TIE_EPS:
-            return back + lu, [MoveStep(pos, pos.u, back)], pos.u, ru
-        return ahead + lv, [MoveStep(pos, pos.v, ahead)], pos.v, rv
+            return back + lu, [Move(pos, pos.u, back)], pos.u, ru
+        return ahead + lv, [Move(pos, pos.v, ahead)], pos.v, rv
 
     def fastest_return_plan(self):
         """Duration and steps of the quickest deliver-all-and-go-home route."""
@@ -177,15 +142,15 @@ class Simulation:
         left = sorted(self.loaded)
         for w in route[:-1]:
             if not self.space.same_point(cur, w):
-                steps.append(MoveStep(cur, w, self.space.raw_distance(cur, w)))
+                steps.append(Move(cur, w, self.space.raw_distance(cur, w)))
                 cur = w
             for rid in list(left):
                 if self.space.same_point(self.req_by_id[rid].b, w):
-                    steps.append(UnloadStep(rid))
+                    steps.append(Unload(rid))
                     left.remove(rid)
         origin = route[-1]
         if not self.space.same_point(cur, origin):
-            steps.append(MoveStep(cur, origin, self.space.raw_distance(cur, origin)))
+            steps.append(Move(cur, origin, self.space.raw_distance(cur, origin)))
         return steps
 
     # -- commands issued by policies ---------------------------------
@@ -194,7 +159,7 @@ class Simulation:
         self.events.append(TraceEvent(self.time, kind, data))
 
     def start_wait(self, until: float) -> None:
-        self.cmd = Command("wait", [WaitStep(until)])
+        self.cmd = Command("wait", [Wait(until)])
         self.log("wait", until=until)
 
     def note_idle(self) -> None:
@@ -230,7 +195,9 @@ class Simulation:
             return schedule_length(sched), sched
 
         total, lead, _, sched = self._plan_from_here(plan)
-        self._follow(sched, total, self.pos, lead + _steps_of_schedule(sched))
+        if any(isinstance(act, Wait) for act in sched.actions):
+            raise EngineError("planned schedules never wait")
+        self._follow(sched, total, self.pos, lead + list(sched.actions))
 
     def _follow(self, sched: Schedule, length: float, pos: Position, steps: list) -> None:
         self.schedule_counter += 1
@@ -251,30 +218,30 @@ class Simulation:
 
     def _boundary(self) -> float:
         step = self.cmd.steps[self.cmd.idx]
-        if isinstance(step, MoveStep):
-            return self.time + (step.dur - self.cmd.moved)
-        if isinstance(step, WaitStep):
+        if isinstance(step, Move):
+            return self.time + (step.distance - self.cmd.moved)
+        if isinstance(step, Wait):
             return max(self.time, step.until)
         return self.time
 
-    def _interpolate(self, step: MoveStep, moved: float) -> Position:
-        if moved >= step.dur - TIE_EPS:
-            return step.to
+    def _interpolate(self, step: Move, moved: float) -> Position:
+        if moved >= step.distance - TIE_EPS:
+            return step.end
         if moved <= TIE_EPS:
-            return step.frm
-        frm = step.frm
+            return step.start
+        frm = step.start
         if self.space.kind != MATRIX:
-            return frm + (moved if step.to > frm else -moved)
+            return frm + (moved if step.end > frm else -moved)
         if isinstance(frm, EdgePos):
-            if step.to == frm.u:
+            if step.end == frm.u:
                 return EdgePos(frm.u, frm.v, frm.offset - moved)
             return EdgePos(frm.u, frm.v, frm.offset + moved)
-        return EdgePos(frm, step.to, moved)
+        return EdgePos(frm, step.end, moved)
 
     def _advance_to(self, t: float) -> None:
         if t > self.time and self.cmd is not None and self.cmd.idx < len(self.cmd.steps):
             step = self.cmd.steps[self.cmd.idx]
-            if isinstance(step, MoveStep):
+            if isinstance(step, Move):
                 self.cmd.moved += t - self.time
                 self.pos = self._interpolate(step, self.cmd.moved)
         self.time = t
@@ -282,11 +249,11 @@ class Simulation:
     def _finish_step(self) -> None:
         cmd = self.cmd
         step = cmd.steps[cmd.idx]
-        if isinstance(step, MoveStep):
-            self.pos = step.to
+        if isinstance(step, Move):
+            self.pos = step.end
             cmd.moved = 0.0
-        elif isinstance(step, LoadStep):
-            rid = step.rid
+        elif isinstance(step, Load):
+            rid = step.request_id
             if rid not in self.pending or rid in self.loaded:
                 raise EngineError(f"load of request {rid} out of order")
             if len(self.loaded) >= self.inst.effective_capacity:
@@ -295,8 +262,8 @@ class Simulation:
                 raise EngineError(f"load of request {rid} away from its pickup")
             self.loaded.add(rid)
             self.log("load", id=rid)
-        elif isinstance(step, UnloadStep):
-            rid = step.rid
+        elif isinstance(step, Unload):
+            rid = step.request_id
             if rid not in self.loaded:
                 raise EngineError(f"unload of request {rid} not on board")
             if not self.space.same_point(self.pos, self.req_by_id[rid].b):
@@ -392,12 +359,12 @@ class LazyPolicy:
 
     def on_request(self, sim: Simulation) -> None:
         dur, steps = sim.fastest_return_plan()
-        if sim.time + dur <= self.alpha * sim.opt_now() + tolerance():
+        if sim.time + dur <= self.alpha * sim.opt_now() + TOLERANCE:
             sim.start_deliver_return(steps)
 
     def on_idle(self, sim: Simulation) -> None:
         target = self.alpha * sim.opt_now()
-        if sim.time < target - tolerance():
+        if sim.time < target - TOLERANCE:
             sim.start_wait(target)
         elif sim.pending:
             sim.start_pending_schedule()
@@ -456,13 +423,13 @@ class GoodnessRow:
         return self.length_ok and self.deadline_ok
 
 
-def check_alpha_good(trace: Trace, inst: Instance, alpha: float, tol: float = 1e-6,
+def check_alpha_good(trace: Trace, inst: Instance, alpha: float,
                      cache: OptCache | None = None) -> list[GoodnessRow]:
     """Check each schedule of a lazy trace against the two-part bound.
 
     Schedule i starting at time t with optimum value opt = OPT(t) is
     good when its length is at most opt and it finishes by
-    (1 + alpha) * opt, both up to tol.
+    (1 + alpha) * opt, both up to CHECK_TOL.
     """
     if cache is None:
         cache = OptCache(inst)
@@ -473,20 +440,20 @@ def check_alpha_good(trace: Trace, inst: Instance, alpha: float, tol: float = 1e
             GoodnessRow(
                 index=rec.index,
                 opt_value=opt_val,
-                length_ok=rec.length <= opt_val + tol,
-                deadline_ok=rec.start_time + rec.length <= (1 + alpha) * opt_val + tol,
+                length_ok=rec.length <= opt_val + CHECK_TOL,
+                deadline_ok=rec.start_time + rec.length <= (1 + alpha) * opt_val + CHECK_TOL,
             )
         )
     return rows
 
 
-def check_lazy_starts(trace: Trace, inst: Instance, tol: float = 1e-6,
-                       cache: OptCache | None = None) -> list[dict]:
+def check_lazy_starts(trace: Trace, inst: Instance,
+                      cache: OptCache | None = None) -> list[dict]:
     """Consecutive-schedule inequalities of a lazy trace.
 
     For schedules i-1, i: OPT(t_i) >= t_{i-1} and
-    t_{i-1} >= alpha * OPT(t_{i-1}).  Returns the list of violations
-    (empty when the trace is consistent).
+    t_{i-1} >= alpha * OPT(t_{i-1}), both up to CHECK_TOL.  Returns the
+    list of violations (empty when the trace is consistent).
     """
     if trace.alpha is None:
         raise ValueError("start checks need a lazy trace with its alpha")
@@ -497,12 +464,12 @@ def check_lazy_starts(trace: Trace, inst: Instance, tol: float = 1e-6,
     recs = trace.schedules
     for rec in recs:
         opt_rec = cache.value(cache.prefix_for(rec.start_time))
-        if rec.start_time < alpha * opt_rec - tol:
+        if rec.start_time < alpha * opt_rec - CHECK_TOL:
             bad.append({"i": rec.index, "rule": "start-after-alpha-opt",
                         "lhs": rec.start_time, "rhs": alpha * opt_rec})
     for prev, cur in zip(recs, recs[1:]):
         opt_cur = cache.value(cache.prefix_for(cur.start_time))
-        if opt_cur < prev.start_time - tol:
+        if opt_cur < prev.start_time - CHECK_TOL:
             bad.append({"i": cur.index, "rule": "opt-dominates-previous-start",
                         "lhs": opt_cur, "rhs": prev.start_time})
     return bad

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
 from .model import Instance, Load, Schedule, Trace, Unload, make_instance, validate_schedule
-from .numeric import OPTIMAL_ALPHA_HALF_LINE, tolerance
+from .numeric import CHECK_TOL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from .numeric import OPTIMAL_ALPHA_GENERAL  # noqa: F401  re-exported for existing importers
 from .offline import OptCache
 
@@ -78,8 +78,8 @@ def measure_ratio(inst: Instance, algo: str, alpha: float | None = None,
     cache = opt_cache if opt_cache is not None else OptCache(inst)
     trace = simulate(inst, make_policy(algo, alpha), cache)
     opt = cache.value(len(inst.requests))
-    if opt <= tolerance():
-        return trace, opt, 1.0 if trace.completion <= tolerance() else math.inf
+    if opt <= TOLERANCE:
+        return trace, opt, 1.0 if trace.completion <= TOLERANCE else math.inf
     return trace, opt, trace.completion / opt
 
 
@@ -159,7 +159,7 @@ class RatioReport:
     algo: str
     alpha: float | None
     count: int
-    worst: float
+    worst: float | None  # None when count is 0
     worst_index: int
     mean: float
     violations: int
@@ -237,7 +237,7 @@ def _check_trace(inst: Instance, trace: Trace, algo: str, alpha: float | None,
     """Structural checks on one run; returns the number of violations."""
     bad = 0
     opt = cache.value(len(inst.requests))
-    if trace.completion < opt - 1e-6:
+    if trace.completion < opt - CHECK_TOL:
         bad += 1  # an online run can never beat the clairvoyant optimum
     for rec in trace.schedules:
         if rec.interrupted or rec.schedule is None:
@@ -249,7 +249,7 @@ def _check_trace(inst: Instance, trace: Trace, algo: str, alpha: float | None,
         finish = validate_schedule(sub, rec.schedule, start_time=rec.start_time)
         if not isinstance(finish, float):
             bad += 1
-        elif abs(finish - (rec.start_time + rec.length)) > 1e-6:
+        elif abs(finish - (rec.start_time + rec.length)) > CHECK_TOL:
             bad += 1
     if algo == "lazy" and alpha is not None and alpha >= 1.0:
         if any(not row.ok for row in check_alpha_good(trace, inst, alpha, cache=cache)):
@@ -293,7 +293,7 @@ def fuzz(cfg: FuzzConfig, algo: str) -> RatioReport:
         algo=algo,
         alpha=cfg.alpha,
         count=cfg.count,
-        worst=worst,
+        worst=worst if worst_index >= 0 else None,
         worst_index=worst_index,
         mean=total / cfg.count if cfg.count else 0.0,
         violations=violations,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numeric import tolerance
+from .numeric import TOLERANCE
 
 LINE = "line"
 HALF_LINE = "halfline"
@@ -61,7 +61,7 @@ class MetricSpace:
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
             return False
         if self.kind == HALF_LINE:
-            return p >= -tolerance()
+            return p >= -TOLERANCE
         return True
 
     def check_point(self, p: Point) -> None:
@@ -82,21 +82,19 @@ class MetricSpace:
     def same_point(self, x: Point, y: Point) -> bool:
         if self.kind == MATRIX:
             return x == y
-        return abs(float(x) - float(y)) <= tolerance()
+        return abs(float(x) - float(y)) <= TOLERANCE
 
     def validate(self) -> MetricViolation | None:
         """Check the metric axioms; report the first violation found.
 
         Line kinds are valid by construction.  For matrices the checks
         run in order: shape, finite entries, zero diagonal, symmetry,
-        nonnegativity, triangle inequality (all up to the global
-        tolerance).
+        nonnegativity, triangle inequality (all up to TOLERANCE).
         """
         if self.kind != MATRIX:
             return None
         d = self.matrix
         n = len(d)
-        tol = tolerance()
         for i, row in enumerate(d):
             if len(row) != n:
                 return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")
@@ -105,22 +103,22 @@ class MetricSpace:
                 if not math.isfinite(v):
                     return MetricViolation("finite", (i, j), f"d[{i}][{j}] = {v} is not finite")
         for i in range(n):
-            if abs(d[i][i]) > tol:
+            if abs(d[i][i]) > TOLERANCE:
                 return MetricViolation("diagonal", (i,), f"d[{i}][{i}] = {d[i][i]} is not 0")
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(d[i][j] - d[j][i]) > tol:
+                if abs(d[i][j] - d[j][i]) > TOLERANCE:
                     return MetricViolation(
                         "symmetry", (i, j), f"d[{i}][{j}] = {d[i][j]} but d[{j}][{i}] = {d[j][i]}"
                     )
         for i in range(n):
             for j in range(n):
-                if d[i][j] < -tol:
+                if d[i][j] < -TOLERANCE:
                     return MetricViolation("negative", (i, j), f"d[{i}][{j}] = {d[i][j]} < 0")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k] + tol:
+                    if d[i][k] > d[i][j] + d[j][k] + TOLERANCE:
                         return MetricViolation(
                             "triangle",
                             (i, j, k),

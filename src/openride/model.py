@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, Point, matrix_space
-from .numeric import tolerance
+from .numeric import TOLERANCE
 
 
 class InstanceError(ValueError):
@@ -69,7 +69,8 @@ class Instance:
     requests: tuple[Request, ...]
 
     def __post_init__(self) -> None:
-        if self.capacity is not None and (not isinstance(self.capacity, int) or self.capacity < 1):
+        cap = self.capacity
+        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
             raise SemanticError("capacity must be a positive integer or None", "capacity")
         seen: set[int] = set()
         for r in self.requests:
@@ -173,7 +174,7 @@ def validate_schedule(
     if released_only_before is None:
         scope = set(by_id)
     else:
-        scope = {r.id for r in inst.requests if r.release <= released_only_before + tolerance()}
+        scope = {r.id for r in inst.requests if r.release <= released_only_before + TOLERANCE}
     cap = inst.effective_capacity
     pos = sched.start_pos
     t = start_time
@@ -198,7 +199,7 @@ def validate_schedule(
                 return ScheduleViolation("double-load", i, f"request {r.id} loaded twice")
             if not space.same_point(pos, r.a):
                 return ScheduleViolation("load-position", i, f"load of {r.id} at {pos!r}, pickup is {r.a!r}")
-            if t < r.release - tolerance():
+            if t < r.release - TOLERANCE:
                 return ScheduleViolation("load-before-release", i, f"load of {r.id} at {t}, released {r.release}")
             if len(loaded) + 1 > cap:
                 return ScheduleViolation("capacity", i, f"{len(loaded) + 1} loaded exceeds capacity {cap}")

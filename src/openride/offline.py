@@ -44,7 +44,7 @@ import numpy as np
 
 from .metric import MetricSpace, Point
 from .model import Instance, Load, Move, Request, Schedule, Unload, Wait
-from .numeric import TIE_EPS, tolerance
+from .numeric import TIE_EPS, TOLERANCE
 
 DEFAULT_SEARCH_CAP = 10
 NAIVE_CAP = 6
@@ -63,7 +63,8 @@ class _Compiled:
 
     Points are indexed 0 (the origin) then pickup/dropoff pairs in
     request order: pickup of local request j is point 1 + 2j, dropoff
-    2 + 2j.  All pairwise distances are precomputed.
+    2 + 2j.  All pairwise distances are precomputed, unchecked: the
+    requests come from an Instance, which checked their points.
     """
 
     __slots__ = ("ids", "points", "dist", "rel", "cap", "m")
@@ -75,8 +76,6 @@ class _Compiled:
         for r in requests:
             pts.append(r.a)
             pts.append(r.b)
-        for p in pts:
-            space.check_point(p)
         self.points = pts
         self.dist = [[space.raw_distance(p, q) for q in pts] for p in pts]
         self.rel = [r.release for r in requests]
@@ -393,7 +392,7 @@ class OptCache:
         return self._table[1]
 
     def prefix_for(self, t: float) -> int:
-        return bisect_right(self.comp.rel, t + tolerance())
+        return bisect_right(self.comp.rel, t + TOLERANCE)
 
     def solve_prefix(self, k: int) -> tuple[Schedule, float]:
         got = self._solved.get(k)
@@ -522,7 +521,7 @@ def opt_upto_naive(inst: Instance, t: float) -> float:
     no relaxations; capped at 6 requests.
     """
     releases = [r.release for r in inst.requests]
-    k = bisect_right(releases, t + tolerance())
+    k = bisect_right(releases, t + TOLERANCE)
     if k > NAIVE_CAP:
         raise SearchCapExceeded(f"{k} released requests exceed the oracle cap {NAIVE_CAP}")
     if k == 0:

@@ -12,7 +12,6 @@ import pytest
 
 import openride
 from openride.cli import main
-from openride.numeric import DEFAULT_TOLERANCE, tolerance
 
 
 def run(capsys, *argv):
@@ -275,13 +274,19 @@ def test_fuzz_lazy_needs_alpha(capsys):
     assert ei.value.code == 2
 
 
-def test_tolerance_flag_is_restored(capsys, lb_instance):
-    code, _, _ = run(
-        capsys,
-        "ratio", "--instance", lb_instance, "--algo", "ignore", "--tolerance", "1e-6",
-    )
+def test_empty_fuzz_run_has_no_worst(capsys):
+    code, out, _ = run(capsys, "fuzz", "--algo", "ignore", "--count", "0")
     assert code == 0
-    assert tolerance() == DEFAULT_TOLERANCE
+    obj = json.loads(out)
+    assert obj["count"] == 0 and obj["worst"] is None
+    assert "worst_instance" not in obj
+
+
+def test_empty_fuzz_run_csv_has_empty_worst(capsys):
+    code, out, _ = run(capsys, "fuzz", "--algo", "ignore", "--count", "0", "--format", "csv")
+    assert code == 0
+    assert out == ("algo,alpha,count,seed,worst,worst_index,mean,violations\n"
+                   "ignore,,0,0,,-1,0.0,0\n")
 
 
 def _limit_memory():
@@ -325,13 +330,14 @@ def test_non_finite_instance_fails_fast(argv, stdin, field):
     assert err.startswith("error:") and field in err
 
 
-@pytest.mark.parametrize("tol", ["0", "nan"])
+@pytest.mark.parametrize("tol", ["0", "nan", "1e-6"])
 def test_bad_tolerance_fails_fast(tol):
+    # the tolerance is a constant; the flag is gone, whatever its value
     code, out, err = run_guarded("opt", "--instance", "-", "--tolerance", tol,
                                  stdin=_line_instance())
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert err == "error: tolerance must be positive and finite\n"
+    assert "unrecognized arguments: --tolerance" in err
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -2,7 +2,9 @@
 
 import pytest
 
+from openride import engine
 from openride.engine import (
+    EngineError,
     IgnorePolicy,
     LazyPolicy,
     ReplanPolicy,
@@ -15,9 +17,11 @@ from openride.metric import half_line, line, matrix_space
 from openride.model import (
     Load,
     Move,
+    Schedule,
     ScheduleRecord,
     Trace,
     Unload,
+    Wait,
     make_instance,
 )
 from openride.offline import OptCache, opt_upto
@@ -178,6 +182,14 @@ def test_simulate_accepts_shared_cache():
 
 # ---------------------------------------------------------------------------
 # trace checkers on fabricated traces
+
+
+def test_planned_schedule_with_a_wait_is_refused(monkeypatch):
+    inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
+    waiting = Schedule(0.0, (Wait(1.0), Load(0), Move(0.0, 1.0, 1.0), Unload(0)))
+    monkeypatch.setattr(engine, "shortest_schedule", lambda *args: waiting)
+    with pytest.raises(EngineError, match="planned schedules never wait"):
+        simulate(inst, IgnorePolicy())
 
 
 def _fake_trace(records):

@@ -137,7 +137,7 @@ def test_fuzz_replan_and_ignore_run_clean():
 
 def test_fuzz_empty_config():
     report = fuzz(FuzzConfig(count=0), "ignore")
-    assert report.count == 0 and report.worst_index == -1
+    assert report.count == 0 and report.worst is None and report.worst_index == -1
     assert report.worst_instance is None and report.mean == 0.0
 
 

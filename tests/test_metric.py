@@ -12,7 +12,7 @@ from openride.metric import (
     line,
     matrix_space,
 )
-from openride.numeric import tolerance
+from openride.numeric import TOLERANCE
 
 
 def test_kind_constructors():
@@ -54,7 +54,7 @@ def test_line_distance():
 def test_halfline_points():
     sp = half_line()
     assert sp.is_point(0.0)
-    assert sp.is_point(tolerance() / 2 * -1)  # within tolerance of 0
+    assert sp.is_point(TOLERANCE / 2 * -1)  # within tolerance of 0
     assert not sp.is_point(-1.0)
     with pytest.raises(InvalidPointError):
         sp.distance(-1.0, 2.0)
@@ -74,7 +74,7 @@ def test_matrix_distance_and_points():
 
 
 def test_same_point():
-    assert line().same_point(1.0, 1.0 + tolerance() / 2)
+    assert line().same_point(1.0, 1.0 + TOLERANCE / 2)
     assert not line().same_point(1.0, 1.0 + 1e-6)
     sp = matrix_space([[0, 1], [1, 0]])
     assert sp.same_point(1, 1)

@@ -76,7 +76,7 @@ def test_non_finite_release_and_point_rejected():
 
 
 def test_bad_capacity_rejected():
-    for cap in (0, -2, 1.5):
+    for cap in (0, -2, 1.5, True):
         with pytest.raises(SemanticError):
             make_instance(line(), cap, [(0.0, 1.0, 0.0)])
 

@@ -1,46 +1,8 @@
-"""Tolerance helpers."""
+"""Tolerance constants."""
 
-import pytest
-
-from openride.numeric import (
-    DEFAULT_TOLERANCE,
-    close,
-    leq,
-    lt,
-    set_tolerance,
-    tolerance,
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_tolerance():
-    yield
-    set_tolerance(DEFAULT_TOLERANCE)
+from openride.numeric import CHECK_TOL, TOLERANCE
 
 
 def test_default_tolerance():
-    assert tolerance() == DEFAULT_TOLERANCE == 1e-9
-
-
-def test_set_tolerance_changes_comparisons():
-    set_tolerance(1e-3)
-    assert tolerance() == 1e-3
-    assert leq(1.0005, 1.0)
-    assert close(2.0, 2.0009)
-    assert not lt(1.0005, 1.0012)
-
-
-def test_set_tolerance_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        set_tolerance(0.0)
-    with pytest.raises(ValueError):
-        set_tolerance(-1e-9)
-
-
-def test_leq_lt_close_near_boundary():
-    assert leq(1.0 + 1e-10, 1.0)
-    assert not leq(1.0 + 1e-8, 1.0)
-    assert lt(1.0, 1.0 + 1e-8)
-    assert not lt(1.0, 1.0 + 1e-10)
-    assert close(0.3, 0.1 + 0.2)
-    assert not close(0.3, 0.3 + 1e-8)
+    assert TOLERANCE == 1e-9
+    assert CHECK_TOL == 1e-6

@@ -1,0 +1,13 @@
+"""The package's top-level names."""
+
+import openride
+
+
+def test_public_surface():
+    assert sorted(openride.__all__) == [
+        "HALF_LINE_LOWER_BOUND", "LazyPolicy", "OPTIMAL_ALPHA_GENERAL",
+        "OPTIMAL_ALPHA_HALF_LINE", "OptCache", "competitive_ratio", "half_line",
+        "make_instance", "simulate",
+    ]
+    for name in openride.__all__:
+        assert getattr(openride, name) is not None
