@@ -69,6 +69,13 @@ def _emit(args, obj, table=None) -> None:
         sys.stdout.write(canonical_json(_round(obj, args.precision)) + "\n")
 
 
+def _precision(text: str) -> int:
+    """Parse --precision: a number of decimal places, an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _check_numbers(args) -> None:
     """Reject non-finite numeric options, naming the option."""
     for name in ("alpha", "epsilon"):
@@ -253,7 +260,7 @@ def _cmd_factor_reveal(args, parser) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--precision", type=int, default=6,
+    common.add_argument("--precision", type=_precision, default=6,
                         help="decimal places in output (default 6)")
 
     parser = argparse.ArgumentParser(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .metric import MATRIX, MetricSpace, Point
 from .model import (
@@ -69,9 +70,8 @@ def encode_pos(pos: Position):
 class Command:
     """A run of the model's actions; a lead Move may start at an EdgePos."""
 
-    kind: str  # "wait" | "schedule" | "return"
+    kind: str  # "wait" | "schedule" | "return"; a running schedule is records[-1]
     steps: list
-    schedule_no: int | None = None  # index into the trace's schedule records
     idx: int = 0
     moved: float = 0.0  # progress inside the current move step
 
@@ -83,17 +83,14 @@ class Simulation:
         self.inst = inst
         self.space = inst.space
         self.policy = policy
-        self.req_by_id = {r.id: r for r in inst.requests}
         self.time = 0.0
         self.pos: Position = inst.space.origin
         self.pending: set[int] = set()  # released, not yet served (loaded included)
         self.loaded: set[int] = set()
-        self.served: set[int] = set()
         self.released_count = 0
         self.cmd: Command | None = None
         self.records: list[ScheduleRecord] = []
         self.events: list[TraceEvent] = []
-        self.schedule_counter = 0
         self.last_unload = 0.0
         # every policy plans against the cache, so it is built up front
         self.opt_cache = opt_cache if opt_cache is not None else OptCache(inst)
@@ -126,7 +123,7 @@ class Simulation:
 
     def fastest_return_plan(self):
         """Duration and steps of the quickest deliver-all-and-go-home route."""
-        dests = sorted({self.req_by_id[rid].b for rid in self.loaded})
+        dests = sorted({self.inst.request(rid).b for rid in self.loaded})
         total, lead, node, route = self._plan_from_here(
             lambda p: fastest_delivery_and_return(dests, p, self.space))
         return total, lead + self._route_steps(node, route)
@@ -140,17 +137,14 @@ class Simulation:
         steps: list = []
         cur = start
         left = sorted(self.loaded)
-        for w in route[:-1]:
+        for w in route:  # every dropoff is a waypoint before the closing origin
             if not self.space.same_point(cur, w):
                 steps.append(Move(cur, w, self.space.raw_distance(cur, w)))
                 cur = w
             for rid in list(left):
-                if self.space.same_point(self.req_by_id[rid].b, w):
+                if self.space.same_point(self.inst.request(rid).b, w):
                     steps.append(Unload(rid))
                     left.remove(rid)
-        origin = route[-1]
-        if not self.space.same_point(cur, origin):
-            steps.append(Move(cur, origin, self.space.raw_distance(cur, origin)))
         return steps
 
     # -- commands issued by policies ---------------------------------
@@ -169,11 +163,11 @@ class Simulation:
     def _interrupt(self) -> None:
         """Mark a running schedule as interrupted."""
         if self.cmd is not None and self.cmd.kind == "schedule":
-            rec = self.records[self.cmd.schedule_no]
+            rec = self.records[-1]
             rec.interrupted = True
             self.log("interrupt", schedule=rec.index)
 
-    def start_deliver_return(self, steps: list) -> None:
+    def start_return(self, steps: list) -> None:
         self._interrupt()
         self.cmd = Command("return", steps)
         self.log("return")
@@ -187,7 +181,7 @@ class Simulation:
     def start_replan_schedule(self) -> None:
         """Re-plan over all unserved requests, keeping what is on board."""
         self._interrupt()
-        reqs = [self.req_by_id[rid] for rid in sorted(self.pending)]
+        reqs = [self.inst.request(rid) for rid in sorted(self.pending)]
         loaded = sorted(self.loaded)
 
         def plan(p):
@@ -200,9 +194,8 @@ class Simulation:
         self._follow(sched, total, self.pos, lead + list(sched.actions))
 
     def _follow(self, sched: Schedule, length: float, pos: Position, steps: list) -> None:
-        self.schedule_counter += 1
         rec = ScheduleRecord(
-            index=self.schedule_counter,
+            index=len(self.records) + 1,
             start_time=self.time,
             start_pos=encode_pos(pos),
             request_ids=tuple(sorted(self.pending)),
@@ -211,7 +204,7 @@ class Simulation:
             schedule=sched,
         )
         self.records.append(rec)
-        self.cmd = Command("schedule", steps, schedule_no=len(self.records) - 1)
+        self.cmd = Command("schedule", steps)
         self.log("schedule", i=rec.index, length=length)
 
     # -- event loop ---------------------------------------------------
@@ -239,7 +232,7 @@ class Simulation:
         return EdgePos(frm, step.end, moved)
 
     def _advance_to(self, t: float) -> None:
-        if t > self.time and self.cmd is not None and self.cmd.idx < len(self.cmd.steps):
+        if t > self.time and self.cmd is not None:  # the run loop ends finished commands first
             step = self.cmd.steps[self.cmd.idx]
             if isinstance(step, Move):
                 self.cmd.moved += t - self.time
@@ -258,7 +251,7 @@ class Simulation:
                 raise EngineError(f"load of request {rid} out of order")
             if len(self.loaded) >= self.inst.effective_capacity:
                 raise EngineError("capacity exceeded")
-            if not self.space.same_point(self.pos, self.req_by_id[rid].a):
+            if not self.space.same_point(self.pos, self.inst.request(rid).a):
                 raise EngineError(f"load of request {rid} away from its pickup")
             self.loaded.add(rid)
             self.log("load", id=rid)
@@ -266,65 +259,41 @@ class Simulation:
             rid = step.request_id
             if rid not in self.loaded:
                 raise EngineError(f"unload of request {rid} not on board")
-            if not self.space.same_point(self.pos, self.req_by_id[rid].b):
+            if not self.space.same_point(self.pos, self.inst.request(rid).b):
                 raise EngineError(f"unload of request {rid} away from its dropoff")
             self.loaded.remove(rid)
             self.pending.remove(rid)
-            self.served.add(rid)
             self.last_unload = self.time
             self.log("unload", id=rid)
         cmd.idx += 1
 
-    def _process_batch(self, batch) -> None:
-        _, reqs = batch
-        for r in reqs:
-            self.pending.add(r.id)
-            self.released_count += 1
-            self.log("arrival", id=r.id)
-        self.policy.on_request(self)
-        if self.cmd is None:
-            self.policy.on_idle(self)
-
     def run(self) -> Trace:
-        reqs = self.inst.requests
-        batches = []
-        i = 0
-        while i < len(reqs):
-            j = i
-            while j < len(reqs) and reqs[j].release == reqs[i].release:
-                j += 1
-            batches.append((reqs[i].release, reqs[i:j]))
-            i = j
-        bi = 0
-        guard = 0
-        limit = 200 * (len(reqs) + 1) + 1000
-        while True:
-            guard += 1
-            if guard > limit:
-                raise EngineError("simulation failed to make progress")
-            if self.cmd is not None and self.cmd.idx >= len(self.cmd.steps):
-                done = self.cmd
+        # release batches of equal release time, the next one last
+        batches = [list(g) for _, g in groupby(self.inst.requests, key=lambda r: r.release)][::-1]
+        for _ in range(200 * (len(self.inst.requests) + 1) + 1000):
+            cmd = self.cmd
+            if cmd is not None and cmd.idx >= len(cmd.steps):
                 self.cmd = None
-                self.log(f"{done.kind}-end")
+                self.log(f"{cmd.kind}-end")
                 self.policy.on_idle(self)
-                continue
-            next_rel = batches[bi][0] if bi < len(batches) else None
-            if self.cmd is None:
-                if next_rel is None:
-                    break
-                self.time = next_rel
-                self._process_batch(batches[bi])
-                bi += 1
-                continue
-            tb = self._boundary()
-            if next_rel is not None and next_rel <= tb:
-                self._advance_to(next_rel)
-                self._process_batch(batches[bi])
-                bi += 1
-                continue
-            self._advance_to(tb)
-            self._finish_step()
-        if len(self.served) != len(reqs):
+            elif batches and (cmd is None or batches[-1][0].release <= self._boundary()):
+                batch = batches.pop()
+                self._advance_to(batch[0].release)
+                for r in batch:
+                    self.pending.add(r.id)
+                    self.log("arrival", id=r.id)
+                self.released_count += len(batch)
+                self.policy.on_request(self)
+                if self.cmd is None:
+                    self.policy.on_idle(self)
+            elif cmd is None:
+                break
+            else:
+                self._advance_to(self._boundary())
+                self._finish_step()
+        else:
+            raise EngineError("simulation failed to make progress")
+        if self.pending:
             raise EngineError("run ended with unserved requests")
         return Trace(
             algo=self.policy.name,
@@ -360,7 +329,7 @@ class LazyPolicy:
     def on_request(self, sim: Simulation) -> None:
         dur, steps = sim.fastest_return_plan()
         if sim.time + dur <= self.alpha * sim.opt_now() + TOLERANCE:
-            sim.start_deliver_return(steps)
+            sim.start_return(steps)
 
     def on_idle(self, sim: Simulation) -> None:
         target = self.alpha * sim.opt_now()

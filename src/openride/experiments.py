@@ -31,7 +31,7 @@ from .offline import OptCache
 HALF_LINE_LOWER_BOUND = (3.0 + math.sqrt(3.0)) / 2.0
 
 
-def gen_halfline_lb(alpha: float, epsilon: float = 1e-4, capacity: int | None = 1) -> Instance:
+def gen_halfline_lb(alpha: float, epsilon: float = 1e-4) -> Instance:
     """Half-line instance forcing a waiting policy with this alpha high.
 
     Needs 1 <= alpha < (1 + sqrt(3)) / 2, the range in which the late
@@ -46,7 +46,7 @@ def gen_halfline_lb(alpha: float, epsilon: float = 1e-4, capacity: int | None = 
     far = 4.0 * alpha - 2.0
     return make_instance(
         half_line(),
-        capacity,
+        1,
         [
             (0.0, 1.0, 0.0),
             (1.0, 0.0, 0.0),
@@ -244,9 +244,7 @@ def _check_trace(inst: Instance, trace: Trace, algo: str, alpha: float | None,
             continue
         if isinstance(rec.start_pos, dict) or not _replayable(rec.schedule):
             continue
-        sub = Instance(inst.space, inst.capacity,
-                       tuple(inst.request(rid) for rid in rec.request_ids))
-        finish = validate_schedule(sub, rec.schedule, start_time=rec.start_time)
+        finish = validate_schedule(inst, rec.schedule, start_time=rec.start_time, scope=rec.request_ids)
         if not isinstance(finish, float):
             bad += 1
         elif abs(finish - (rec.start_time + rec.length)) > CHECK_TOL:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_LP_TOL = 1e-9
+LP_TOL = 1e-9
 _MAX_PIVOTS = 20000
 
 
@@ -120,7 +120,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], enter_limit: int, tol: float):
             return "numerical", pivots
 
 
-def solve_lp(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     n = lp.objective.shape[0]
     if n == 0:
         return LpSolution("optimal", np.zeros(0), 0.0, (), 0)
@@ -153,7 +153,7 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> LpSolution:
         z = np.zeros(ncols + 1)
         z[n + m : ncols] = -1.0
         _set_costs(T, basis, z)
-        status, p1 = _run_simplex(T, basis, ncols, tol)
+        status, p1 = _run_simplex(T, basis, ncols, LP_TOL)
         pivots += p1
         if status == "numerical":
             return LpSolution("numerical", None, None, (), pivots)
@@ -170,7 +170,7 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> LpSolution:
     z = np.zeros(ncols + 1)
     z[:n] = lp.objective
     _set_costs(T, basis, z)
-    status, p2 = _run_simplex(T, basis, n + m, tol)
+    status, p2 = _run_simplex(T, basis, n + m, LP_TOL)
     pivots += p2
     if status != "optimal":
         return LpSolution(status, None, None, (), pivots)

@@ -95,6 +95,8 @@ class MetricSpace:
             return None
         d = self.matrix
         n = len(d)
+        if n == 0:
+            return MetricViolation("shape", (), "the matrix has no nodes, so no origin")
         for i, row in enumerate(d):
             if len(row) != n:
                 return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")

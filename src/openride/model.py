@@ -58,9 +58,6 @@ class Request:
     b: Point
     release: float
 
-    def is_point_to_point(self) -> bool:
-        return self.a == self.b
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -157,7 +154,7 @@ def validate_schedule(
     inst: Instance,
     sched: Schedule,
     start_time: float = 0.0,
-    released_only_before: float | None = None,
+    scope: set[int] | tuple[int, ...] | None = None,
 ):
     """Replay a schedule against an instance.
 
@@ -166,15 +163,11 @@ def validate_schedule(
     moves chain, loads happen at the request pickup point no earlier
     than its release, unloads at the dropoff after the load, the load
     count never exceeds capacity, and the schedule serves exactly the
-    requests in scope (all of them, or those released up to
-    released_only_before).
+    request ids in scope (default: all of the instance's requests).
     """
     space = inst.space
-    by_id = {r.id: r for r in inst.requests}
-    if released_only_before is None:
-        scope = set(by_id)
-    else:
-        scope = {r.id for r in inst.requests if r.release <= released_only_before + TOLERANCE}
+    by_id = inst._by_id
+    scope = set(by_id if scope is None else scope)
     cap = inst.effective_capacity
     pos = sched.start_pos
     t = start_time
@@ -194,7 +187,7 @@ def validate_schedule(
             if r is None:
                 return ScheduleViolation("unknown-request", i, f"no request {act.request_id}")
             if r.id not in scope:
-                return ScheduleViolation("out-of-scope", i, f"request {r.id} released after the cutoff")
+                return ScheduleViolation("out-of-scope", i, f"request {r.id} is not in scope")
             if r.id in loaded or r.id in served:
                 return ScheduleViolation("double-load", i, f"request {r.id} loaded twice")
             if not space.same_point(pos, r.a):

@@ -318,42 +318,32 @@ def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace):
     dist = space.raw_distance
     if not pts:
         return dist(pos, o), (o,)
-    k = len(pts)
-    start_d = [dist(pos, p) for p in pts]
-    d = [[dist(p, q) for q in pts] for p in pts]
-    home = [dist(p, o) for p in pts]
+    nodes = [pos] + pts  # node 0 is the start, nodes 1.. the destinations
+    dest_nodes = range(1, len(nodes))
+    d = [[dist(p, q) for q in nodes] for p in nodes]
+    home = [dist(p, o) for p in nodes]
     memo: dict = {}
 
-    def rest(i: int, remaining: int) -> float:
+    def rest(i: int, remaining: int) -> float:  # node i, through every node in remaining, home
         if remaining == 0:
             return home[i]
         key = (i, remaining)
         val = memo.get(key)
-        if val is not None:
-            return val
-        best = min(d[i][j] + rest(j, remaining & ~(1 << j)) for j in range(k) if remaining & (1 << j))
-        memo[key] = best
-        return best
+        if val is None:
+            val = memo[key] = min(d[i][j] + rest(j, remaining & ~(1 << j))
+                                  for j in dest_nodes if remaining & (1 << j))
+        return val
 
-    full = (1 << k) - 1
-    total = min(start_d[i] + rest(i, full & ~(1 << i)) for i in range(k))
+    remaining = (1 << len(nodes)) - 2  # every destination, not the start
+    total = rest(0, remaining)
     route = []
-    remaining = full
-    cur = -1
-    for _ in range(k):
-        for j in range(k):
-            bit = 1 << j
-            if not remaining & bit:
-                continue
-            lead = start_d[j] if cur < 0 else d[cur][j]
-            done_after = remaining & ~bit
-            if lead + rest(j, done_after) <= (total if cur < 0 else rest(cur, remaining)) + TIE_EPS:
-                route.append(pts[j])
-                cur = j
-                remaining = done_after
-                break
-    route.append(o)
-    return total, tuple(route)
+    cur = 0
+    while remaining:  # the first next stop that stays optimal, so ties go lexicographically
+        cur = next(j for j in dest_nodes if remaining & (1 << j)
+                   and d[cur][j] + rest(j, remaining & ~(1 << j)) <= rest(cur, remaining) + TIE_EPS)
+        remaining &= ~(1 << cur)
+        route.append(nodes[cur])
+    return total, (*route, o)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,38 @@ def test_bad_tolerance_fails_fast(tol):
     assert "unrecognized arguments: --tolerance" in err
 
 
+EMPTY_MATRIX = '{"metric": {"type": "matrix", "d": []}, "capacity": 1, "requests": []}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("opt",),
+    ("simulate", "--algo", "ignore"),
+    ("ratio", "--algo", "lazy", "--alpha", "1.5"),
+], ids=["opt", "simulate", "ratio"])
+def test_empty_matrix_fails_fast(argv):
+    # a matrix with no nodes has no origin
+    code, out, err = run_guarded(*argv, "--instance", "-", stdin=EMPTY_MATRIX)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "metric.d" in err and "shape" in err
+
+
+@pytest.mark.parametrize("digits", ["-3", "-1", "1.5", "x"])
+def test_bad_precision_is_a_usage_error(digits):
+    code, out, err = run_guarded("opt", "--instance", "-", "--precision", digits,
+                                 stdin=_line_instance())
+    assert code == 2
+    assert out == ""
+    assert "--precision" in err
+
+
+def test_zero_precision_rounds_to_integers(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_line_instance()))
+    code, out, _ = run(capsys, "opt", "--instance", "-", "--precision", "0")
+    assert code == 0
+    assert json.loads(out)["value"] == 1.0
+
+
 @pytest.mark.parametrize("argv, field", [
     (("ratio", "--algo", "lazy", "--alpha", "nan"), "--alpha"),
     (("ratio", "--algo", "replan", "--alpha", "inf"), "--alpha"),

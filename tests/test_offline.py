@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,44 @@ def test_fastest_delivery_and_return_matrix():
     dur, route = fastest_delivery_and_return({1}, 2, sp)
     assert dur == pytest.approx(5.0)
     assert route == (1, 0)
+
+
+def _closed_integer_matrix(rng, n):
+    """Random integer weights closed under shortest paths (a metric)."""
+    d = [[0 if i == j else rng.randint(1, 6) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return matrix_space(d)
+
+
+def test_fastest_delivery_and_return_matches_brute_force():
+    # integer coordinates, so every tie is exact and the tie rule is checked by ==
+    rng = random.Random(7)
+    for case in range(500):
+        kind = case % 3
+        if kind == 0:
+            space, pool = line(), [float(x) for x in range(-4, 5)]
+        elif kind == 1:
+            space, pool = half_line(), [float(x) for x in range(0, 7)]
+        else:
+            n = rng.randint(2, 5)
+            space, pool = _closed_integer_matrix(rng, n), list(range(n))
+        pos = rng.choice(pool)
+        dests = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        best, best_order = None, None
+        for order in permutations(sorted(set(dests))):  # lexicographic order
+            stops = (pos, *order, space.origin)
+            cost = sum(space.distance(p, q) for p, q in zip(stops, stops[1:]))
+            if best is None or cost < best:
+                best, best_order = cost, order
+        dur, route = fastest_delivery_and_return(dests, pos, space)
+        assert dur == best, (case, space.kind, pos, dests)
+        assert route == (*best_order, space.origin), (case, space.kind, pos, dests)
 
 
 # ---------------------------------------------------------------------------
