@@ -4,9 +4,10 @@ Three problems are solved exactly for small request sets:
 
 * opt_upto (through OptCache): the release-respecting optimum starting
   at the origin at time 0 over all requests released up to a cutoff
-  (depth-first branch and bound with a release-free relaxation
-  shortcut, and dominance pruning: a state entered no earlier than a
-  previous visit of it is cut);
+  (depth-first branch and bound; dominance pruning cuts a state entered
+  no earlier than a previous visit of it, and the release-free
+  relaxation bounds every node and ends the search once every pickup
+  left is released);
 * shortest_schedule: minimal-travel serving order ignoring release
   times, over some of an instance's requests, from an arbitrary start
   point;
@@ -22,9 +23,11 @@ request on board or the dropoff of a request done, which is where some
 event of that state left the server.  Every move ends on a cell, so
 the DP, the branch and bound and the schedule reconstruction read
 nothing else; a root off the cells, such as the origin, takes one
-explicit DP step over them.  The planner shares that cache: it marks
-every request outside its set as done, so one run has one table and
-one DP.  Searches are exponential in the number of requests and are
+explicit DP step over them.  OptCache keeps each prefix's optimal
+event order and its value; a Schedule is built only when opt_upto
+asks for one, so value() builds none.  The planner shares that cache:
+it marks every request outside its set as done, so one run has one
+table and one DP.  Searches are exponential in the number of requests and are
 capped at a fixed DEFAULT_SEARCH_CAP of 10 requests.  An instance with
 more requests than the cap gets no table over all of them (3**m rows
 would not fit in memory); each table then covers only the caller's
@@ -82,32 +85,42 @@ class _Compiled:
         self.cap = self.m if capacity is None else capacity
 
 
-def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
-                    start_time: float = 0.0):
-    """Turn an event sequence [(j, is_unload), ...] from start into a Schedule.
+def _walk(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
+          start_time: float = 0.0, actions: list | None = None) -> float:
+    """Finish time of an event sequence [(j, is_unload), ...] run from start.
 
-    row holds the distances from start to the compiled points.  Returns
-    (schedule, finish_time).  Waits are inserted before loads that would
-    otherwise happen ahead of the release time.
+    row holds the distances from start to the compiled points.  A move
+    to the same point takes no time, and a load waits for its release
+    time.  When actions is a list, the schedule's actions are appended
+    to it: a Wait goes before each load that would otherwise happen
+    ahead of the release time.
     """
-    actions = []
     here = start
     t = start_time
     for j, is_unload in seq:
         tgt = 2 + 2 * j if is_unload else 1 + 2 * j
         there = comp.points[tgt]
         if not space.same_point(here, there):
-            actions.append(Move(here, there, row[tgt]))
+            if actions is not None:
+                actions.append(Move(here, there, row[tgt]))
             t += row[tgt]
         here, row = there, comp.dist[tgt]
-        if is_unload:
-            actions.append(Unload(comp.ids[j]))
-        else:
-            if t < comp.rel[j] - TIE_EPS:
-                actions.append(Wait(comp.rel[j]))
-                t = comp.rel[j]
-            actions.append(Load(comp.ids[j]))
-    return Schedule(start, tuple(actions)), t
+        wait = not is_unload and t < comp.rel[j] - TIE_EPS
+        if wait:
+            t = comp.rel[j]
+        if actions is not None:
+            if wait:
+                actions.append(Wait(t))
+            actions.append(Unload(comp.ids[j]) if is_unload else Load(comp.ids[j]))
+    return t
+
+
+def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
+                    start_time: float = 0.0) -> Schedule:
+    """The Schedule of an event sequence run from start (see _walk)."""
+    actions: list = []
+    _walk(comp, seq, space, start, row, start_time, actions)
+    return Schedule(start, tuple(actions))
 
 
 def _cells(k: int, cap: int):
@@ -140,30 +153,31 @@ def _cells(k: int, cap: int):
     if got is not None:
         _cell_cache[key] = got  # now the most recently used
         return got[0]
-    codes = np.arange(3 ** k)
-    steps = 3 ** np.arange(k)
-    digits = codes[:, None] // steps % 3
-    onboard = (digits == 1).sum(axis=1)
-    progress = digits.sum(axis=1)
+    # every intermediate is int32 or int8: a code times k stays below 2**31
+    i32 = np.int32
+    steps = 3 ** np.arange(k, dtype=i32)
+    digits = (np.arange(3 ** k, dtype=i32)[:, None] // steps % 3).astype(np.int8)
+    onboard = (digits == 1).sum(axis=1, dtype=np.int8)
+    progress = digits.sum(axis=1, dtype=np.int8)
     moves = (digits == 1) | ((digits == 0) & (onboard < cap)[:, None])
     width = 2 * k + 1
     layers = []
     for p in range(2 * k - 1, 0, -1):
-        states = np.flatnonzero((progress == p) & (onboard <= cap))
+        states = np.flatnonzero((progress == p) & (onboard <= cap)).astype(i32)
         sub = digits[states]
-        rows, js = np.nonzero(sub)  # the cells, by state
-        trows, tjs = np.nonzero(moves[states])  # the moves, by state
-        counts = np.bincount(trows, minlength=len(states))
-        first = np.cumsum(counts) - counts  # each state's first move
+        rows, js = (a.astype(i32) for a in np.nonzero(sub))  # the cells, by state
+        trows, tjs = (a.astype(i32) for a in np.nonzero(moves[states]))  # the moves, by state
+        counts = np.bincount(trows, minlength=len(states)).astype(i32)
+        first = np.cumsum(counts, dtype=i32) - counts  # each state's first move
         reps = counts[rows]  # >= 1 below the top layer, so no reduceat segment is empty
-        starts = np.cumsum(reps) - reps
+        starts = np.cumsum(reps, dtype=i32) - reps
         # pair i of a cell is move first + (i - start) of the cell's state
-        move = np.repeat(first[rows] - starts, reps) + np.arange(reps.sum())
+        move = np.repeat(first[rows] - starts, reps) + np.arange(reps.sum(), dtype=i32)
         pos = 2 * js + sub[rows, js]
         tgt = 1 + 2 * tjs + sub[trows, tjs]
         reach = (states[trows] + steps[tjs]) * k + tjs
-        layers.append(tuple(a.astype(np.int32) for a in (
-            states[rows] * k + js, np.repeat(pos * width, reps) + tgt[move], reach[move], starts)))
+        layers.append((states[rows] * k + js, np.repeat(pos * width, reps) + tgt[move],
+                       reach[move], starts))
     layers = tuple(layers)
     _cell_cache[key] = layers, sum(a.nbytes for layer in layers for a in layer)
     held = sum(size for _, size in _cell_cache.values())
@@ -296,7 +310,7 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
         raise ValueError("more requests on board than the capacity allows")
     row = [space.raw_distance(start, p) for p in comp.points]
     seq = _reconstruct_free(comp, cache._rest_over(sorted(order)).lookup, row, loaded, done, order)
-    return _build_schedule(comp, seq, space, start, row, start_time)[0]
+    return _build_schedule(comp, seq, space, start, row, start_time)
 
 
 def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace):
@@ -365,7 +379,7 @@ class OptCache:
         self.comp = _Compiled(inst.space, list(inst.requests), inst.capacity)
         self.index = {rid: j for j, rid in enumerate(self.comp.ids)}  # request id -> position
         self._table: tuple | None = None  # (scope, rest) of the last DP table built
-        self._solved: dict[int, tuple[Schedule, float]] = {}
+        self._solved: dict[int, tuple[tuple, float]] = {}  # prefix -> (event order, value)
 
     def _rest_over(self, scope):
         """The release-free DP for states marking every request outside scope done.
@@ -384,7 +398,12 @@ class OptCache:
     def prefix_for(self, t: float) -> int:
         return bisect_right(self.comp.rel, t + TOLERANCE)
 
-    def solve_prefix(self, k: int) -> tuple[Schedule, float]:
+    def solve_prefix(self, k: int) -> tuple[tuple, float]:
+        """The optimal event order over the first k requests and its completion time.
+
+        The order is a tuple of (j, is_unload) events, j a request's
+        position in the cache; opt_upto turns it into a Schedule.
+        """
         got = self._solved.get(k)
         if got is None:
             got = self._solve(k)
@@ -415,12 +434,12 @@ class OptCache:
             t = best_t
         return seq, t
 
-    def _solve(self, k: int) -> tuple[Schedule, float]:
+    def _solve(self, k: int) -> tuple[tuple, float]:
         comp = self.comp
         if k > DEFAULT_SEARCH_CAP:
             raise SearchCapExceeded(f"{k} released requests exceed the search cap {DEFAULT_SEARCH_CAP}")
         if k == 0:
-            return Schedule(self.inst.space.origin, ()), 0.0
+            return (), 0.0
         dist, cap = comp.dist, comp.cap
         full = (1 << k) - 1
         hidden = ((1 << comp.m) - 1) ^ full  # out-of-prefix requests count as done
@@ -445,9 +464,14 @@ class OptCache:
             if seen.get(key, _INF) <= t:
                 return
             seen[key] = t
-            # once every remaining pickup is released, the rest is the
-            # release-free relaxation, solved once and shared; every state
-            # but the root at the origin is a cell of its table
+            # the release-free relaxation bounds every completion from here;
+            # every state but the root at the origin is a cell of its table.
+            # The relative margin covers the rounding between the table's
+            # sums and the forward sums of a completion, so a pruned subtree
+            # holds no leaf that would strictly improve best
+            free = t + (lookup if pos else rest)(pos, loaded, done | hidden)
+            if free > best[0] * (1.0 + 1e-12) + TIE_EPS:
+                return
             row = dist[pos]
             pending_rel = 0.0
             bound = t
@@ -463,10 +487,11 @@ class OptCache:
                     tj = (r if r > x else x) + ride
                 if tj > bound:
                     bound = tj
+            # once every remaining pickup is released, the relaxation is
+            # the rest: the search stops here and the table's tail follows
             if pending_rel <= t:
-                val = t + (lookup if pos else rest)(pos, loaded, done | hidden)
-                if val < best[0]:
-                    best[0], best[1], best[2] = val, list(seq), (pos, loaded, done)
+                if free < best[0]:
+                    best[0], best[1], best[2] = free, list(seq), (pos, loaded, done)
                 return
             if bound >= best[0]:
                 return
@@ -489,18 +514,24 @@ class OptCache:
         if best[2] is not None:
             pos, loaded, done = best[2]
             seq = seq + _reconstruct_free(comp, lookup, dist[pos], loaded, done | hidden, range(k))
-        return _build_schedule(comp, seq, self.inst.space, self.inst.space.origin, dist[0])
+        # the value is the forward sum over the order, which can differ from
+        # best[0] in the last bits when the order ends on the table's tail
+        space = self.inst.space
+        return tuple(seq), _walk(comp, seq, space, space.origin, dist[0])
 
 
 def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[Schedule, float]:
     """Optimal completion over requests released up to time t.
 
     The schedule starts at the origin at time 0 and may wait for
-    releases.  Returns (schedule, completion time).
+    releases.  Returns (schedule, completion time).  The cache keeps
+    only event orders; the schedule is built here.
     """
     if cache is None:
         cache = OptCache(inst)
-    return cache.solve_prefix(cache.prefix_for(t))
+    seq, value = cache.solve_prefix(cache.prefix_for(t))
+    origin = inst.space.origin
+    return _build_schedule(cache.comp, seq, inst.space, origin, cache.comp.dist[0]), value
 
 
 def opt_upto_naive(inst: Instance, t: float) -> float:

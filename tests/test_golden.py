@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from openride.engine import simulate
 from openride.experiments import (OPTIMAL_ALPHA_GENERAL, FuzzConfig, competitive_ratio,
                                   generate_instance, make_policy)
 from openride.model import canonical_json, schedule_to_obj, trace_to_dict
-from openride.offline import OptCache
+from openride.offline import OptCache, opt_upto
 
 GOLDEN = Path(__file__).with_name("golden")
 CLI_FILE = GOLDEN / "cli.json"
@@ -83,7 +84,7 @@ def fuzz_lines() -> list[str]:
             inst = generate_instance(cfg, index)
             cache = OptCache(inst)
             trace = simulate(inst, make_policy(algo, alpha), cache)
-            opt_sched, _ = cache.solve_prefix(len(inst.requests))
+            opt_sched = opt_upto(inst, math.inf, cache)[0]
             digest = hashlib.sha256(canonical_json(trace_to_dict(trace)).encode()).hexdigest()
             lines.append(canonical_json({
                 "policy": algo,

@@ -21,7 +21,7 @@ import random
 from pathlib import Path
 
 from openride.metric import half_line, line, matrix_space
-from openride.model import make_instance, schedule_to_obj
+from openride.model import Load, Unload, make_instance, schedule_to_obj
 from openride.offline import OptCache, opt_upto
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -89,6 +89,25 @@ def test_prefix_optima_match_golden():
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"line {i + 1} of {OPT_FILE.name} differs"
+
+
+# Two instances beyond the corpus whose optimal orders tie with other orders
+# up to the last bits of their sums.  A search that prunes on the release-free
+# relaxation without a rounding margin returns another order here.
+MARGIN_CASES = ((1382, 5, "6.900119039549196", "+4+2+3+6-4-6-2-3+1-1"),
+                (1545, 5, "12.42652733213306", "+1-1+4-4+3-3+5-5+2-2"))
+
+
+def test_near_ties_keep_their_order():
+    for index, k, value, order in MARGIN_CASES:
+        inst = make_case(index)
+        cache = OptCache(inst)
+        t = sorted(r.release for r in inst.requests)[k - 1]
+        assert cache.prefix_for(t) == k
+        sched, got = opt_upto(inst, t, cache)
+        assert repr(got) == value
+        assert "".join(("+" if isinstance(a, Load) else "-") + str(a.request_id)
+                       for a in sched.actions if isinstance(a, (Load, Unload))) == order
 
 
 def record() -> None:

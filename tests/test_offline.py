@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import openride
+from openride import offline
 
 from openride.metric import half_line, line, matrix_space
 from openride.model import (
@@ -402,6 +403,98 @@ def test_dominance_pruning_keeps_the_optimum():
             for r in inst.requests))
         _, value = opt_upto(inst, 10.0)
         assert value == pytest.approx(opt_upto_naive(inst, 10.0), abs=1e-9)
+
+
+def test_prefix_values_build_no_schedule(monkeypatch):
+    # uniform releases make most optima end on the relaxation's tail, where
+    # the forward sum over the order is the value, not the search's bound
+    rng = random.Random(13)
+    sp = matrix_space([[0, 1.5, 2, 3.25], [1.5, 0, 0.5, 1.75], [2, 0.5, 0, 1.25],
+                       [3.25, 1.75, 1.25, 0]])
+    cases = []
+    for n in range(90):
+        space = (line(), half_line(), sp)[n % 3]
+        inst = random_instance(rng, space, rng.randint(1, 7), (1, 2, None)[n // 3 % 3])
+        if n % 2:
+            inst = Instance(inst.space, inst.capacity, tuple(
+                replace(r, release=rng.uniform(0.0, 4.0)) for r in inst.requests))
+        cases.append(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value asked for a schedule")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(offline, "_build_schedule", refuse)
+        values = []
+        for inst in cases:
+            cache = OptCache(inst)
+            values.append([cache.value(k) for k in range(len(inst.requests) + 1)])
+    checked = 0
+    for inst, want in zip(cases, values):
+        cache = OptCache(inst)
+        for t in sorted({0.0} | {r.release for r in inst.requests}):
+            k = cache.prefix_for(t)
+            sched, value = opt_upto(inst, t)
+            assert value == cache.value(k) == want[k]
+            # an independent replay of the schedule finishes at the value, bit for bit
+            assert validate_schedule(inst, sched, scope={r.id for r in inst.requests[:k]}) == value
+            checked += 1
+    assert checked > 300
+
+
+GRID_LINE_POINTS = (-2.5, -1.0, 0.0, 0.5, 2.0)
+GRID_HALF_LINE_POINTS = (0.0, 0.5, 1.5, 3.0)
+GRID_WEIGHTS = (0.5, 1.0, 1.5, 2.0, 3.25)
+GRID_RELEASES = (0.0, 0.5, 1.0, 2.5, 4.0)
+
+
+def grid_instance(rng, scale):
+    """At most 6 requests on coarse grids, every coordinate times scale."""
+    kind = rng.choice(("line", "halfline", "matrix"))
+    capacity = rng.choice((1, 2, None))
+    if kind == "matrix":
+        n = rng.randint(2, 5)
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = rng.choice(GRID_WEIGHTS)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        space = matrix_space([[v * scale for v in row] for row in d])
+
+        def point():
+            return rng.randrange(n)
+    else:
+        space = line() if kind == "line" else half_line()
+        grid = GRID_LINE_POINTS if kind == "line" else GRID_HALF_LINE_POINTS
+
+        def point():
+            return rng.choice(grid) * scale
+    # brute force over 6 requests takes seconds unless they ride one at a time
+    m = rng.randint(1, {1: 6, 2: 5, None: 4}[capacity])
+    return make_instance(space, capacity, [(point(), point(), rng.choice(GRID_RELEASES) * scale)
+                                           for _ in range(m)])
+
+
+def test_prefix_values_scale_exactly():
+    # a power-of-two scale leaves every sum on these grids exact and changes
+    # no tolerance comparison, so the search's margins must not depend on
+    # the scale: each value is the unscaled one times the scale, bit for bit
+    checked = 0
+    for seed in range(200):
+        base = OptCache(grid_instance(random.Random(seed), 1.0))
+        for scale in (2.0 ** 20, 2.0 ** -20):
+            inst = grid_instance(random.Random(seed), scale)
+            cache = OptCache(inst)
+            for t in sorted({0.0} | {r.release for r in inst.requests}):
+                k = cache.prefix_for(t)
+                value = cache.value(k)
+                assert value == base.value(k) * scale
+                assert value == pytest.approx(opt_upto_naive(inst, t), rel=1e-9)
+                checked += 1
+    assert checked > 1000
 
 
 def run_child(code: str, timeout: float):
