@@ -464,14 +464,16 @@ class OptCache:
             if seen.get(key, _INF) <= t:
                 return
             seen[key] = t
-            # the release-free relaxation bounds every completion from here;
-            # every state but the root at the origin is a cell of its table.
+            # the release-free relaxation bounds every completion from here.
             # The relative margin covers the rounding between the table's
             # sums and the forward sums of a completion, so a pruned subtree
-            # holds no leaf that would strictly improve best
-            free = t + (lookup if pos else rest)(pos, loaded, done | hidden)
-            if free > best[0] * (1.0 + 1e-12) + TIE_EPS:
-                return
+            # holds no leaf that would strictly improve best.  Every state
+            # but the root at the origin is a cell of the table; the root's
+            # bound never beats the greedy seed, so it is read only below
+            if pos:
+                free = t + lookup(pos, loaded, done | hidden)
+                if free > best[0] * (1.0 + 1e-12) + TIE_EPS:
+                    return
             row = dist[pos]
             pending_rel = 0.0
             bound = t
@@ -490,6 +492,8 @@ class OptCache:
             # once every remaining pickup is released, the relaxation is
             # the rest: the search stops here and the table's tail follows
             if pending_rel <= t:
+                if not pos:
+                    free = t + rest(pos, loaded, done | hidden)
                 if free < best[0]:
                     best[0], best[1], best[2] = free, list(seq), (pos, loaded, done)
                 return
