@@ -6,8 +6,8 @@ Three problems are solved exactly for small request sets:
   at the origin at time 0 over all requests released up to a cutoff
   (depth-first branch and bound; dominance pruning cuts a state entered
   no earlier than a previous visit of it, and the release-free
-  relaxation bounds every node and ends the search once every pickup
-  left is released);
+  relaxation bounds every node past the root and ends the search once
+  every pickup left is released);
 * shortest_schedule: minimal-travel serving order ignoring release
   times, over some of an instance's requests, from an arbitrary start
   point;
@@ -534,8 +534,7 @@ def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[S
     if cache is None:
         cache = OptCache(inst)
     seq, value = cache.solve_prefix(cache.prefix_for(t))
-    origin = inst.space.origin
-    return _build_schedule(cache.comp, seq, inst.space, origin, cache.comp.dist[0]), value
+    return _build_schedule(cache.comp, seq, inst.space, inst.space.origin, cache.comp.dist[0]), value
 
 
 def opt_upto_naive(inst: Instance, t: float) -> float:
