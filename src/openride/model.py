@@ -83,6 +83,10 @@ class Instance:
             if not math.isfinite(r.release) or r.release < 0:
                 raise SemanticError("release time must be finite and nonnegative",
                                     f"requests[{r.id}].t")
+        where = _completion_overflow(self)
+        if where is not None:
+            raise SemanticError("the completion bound (last release plus 2n + 1 times the "
+                                "diameter) overflows the float range", where)
         # kept sorted by release time, ties by id, so release prefixes are contiguous
         object.__setattr__(
             self, "requests", tuple(sorted(self.requests, key=lambda r: (r.release, r.id)))
@@ -95,6 +99,42 @@ class Instance:
 
     def request(self, rid: int) -> Request:
         return self._by_id[rid]
+
+
+def _completion_overflow(inst: Instance) -> str | None:
+    """The field to blame when an instance's completion bound overflows, else None.
+
+    A server that waits for the last release and then serves the
+    requests one at a time finishes within 2n + 1 trips across the
+    diameter of the origin and the request points, which bounds the
+    optimum; an online run's times stay within a small factor of it.
+    When that bound is infinite, travel and event times become inf.
+    The blame goes to the point farthest from the origin (metric.d for a
+    matrix) if the trips alone overflow, and otherwise to the last
+    release.
+    """
+    reqs = inst.requests
+    if not reqs:
+        return None
+    trips = 2 * len(reqs) + 1
+    a = [r.a for r in reqs]
+    b = [r.b for r in reqs]
+    if inst.space.kind == MATRIX:
+        d = inst.space.matrix
+        nodes = {inst.space.origin, *a, *b}
+        diameter = max(d[p][q] for p in nodes for q in nodes)
+    else:
+        diameter = max(0.0, max(a), max(b)) - min(0.0, min(a), min(b))
+    if not math.isfinite(trips * diameter):
+        if inst.space.kind == MATRIX:
+            return "metric.d"
+        ends = a + b
+        i = max(range(len(ends)), key=lambda i: abs(ends[i]))
+        return f"requests[{reqs[i % len(reqs)].id}].{'ab'[i // len(reqs)]}"
+    if not math.isfinite(max([r.release for r in reqs]) + trips * diameter):
+        last = max(reqs, key=lambda r: r.release)
+        return f"requests[{last.id}].t"
+    return None
 
 
 def make_instance(space: MetricSpace, capacity: int | None, triples) -> Instance:

@@ -16,23 +16,26 @@ Three problems are solved exactly for small request sets:
 
 OptCache compiles an instance once (its points, checked once, and its
 distance table) and fills the release-free (position, loaded, done) DP
-over it bottom-up, one numpy step per progress layer, with a state
-coded in ternary per request (untouched, on board, done).  The table
-holds only the cells a search can read: a state with the pickup of a
-request on board or the dropoff of a request done, which is where some
-event of that state left the server.  Every move ends on a cell, so
-the DP, the branch and bound and the schedule reconstruction read
-nothing else; a root off the cells, such as the origin, takes one
-explicit DP step over them.  OptCache keeps each prefix's optimal
-event order and its value; a Schedule is built only when opt_upto
-asks for one, so value() builds none.  The planner shares that cache:
-it marks every request outside its set as done, so one run has one
-table and one DP.  Searches are exponential in the number of requests and are
-capped at a fixed DEFAULT_SEARCH_CAP of 10 requests.  An instance with
-more requests than the cap gets no table over all of them (3**m rows
-would not fit in memory); each table then covers only the caller's
-scope, a release prefix or the planned requests, and only the last one
-is kept.  opt_upto_naive is a deliberately structure-free
+over it bottom-up, per progress layer, with a state coded in ternary
+per request (untouched, on board, done).  The table holds only the
+cells a search can read: a state with the pickup of a request on board
+or the dropoff of a request done, which is where some event of that
+state left the server.  A layer is filled by move rank, one numpy min
+per rank over the cells with that many moves, so no temporary is longer
+than the layer's cells.  Every move ends on a cell, so the DP, the
+branch and bound and the schedule reconstruction read nothing else; a
+root off the cells, such as the origin, takes one explicit DP step over
+them, and a reconstruction reads each later step's target from the
+table and stops at the first move that meets it.  OptCache keeps each
+prefix's optimal event order and its value; a Schedule is built only
+when opt_upto asks for one, so value() builds none.  The planner shares
+that cache: it marks every request outside its set as done, so one run
+has one table and one DP.  Searches are exponential in the number of
+requests and are capped at a fixed DEFAULT_SEARCH_CAP of 10 requests.
+An instance with more requests than the cap gets no table over all of
+them (3**m rows would not fit in memory); each table then covers only
+the caller's scope, a release prefix or the planned requests, and only
+the last one is kept.  opt_upto_naive is a deliberately structure-free
 enumeration over all feasible event orders used as an oracle; it shares
 nothing with the branch and bound beyond the greedy timing rule
 (earliest feasible execution of a fixed order, which is optimal per
@@ -136,24 +139,28 @@ def _cells(k: int, cap: int):
     leads to, so the DP reads cells only and only cells are computed.
     Cell (code, j) is entry code * k + j of a flat table.
 
-    Returns one (cells, d_idx, v_idx, starts) tuple per layer, last
-    layer first.  Each cell pairs with every move of its state: cell
-    cells[i] owns the pairs s:e with s, e = starts[i], starts[i + 1],
-    and a pair costs entry d_idx of the flattened (2k+1)-square
-    distance table plus flat entry v_idx, the cell the move reaches.
-    The arrays are int32, and they are kept per (k, cap), least recently
+    Returns one (cells, ranks) pair per layer, last layer first.  Each
+    cell pairs with every move of its state, and a pair costs entry d_idx
+    of the flattened (2k+1)-square distance table plus flat entry v_idx,
+    the cell the move reaches.  The cells are sorted by their move
+    count, largest first (stable), and the pairs are grouped by move
+    rank: ranks[r] = (d_idx, v_idx) holds the r-th move of every cell
+    that has more than r moves, which are the first len(d_idx) cells.
+    So a fill needs no float array longer than the layer's cells.  The
+    arrays are int32, and they are kept per (k, cap), least recently
     used first, until they hold more than CELL_CACHE_BYTES; the newest
     shape is always kept.  The largest shape, k = 10 with unbounded
-    capacity, takes 22.5 MiB, so the cache never holds more than
+    capacity, takes 21.0 MiB, so the cache never holds more than
     CELL_CACHE_BYTES (all ten k = 10 shapes, capacities 1 to 10, take
-    156 MiB together).
+    145 MiB together).
     """
     key = (k, cap)
     got = _cell_cache.pop(key, None)
     if got is not None:
         _cell_cache[key] = got  # now the most recently used
         return got[0]
-    # every intermediate is int32 or int8: a code times k stays below 2**31
+    # every index array is int32 or int8, argsort's permutation of the
+    # cells aside: a code times k stays below 2**31
     i32 = np.int32
     steps = 3 ** np.arange(k, dtype=i32)
     digits = (np.arange(3 ** k, dtype=i32)[:, None] // steps % 3).astype(np.int8)
@@ -169,17 +176,21 @@ def _cells(k: int, cap: int):
         trows, tjs = (a.astype(i32) for a in np.nonzero(moves[states]))  # the moves, by state
         counts = np.bincount(trows, minlength=len(states)).astype(i32)
         first = np.cumsum(counts, dtype=i32) - counts  # each state's first move
-        reps = counts[rows]  # >= 1 below the top layer, so no reduceat segment is empty
-        starts = np.cumsum(reps, dtype=i32) - reps
-        # pair i of a cell is move first + (i - start) of the cell's state
-        move = np.repeat(first[rows] - starts, reps) + np.arange(reps.sum(), dtype=i32)
-        pos = 2 * js + sub[rows, js]
+        per_cell = counts[rows]
+        by_count = np.argsort(-per_cell, kind="stable")
+        rows, js, per_cell = rows[by_count], js[by_count], per_cell[by_count]
+        pos = (2 * js + sub[rows, js]) * width
         tgt = 1 + 2 * tjs + sub[trows, tjs]
         reach = (states[trows] + steps[tjs]) * k + tjs
-        layers.append((states[rows] * k + js, np.repeat(pos * width, reps) + tgt[move],
-                       reach[move], starts))
+        ranks = []
+        for r in range(per_cell[0]):  # every cell below the top layer has a move
+            n = np.count_nonzero(per_cell > r)  # the cells with more than r moves
+            move = first[rows[:n]] + r  # the r-th move of each one's state
+            ranks.append((pos[:n] + tgt[move], reach[move]))
+        layers.append((states[rows] * k + js, tuple(ranks)))
     layers = tuple(layers)
-    _cell_cache[key] = layers, sum(a.nbytes for layer in layers for a in layer)
+    _cell_cache[key] = layers, sum(cells.nbytes + sum(d.nbytes + v.nbytes for d, v in ranks)
+                                   for cells, ranks in layers)
     held = sum(size for _, size in _cell_cache.values())
     for old in list(_cell_cache)[:-1]:
         if held <= CELL_CACHE_BYTES:
@@ -204,13 +215,22 @@ def _table_rest(comp: _Compiled, scope):
     """
     k = len(scope)
     pts = [0] + [p for j in scope for p in (1 + 2 * j, 2 + 2 * j)]
-    dist_flat = np.array(comp.dist)[np.ix_(pts, pts)].ravel()
+    d = np.array(comp.dist)
+    take = (d if k == comp.m else d[np.ix_(pts, pts)]).ravel().take  # over the scope's points
     flat = np.full(3 ** k * k, _INF)
     flat[flat.size - k:] = 0.0
-    for cells, d_idx, v_idx, starts in _cells(k, min(comp.cap, k)):
-        cost = dist_flat.take(d_idx)
-        cost += flat.take(v_idx)
-        flat[cells] = np.minimum.reduceat(cost, starts)
+    for cells, ranks in _cells(k, min(comp.cap, k)):
+        # one min per move rank, over the cells that have that many moves;
+        # a min returns one of its inputs, so the order of ranks is immaterial
+        d_idx, v_idx = ranks[0]
+        best = take(d_idx)
+        best += flat.take(v_idx)
+        for d_idx, v_idx in ranks[1:]:
+            cost = take(d_idx)
+            cost += flat.take(v_idx)
+            head = best[:len(d_idx)]
+            np.minimum(head, cost, out=head)
+        flat[cells] = best
     item = flat.item
     row = [0]  # flat offset k * (ternary code) of a bitmask over the scope
     for j in range(k):
@@ -264,15 +284,25 @@ def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, orde
     lookup is the DP table's read of a cell (rest.lookup of _table_rest).
     Among optimal orders the lexicographically smallest wins, requests
     ranked by their place in order, which lists every request not done.
+    Only the start, which may be off the cells, takes an explicit min:
+    every later state is a cell, whose table entry, read when the move
+    into it was chosen, is the same min over the same float sums.  Each
+    step takes the first move within TIE_EPS of its target.
     """
     full = (1 << comp.m) - 1
+    cap = comp.cap
     seq = []
+    target = min((row[s[0]] + lookup(*s) for _, s in _moves(cap, loaded, done, order)),
+                 default=0.0)
     while done != full:
-        steps = [(row[s[0]] + lookup(*s), j, s) for j, s in _moves(comp.cap, loaded, done, order)]
-        target = min(step[0] for step in steps)
-        _, j, (pos, loaded, done) = next(step for step in steps if step[0] <= target + TIE_EPS)
+        for j, s in _moves(cap, loaded, done, order):
+            rest = lookup(*s)
+            if row[s[0]] + rest <= target + TIE_EPS:
+                break
+        pos, loaded, done = s
         seq.append((j, pos == 2 + 2 * j))
         row = comp.dist[pos]
+        target = rest  # the table entry of the state just entered
     return seq
 
 

@@ -330,6 +330,24 @@ def test_non_finite_instance_fails_fast(argv, stdin, field):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("argv", [("opt",), ("ratio", "--algo", "replan"),
+                                  ("simulate", "--algo", "lazy", "--alpha", "1.5")],
+                         ids=["opt", "ratio", "simulate"])
+@pytest.mark.parametrize("stdin, field", [
+    (_line_instance(a="1.7e308"), "requests[0].a"),
+    (_line_instance(a="1e308").replace('"b": 1', '"b": -1e308'), "requests[0].a"),
+    (_line_instance(a="1e308").replace("line", "halfline"), "requests[0].a"),
+    (NAN_MATRIX.replace("NaN", "1e308"), "metric.d"),
+    (_line_instance(a="1e307", t="1.7e308"), "requests[0].t"),
+], ids=["line", "line-both-ends", "half-line", "matrix", "release"])
+def test_overflowing_instance_fails_fast(argv, stdin, field):
+    # travel times past the float range used to reach the search as inf
+    code, out, err = run_guarded(*argv, "--instance", "-", stdin=stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err and "overflows" in err
+
+
 @pytest.mark.parametrize("tol", ["0", "nan", "1e-6"])
 def test_bad_tolerance_fails_fast(tol):
     # the tolerance is a constant; the flag is gone, whatever its value

@@ -75,6 +75,30 @@ def test_non_finite_release_and_point_rejected():
         assert ei.value.where == f"requests[0].{field_}"
 
 
+@pytest.mark.parametrize("space, triples, where", [
+    (line(), [(1.7e308, 0.0, 0.0)], "requests[0].a"),
+    (line(), [(0.0, 1.0, 0.0), (1e308, -1e308, 0.0)], "requests[1].a"),
+    (line(), [(0.0, -1.7e308, 0.0)], "requests[0].b"),
+    (half_line(), [(1.0, 2.0, 0.0), (2.0, 1e308, 0.0)], "requests[1].b"),
+    (matrix_space([[0, 1e308], [1e308, 0]]), [(1, 0, 0.0)], "metric.d"),
+    (line(), [(1e307, 0.0, 1.7e308), (1.0, 2.0, 3.0)], "requests[0].t"),
+], ids=["line", "line-both-ends", "line-negative", "half-line", "matrix", "release"])
+def test_overflowing_completion_bound_rejected(space, triples, where):
+    # the last release plus 2n + 1 trips across the diameter must stay
+    # finite, or travel and event times become inf
+    with pytest.raises(SemanticError) as ei:
+        make_instance(space, 1, triples)
+    assert ei.value.where == where
+
+
+def test_completion_bound_ignores_unused_matrix_nodes():
+    # the diameter is over the origin and the request points only
+    inst = make_instance(matrix_space([[0, 1, 1e308], [1, 0, 1e308], [1e308, 1e308, 0]]),
+                         1, [(1, 0, 1e300)])
+    assert inst.requests[0].release == 1e300
+    make_instance(line(), None, [(1e307, -1e307, 0.0)] * 3)  # 7 trips of 2e307
+
+
 def test_bad_capacity_rejected():
     for cap in (0, -2, 1.5, True):
         with pytest.raises(SemanticError):

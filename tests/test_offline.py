@@ -26,6 +26,7 @@ from openride.model import (
     schedule_length,
     validate_schedule,
 )
+from openride.numeric import TIE_EPS
 from openride.offline import (
     DEFAULT_SEARCH_CAP,
     OptCache,
@@ -389,6 +390,75 @@ def test_dp_table_above_the_cap_covers_only_the_scope():
     assert cache._rest_over(scope) is not rest  # and only the last one
 
 
+def reconstruct_two_pass(comp, lookup, row, loaded, done, order):
+    """_reconstruct_free as a two-pass scan per step: the oracle for its one pass.
+
+    Each step lists every move's cost, takes their min, then picks the
+    first move within TIE_EPS of it.  Also returns how many steps had
+    more than one move within TIE_EPS, so a test can show it met ties.
+    """
+    full = (1 << comp.m) - 1
+    seq, tied = [], 0
+    while done != full:
+        steps = [(row[s[0]] + lookup(*s), j, s)
+                 for j, s in offline._moves(comp.cap, loaded, done, order)]
+        target = min(step[0] for step in steps)
+        near = [step for step in steps if step[0] <= target + TIE_EPS]
+        tied += len(near) > 1
+        _, j, (pos, loaded, done) = near[0]
+        seq.append((j, pos == 2 + 2 * j))
+        row = comp.dist[pos]
+    return seq, tied
+
+
+def test_single_pass_reconstruction_matches_the_two_pass_oracle():
+    # coincident points tie many orders, and two line-kind instances in nine
+    # move their points by less than TIE_EPS, so ties are near, not exact;
+    # ids run against release order in half the instances, so ranking
+    # by id and by position differ; the 12-request instance is above the
+    # search cap, so its tables are scoped
+    rng = random.Random(19)
+    sp = matrix_space([[0, 1.5, 2, 3.25], [1.5, 0, 0.5, 1.75], [2, 0.5, 0, 1.25],
+                       [3.25, 1.75, 1.25, 0]])
+    checked = tied = 0
+    for n in range(300):
+        space = (line(), half_line(), sp)[n % 3]
+        capacity = (1, 2, None)[n // 3 % 3]
+        m = 12 if n == 0 else rng.randint(1, 7)
+        inst = random_instance(rng, space, m, capacity)
+        if n % 2:
+            inst = Instance(inst.space, inst.capacity, tuple(
+                replace(r, release=float(m - r.id)) for r in inst.requests))
+        if n % 3 != 2 and n % 9 < 3:
+            inst = Instance(inst.space, inst.capacity, tuple(
+                replace(r, a=r.a + rng.choice((0.0, 1e-13, 3e-13)),
+                        b=r.b + rng.choice((0.0, 1e-13, 3e-13))) for r in inst.requests))
+        cache = OptCache(inst)
+        comp = cache.comp
+        full = (1 << m) - 1
+        for _ in range(3):
+            subset = rng.sample(range(m), rng.randint(1, min(m, 8)))
+            lookup = cache._rest_over(sorted(subset)).lookup
+            done = full & ~sum(1 << j for j in subset)
+            for order in (sorted(subset), sorted(subset, key=lambda j: comp.ids[j])):
+                on_board = rng.sample(subset, rng.randint(0, min(len(subset), comp.cap, 2)))
+                loaded = sum(1 << j for j in on_board)
+                # distances from the start: off the request points on the line
+                # kinds, at a compiled point, and at the pickup of a request on
+                # board, which is a cell
+                rows = [[space.raw_distance(p, q) for q in comp.points]
+                        for p in (rng.uniform(0.0, 3.5), 1.25) if space.kind != "matrix"]
+                rows.append(comp.dist[rng.randrange(2 * m + 1)])
+                if on_board:
+                    rows.append(comp.dist[1 + 2 * on_board[0]])
+                for row in rows:
+                    want, ties = reconstruct_two_pass(comp, lookup, row, loaded, done, order)
+                    assert offline._reconstruct_free(comp, lookup, row, loaded, done, order) == want
+                    checked += 1
+                    tied += ties
+    assert checked > 2000 and tied > 1000
+
+
 def test_dominance_pruning_keeps_the_optimum():
     # coincident points and nearly equal releases make the search re-enter
     # states at different times; only a later visit may be cut
@@ -588,6 +658,28 @@ def test_dp_cells_equal_the_recursion_at_eight_requests():
                 off += 1
 
 
+def test_dp_fill_holds_no_temporary_as_long_as_a_layer_of_pairs():
+    # W5, the stress instance: 10 line requests with unbounded capacity.
+    # With the index arrays cached, a fill keeps its 4.6 MB table; ranked
+    # by move count, each layer holds float arrays as long as its cells,
+    # not as long as its pairs (14.0 MB at the peak when it did)
+    out = run_child("""
+import random, tracemalloc
+from openride import offline
+from openride.metric import line
+from openride.model import make_instance
+rng = random.Random(0)
+inst = make_instance(line(), None, [(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 10))
+                                    for _ in range(10)])
+offline._cells(10, 10)
+tracemalloc.start()
+rest = offline.OptCache(inst)._rest_over(range(10))
+print(tracemalloc.get_traced_memory()[1], repr(rest(0, 0, 0)))
+""", timeout=60)
+    assert int(out[0]) < 8 << 20, int(out[0]) / (1 << 20)
+    assert out[1] == "34.48616431365099"
+
+
 def test_root_at_the_origin_takes_the_off_cell_step():
     # the first two requests are released at 0 and the greedy seed serves
     # them in 4; the relaxation read at the origin must give the optimum 3
@@ -599,7 +691,7 @@ def test_root_at_the_origin_takes_the_off_cell_step():
 
 
 def test_cell_cache_is_bounded_in_bytes():
-    # every k = 10 shape, capacities 1 to 10, held at once would take 156 MiB;
+    # every k = 10 shape, capacities 1 to 10, held at once would take 145 MiB;
     # the cache keeps the newest one and stays under its byte cap
     out = run_child("""
 import random
