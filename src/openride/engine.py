@@ -326,13 +326,20 @@ class LazyPolicy:
             raise ValueError("alpha must be finite and nonnegative")
         self.alpha = alpha
 
+    def _target(self, sim: Simulation) -> float:
+        """alpha times the current optimum: the time the waiting rule tests."""
+        target = self.alpha * sim.opt_now()
+        if not math.isfinite(target):
+            raise ValueError(f"alpha * OPT(t) = {self.alpha} * {sim.opt_now()} overflows the float range")
+        return target
+
     def on_request(self, sim: Simulation) -> None:
         dur, steps = sim.fastest_return_plan()
-        if sim.time + dur <= self.alpha * sim.opt_now() + TOLERANCE:
+        if sim.time + dur <= self._target(sim) + TOLERANCE:
             sim.start_return(steps)
 
     def on_idle(self, sim: Simulation) -> None:
-        target = self.alpha * sim.opt_now()
+        target = self._target(sim)
         if sim.time < target - TOLERANCE:
             sim.start_wait(target)
         elif sim.pending:

@@ -306,7 +306,7 @@ def instance_from_dict(obj: dict) -> Instance:
         raise SemanticError("instance must be a JSON object", "$")
     for key in ("metric", "capacity", "requests"):
         if key not in obj:
-            raise SemanticError(f"missing field {key!r}", "$")
+            raise SemanticError(f"missing field {key!r}", key)
     m = obj["metric"]
     if not isinstance(m, dict) or "type" not in m:
         raise SemanticError("metric must be an object with a 'type'", "metric")

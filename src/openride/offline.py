@@ -14,32 +14,32 @@ Three problems are solved exactly for small request sets:
 * fastest_delivery_and_return: quickest way to drop off everything on
   board and come back to the origin.
 
-OptCache compiles an instance once (its points, checked once, and its
-distance table) and fills the release-free (position, loaded, done) DP
-over it bottom-up, per progress layer, with a state coded in ternary
-per request (untouched, on board, done).  The table holds only the
-cells a search can read: a state with the pickup of a request on board
-or the dropoff of a request done, which is where some event of that
-state left the server.  A layer is filled by move rank, one numpy min
-per rank over the cells with that many moves, so no temporary is longer
-than the layer's cells.  Every move ends on a cell, so the DP, the
-branch and bound and the schedule reconstruction read nothing else; a
-root off the cells, such as the origin, takes one explicit DP step over
-them, and a reconstruction reads each later step's target from the
-table and stops at the first move that meets it.  OptCache keeps each
-prefix's optimal event order and its value; a Schedule is built only
-when opt_upto asks for one, so value() builds none.  The planner shares
-that cache: it marks every request outside its set as done, so one run
-has one table and one DP.  Searches are exponential in the number of
-requests and are capped at a fixed DEFAULT_SEARCH_CAP of 10 requests.
-An instance with more requests than the cap gets no table over all of
-them (3**m rows would not fit in memory); each table then covers only
-the caller's scope, a release prefix or the planned requests, and only
-the last one is kept.  opt_upto_naive is a deliberately structure-free
-enumeration over all feasible event orders used as an oracle; it shares
-nothing with the branch and bound beyond the greedy timing rule
-(earliest feasible execution of a fixed order, which is optimal per
-order because event times are monotone in their predecessors).
+OptCache compiles an instance once: its points, checked once, and its
+distance table.  It fills the release-free (position, loaded, done) DP
+bottom-up with numpy, one progress layer at a time and one min per move
+rank, so no temporary is longer than a layer.  A state is coded in
+ternary per request: untouched, on board or done.  The table holds only
+the cells: states with the pickup of a request on board or the dropoff
+of a request done, where some event of the state left the server.
+Every move ends on a cell, read through one lookup(pos, loaded, done).
+A root off the cells, such as the origin, takes one explicit DP step
+(_step).  A reconstruction takes it at its start, then reads each target
+from the table.
+
+Searches are exponential in the number of requests and capped at
+DEFAULT_SEARCH_CAP = 10.  Every table covers a prefix of the compiled
+requests; those after it count as done.  Up to the cap one table over
+all requests serves every prefix and every plan.  Above it, 3**m rows
+would not fit in memory: the branch and bound reads a table over its
+prefix, only the last one kept, and shortest_schedule plans on an
+OptCache over just its requests, the last one kept by their ids.
+OptCache keeps each prefix's event order and value; a Schedule is built
+only when opt_upto asks for one.
+
+opt_upto_naive is a structure-free enumeration over all feasible event
+orders, used as an oracle.  It shares only the greedy timing rule with
+the branch and bound: the earliest feasible execution of a fixed order,
+optimal per order since event times are monotone in their predecessors.
 """
 
 from __future__ import annotations
@@ -199,24 +199,18 @@ def _cells(k: int, cap: int):
     return layers
 
 
-def _table_rest(comp: _Compiled, scope):
-    """Release-free minimum remaining travel, as one bottom-up table.
+def _table_rest(comp: _Compiled, k: int):
+    """Release-free minimum remaining travel over the first k requests, as one table.
 
-    The table covers the requests at the cache positions in scope
-    (ascending) and holds the cells of _cells only; the all-done row is
-    zero.  The returned rest(pos, loaded, done) takes compiled point
-    indices and request bitmasks, and is valid at every root that marks
-    all requests outside scope done.  A root that is not a cell, such as
-    the origin, takes one explicit DP step over the cells.  rest.lookup
-    is the same function for cells alone, which is every state a move
-    reaches.  Each layer and the explicit step take the same min over
-    the same float sums as the top-down recursion, so values match it
-    bit for bit.
+    The table holds the cells of _cells only, over the leading
+    (2k+1)-square block of distances; the all-done row is zero.  The
+    returned lookup(pos, loaded, done) takes compiled point indices and
+    request bitmasks and reads a cell of a state with every request from
+    k on done.  Each layer takes the same min over the same float sums as
+    the top-down recursion, so values match it bit for bit.
     """
-    k = len(scope)
-    pts = [0] + [p for j in scope for p in (1 + 2 * j, 2 + 2 * j)]
-    d = np.array(comp.dist)
-    take = (d if k == comp.m else d[np.ix_(pts, pts)]).ravel().take  # over the scope's points
+    width = 2 * k + 1
+    take = np.array([row[:width] for row in comp.dist[:width]]).ravel().take
     flat = np.full(3 ** k * k, _INF)
     flat[flat.size - k:] = 0.0
     for cells, ranks in _cells(k, min(comp.cap, k)):
@@ -232,36 +226,15 @@ def _table_rest(comp: _Compiled, scope):
             np.minimum(head, cost, out=head)
         flat[cells] = best
     item = flat.item
-    row = [0]  # flat offset k * (ternary code) of a bitmask over the scope
+    row = [0]  # flat offset k * (ternary code) of a bitmask over the first k requests
     for j in range(k):
         row += [c + k * 3 ** j for c in row]
-    if list(scope) == list(range(k)):  # compiled indices are table indices
-        mask = (1 << k) - 1
+    mask = (1 << k) - 1
 
-        def lookup(pos: int, loaded: int, done: int) -> float:
-            return item(row[loaded & mask] + 2 * row[done & mask] + (pos - 1 >> 1))
-    else:
-        local = {p: i for i, p in enumerate(pts)}
+    def lookup(pos: int, loaded: int, done: int) -> float:
+        return item(row[loaded & mask] + 2 * row[done & mask] + (pos - 1 >> 1))
 
-        def lookup(pos: int, loaded: int, done: int) -> float:
-            lo = dn = 0
-            for i, j in enumerate(scope):
-                lo |= (loaded >> j & 1) << i
-                dn |= (done >> j & 1) << i
-            return item(row[lo] + 2 * row[dn] + (local[pos] - 1 >> 1))
-
-    dist, cap = comp.dist, comp.cap
-
-    def rest(pos: int, loaded: int, done: int) -> float:
-        if pos and (loaded if pos & 1 else done) >> (pos - 1 >> 1) & 1:
-            return lookup(pos, loaded, done)
-        # one DP step over the cells; a state with every request of the
-        # scope done has no move and nothing left to travel
-        return min((dist[pos][s[0]] + lookup(*s) for _, s in _moves(cap, loaded, done, scope)),
-                   default=0.0)
-
-    rest.lookup = lookup
-    return rest
+    return lookup
 
 
 def _moves(cap: int, loaded: int, done: int, order):
@@ -277,25 +250,32 @@ def _moves(cap: int, loaded: int, done: int, order):
             yield j, (1 + 2 * j, loaded | bit, done)
 
 
+def _step(comp: _Compiled, lookup, row, loaded: int, done: int, order) -> float:
+    """The release-free minimum from any root, row its distances to the points.
+
+    Each move reaches a cell, read through lookup; with nothing left, zero.
+    """
+    return min((row[s[0]] + lookup(*s) for _, s in _moves(comp.cap, loaded, done, order)),
+               default=0.0)
+
+
 def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, order):
     """Event order achieving the release-free minimum from a point.
 
     row holds the distances from that point to the compiled points, and
-    lookup is the DP table's read of a cell (rest.lookup of _table_rest).
-    Among optimal orders the lexicographically smallest wins, requests
-    ranked by their place in order, which lists every request not done.
-    Only the start, which may be off the cells, takes an explicit min:
-    every later state is a cell, whose table entry, read when the move
-    into it was chosen, is the same min over the same float sums.  Each
-    step takes the first move within TIE_EPS of its target.
+    lookup reads the DP table's cells (see _table_rest).  Among optimal
+    orders the lexicographically smallest wins, requests ranked by their
+    place in order, which lists every request not done.  Only the start,
+    which may be off the cells, takes the explicit step: every later
+    state is a cell, whose table entry, read when the move into it was
+    chosen, is the same min over the same float sums.  Each step takes
+    the first move within TIE_EPS of its target.
     """
     full = (1 << comp.m) - 1
-    cap = comp.cap
     seq = []
-    target = min((row[s[0]] + lookup(*s) for _, s in _moves(cap, loaded, done, order)),
-                 default=0.0)
+    target = _step(comp, lookup, row, loaded, done, order)
     while done != full:
-        for j, s in _moves(cap, loaded, done, order):
+        for j, s in _moves(comp.cap, loaded, done, order):
             rest = lookup(*s)
             if row[s[0]] + rest <= target + TIE_EPS:
                 break
@@ -310,26 +290,25 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
                       start_time: float = 0.0) -> Schedule:
     """Minimal-length schedule serving the given requests from start.
 
-    The requests belong to the cache's instance; the plan uses its
-    distance table and release-free DP with every other request marked
-    done.  Release times are ignored for routing; a wait is only
-    inserted when a pickup would happen before its request is released
-    relative to start_time.  loaded_ids marks requests already on board
-    (their pickups are skipped; they count against capacity from the
-    start).  Ties are broken toward the lexicographically smallest event
-    order by request id.
+    The requests belong to the cache's instance; the plan reads the
+    release-free DP of the cache that OptCache._planner gives for them,
+    with every other request marked done.  Release times are ignored for
+    routing; a wait is only inserted when a pickup would happen before
+    its request is released relative to start_time.  loaded_ids marks
+    requests already on board (their pickups are skipped; they count
+    against capacity from the start).  Ties are broken toward the
+    lexicographically smallest event order by request id.
     """
-    comp = cache.comp
+    if len(requests) > DEFAULT_SEARCH_CAP:
+        raise SearchCapExceeded(f"{len(requests)} requests exceed the search cap {DEFAULT_SEARCH_CAP}")
     space = cache.inst.space
-    order = [cache.index[r.id] for r in sorted(requests, key=lambda r: r.id)]
-    if len(order) > DEFAULT_SEARCH_CAP:
-        raise SearchCapExceeded(f"{len(order)} requests exceed the search cap {DEFAULT_SEARCH_CAP}")
     space.check_point(start)
-    if not order:
+    if not requests:
         return Schedule(start, ())
-    done = (1 << comp.m) - 1
-    for j in order:
-        done &= ~(1 << j)
+    cache = cache._planner(requests)
+    comp = cache.comp
+    order = [cache.index[r.id] for r in sorted(requests, key=lambda r: r.id)]
+    done = ((1 << comp.m) - 1) ^ sum(1 << j for j in order)  # every other request
     loaded = 0
     for rid in loaded_ids:
         j = cache.index.get(rid)
@@ -339,7 +318,7 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
     if loaded.bit_count() > comp.cap:
         raise ValueError("more requests on board than the capacity allows")
     row = [space.raw_distance(start, p) for p in comp.points]
-    seq = _reconstruct_free(comp, cache._rest_over(sorted(order)).lookup, row, loaded, done, order)
+    seq = _reconstruct_free(comp, cache._rest_over(comp.m), row, loaded, done, order)
     return _build_schedule(comp, seq, space, start, row, start_time)
 
 
@@ -400,30 +379,43 @@ class OptCache:
     The simulator asks for the optimal completion over the currently
     released requests many times; the released set only changes at
     release epochs, so results are memoized per prefix (requests are
-    stored sorted by release time).  The release-free DP table is
-    shared across prefixes and with shortest_schedule.
+    stored sorted by release time).  Up to the search cap, prefixes and
+    shortest_schedule share one release-free DP table.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.comp = _Compiled(inst.space, list(inst.requests), inst.capacity)
         self.index = {rid: j for j, rid in enumerate(self.comp.ids)}  # request id -> position
-        self._table: tuple | None = None  # (scope, rest) of the last DP table built
+        self._table: tuple | None = None  # (k, lookup) of the last DP table built
+        self._plan: tuple | None = None  # (ids, OptCache) of the last plan above the cap
         self._solved: dict[int, tuple[tuple, float]] = {}  # prefix -> (event order, value)
 
-    def _rest_over(self, scope):
-        """The release-free DP for states marking every request outside scope done.
+    def _rest_over(self, k: int):
+        """The release-free DP's lookup for states marking every request from position k on done.
 
-        Up to the search cap one table over all requests serves every
-        scope.  Above it a table over all requests would not fit in
-        memory, so each table covers only the caller's scope, and only
-        the last one is kept.
+        Up to the search cap one table over all requests serves every k.
+        Above it a table over all requests would not fit in memory, so a
+        table covers the first k requests, and only the last one is kept.
         """
-        m = self.comp.m
-        key = tuple(range(m) if m <= DEFAULT_SEARCH_CAP else scope)
-        if self._table is None or self._table[0] != key:
-            self._table = (key, _table_rest(self.comp, key))
+        if self.comp.m <= DEFAULT_SEARCH_CAP:
+            k = self.comp.m
+        if self._table is None or self._table[0] != k:
+            self._table = (k, _table_rest(self.comp, k))
         return self._table[1]
+
+    def _planner(self, requests) -> OptCache:
+        """The cache a plan over these requests reads: this one, or above the cap one over just them.
+
+        The last is kept, keyed by their ids, so plans from both ends of an edge build one table.
+        """
+        if self.comp.m <= DEFAULT_SEARCH_CAP:
+            return self
+        ids = frozenset(r.id for r in requests)
+        if self._plan is None or self._plan[0] != ids:
+            inst = self.inst
+            self._plan = (ids, OptCache(Instance(inst.space, inst.capacity, tuple(map(inst.request, ids)))))
+        return self._plan[1]
 
     def prefix_for(self, t: float) -> int:
         return bisect_right(self.comp.rel, t + TOLERANCE)
@@ -473,8 +465,7 @@ class OptCache:
         dist, cap = comp.dist, comp.cap
         full = (1 << k) - 1
         hidden = ((1 << comp.m) - 1) ^ full  # out-of-prefix requests count as done
-        rest = self._rest_over(range(k))
-        lookup = rest.lookup
+        lookup = self._rest_over(k)
         # (j, bit, pickup, dropoff, release, ride) per request of the prefix
         reqs = [(j, 1 << j, 1 + 2 * j, 2 + 2 * j, comp.rel[j], dist[1 + 2 * j][2 + 2 * j])
                 for j in range(k)]
@@ -523,7 +514,7 @@ class OptCache:
             # the rest: the search stops here and the table's tail follows
             if pending_rel <= t:
                 if not pos:
-                    free = t + rest(pos, loaded, done | hidden)
+                    free = t + _step(comp, lookup, row, loaded, done | hidden, range(k))
                 if free < best[0]:
                     best[0], best[1], best[2] = free, list(seq), (pos, loaded, done)
                 return

@@ -348,6 +348,30 @@ def test_overflowing_instance_fails_fast(argv, stdin, field):
     assert err.startswith("error:") and field in err and "overflows" in err
 
 
+LATE_RELEASE = '{"metric":{"type":"line"},"capacity":1,"requests":[{"a":1,"b":2,"t":1e308}]}'
+
+
+@pytest.mark.parametrize("command", ["ratio", "simulate"])
+@pytest.mark.parametrize("stdin, alpha", [(LATE_RELEASE, "2"), (_line_instance(t="1"), "1e308")],
+                         ids=["late-release", "huge-alpha"])
+def test_overflowing_waiting_target_fails_fast(command, stdin, alpha):
+    # alpha times OPT(t) past the float range would reach the JSON encoder as inf
+    code, out, err = run_guarded(command, "--instance", "-", "--algo", "lazy", "--alpha", alpha,
+                                 stdin=stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "alpha" in err and "overflows" in err
+
+
+def test_late_release_runs_without_the_waiting_rule():
+    code, out, _ = run_guarded("opt", "--instance", "-", stdin=LATE_RELEASE)
+    assert code == 0 and json.loads(out)["value"] == 1e308
+    code, out, _ = run_guarded("ratio", "--instance", "-", "--algo", "replan", stdin=LATE_RELEASE)
+    assert code == 0
+    assert out == ('{"algo":"replan","alpha":null,"completion":1e+308,"opt":1e+308,'
+                   '"ratio":1.0}\n')
+
+
 @pytest.mark.parametrize("tol", ["0", "nan", "1e-6"])
 def test_bad_tolerance_fails_fast(tol):
     # the tolerance is a constant; the flag is gone, whatever its value

@@ -51,6 +51,18 @@ def test_lazy_rejects_negative_alpha():
         LazyPolicy(-0.1)
 
 
+def test_lazy_rejects_an_overflowing_waiting_target():
+    # alpha * OPT(t) past the float range would end the run at t = inf;
+    # a huge release or a huge alpha each overflow it
+    for inst, alpha in ((make_instance(line(), 1, [(1.0, 2.0, 1e308)]), 2.0),
+                        (make_instance(line(), 1, [(1.0, 2.0, 1.0)]), 1e308)):
+        with pytest.raises(ValueError, match="alpha"):
+            simulate(inst, LazyPolicy(alpha))
+    inst = make_instance(line(), 1, [(1.0, 2.0, 1e308)])
+    assert simulate(inst, LazyPolicy(1.0)).completion == 1e308
+    assert simulate(inst, ReplanPolicy()).completion == 1e308
+
+
 def test_lazy_zero_optimum_instance():
     # a single point-to-point request at the origin costs nothing
     inst = make_instance(line(), 1, [(0.0, 0.0, 0.0)])

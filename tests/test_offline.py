@@ -31,6 +31,7 @@ from openride.offline import (
     DEFAULT_SEARCH_CAP,
     OptCache,
     SearchCapExceeded,
+    _step,
     _table_rest,
     fastest_delivery_and_return,
     opt_upto,
@@ -341,6 +342,13 @@ def random_instance(rng, space, m, capacity):
                                            for _ in range(m)])
 
 
+def table_value(comp, lookup, pos, loaded, done):
+    """The table's value at any root: its entry at a cell, the explicit step off the cells."""
+    if pos and (loaded if pos & 1 else done) >> (pos - 1 >> 1) & 1:
+        return lookup(pos, loaded, done)
+    return _step(comp, lookup, comp.dist[pos], loaded, done, range(comp.m))
+
+
 def test_dp_table_equals_the_recursion():
     rng = random.Random(5)
     sp = matrix_space([[0, 1.5, 2, 3.25], [1.5, 0, 0.5, 1.75], [2, 0.5, 0, 1.25],
@@ -349,15 +357,23 @@ def test_dp_table_equals_the_recursion():
     for space in (line(), half_line(), sp):
         for m in range(7):
             for capacity in (1, 2, None):
-                cache = OptCache(random_instance(rng, space, m, capacity))
+                inst = random_instance(rng, space, m, capacity)
+                cache = OptCache(inst)
                 comp = cache.comp
                 memo = {}
                 oracle = recursive_rest(comp, memo)
                 full = (1 << m) - 1
-                # scopes: every request, a prefix, and a scattered subset
+                # scopes: every request, a prefix, and a scattered subset; a
+                # scattered one is read through a cache over just its requests,
+                # whose positions keep the scope's order
                 scopes = {tuple(range(m)), tuple(range(m // 2)), tuple(range(0, m, 2))}
                 for scope in scopes:
-                    table = _table_rest(comp, scope)
+                    if scope == tuple(range(len(scope))):
+                        own, lookup = comp, _table_rest(comp, len(scope))
+                    else:
+                        sub = OptCache(Instance(space, capacity, tuple(inst.requests[j] for j in scope)))
+                        own, lookup = sub.comp, sub._rest_over(len(scope))
+                        local = {j: i for i, j in enumerate(scope)}
                     hidden = full ^ sum(1 << j for j in scope)
                     memo.clear()
                     # roots: the origin and every point of the scope, with up
@@ -369,25 +385,46 @@ def test_dp_table_equals_the_recursion():
                                 if capacity is None or loaded.bit_count() <= capacity:
                                     oracle(pos, loaded, done)
                     for (pos, loaded, done), want in memo.items():
-                        assert table(pos, loaded, done) == want
+                        if own is not comp:  # to the positions of the cache over the scope
+                            pos = pos and 2 * local[pos - 1 >> 1] + 2 - (pos & 1)
+                            loaded, done = (sum(1 << i for j, i in local.items() if bits >> j & 1)
+                                            for bits in (loaded, done))
+                        assert table_value(own, lookup, pos, loaded, done) == want
                         checked += 1
-                assert cache._rest_over(range(m))(0, 0, 0) == oracle(0, 0, 0)
+                assert _step(comp, cache._rest_over(m), comp.dist[0], 0, 0, range(m)) == oracle(0, 0, 0)
     assert checked > 20_000
 
 
-def test_dp_table_above_the_cap_covers_only_the_scope():
+def test_dp_table_above_the_cap_covers_only_the_scope(monkeypatch):
     # 14 requests: a table over all of them would hold 3**14 * 29 values
     rng = random.Random(3)
     inst = make_instance(line(), 2, [(rng.uniform(-4, 4), rng.uniform(-4, 4), 0.0)
                                      for _ in range(14)])
     cache = OptCache(inst)
+    oracle = recursive_rest(cache.comp, {})
+    full = (1 << 14) - 1
+    # the branch and bound's table covers its prefix, and only the last is kept
+    lookup = cache._rest_over(5)
+    assert _step(cache.comp, lookup, cache.comp.dist[0], 0, 0, range(5)) == oracle(0, 0, full ^ 31)
+    assert cache._rest_over(5) is lookup
+    cache._rest_over(3)
+    assert cache._rest_over(5) is not lookup
+    # a plan over a scattered set reads a cache over just its requests
     scope = (1, 4, 5, 9, 13)
-    rest = cache._rest_over(scope)
-    hidden = ((1 << 14) - 1) ^ sum(1 << j for j in scope)
-    assert rest(0, 0, hidden) == recursive_rest(cache.comp, {})(0, 0, hidden)
-    assert cache._rest_over(scope) is rest  # the last table is kept
-    cache._rest_over(range(3))
-    assert cache._rest_over(scope) is not rest  # and only the last one
+    reqs = [inst.requests[j] for j in scope]
+    sub = cache._planner(reqs)
+    hidden = full ^ sum(1 << j for j in scope)
+    assert _step(sub.comp, sub._rest_over(5), sub.comp.dist[0], 0, 0, range(5)) == oracle(0, 0, hidden)
+    # plans from both ends of an edge build one table; another set replaces it
+    built = []
+    monkeypatch.setattr(offline, "_table_rest", lambda comp, k: built.append(k) or _table_rest(comp, k))
+    cache = OptCache(inst)
+    for start in (0.5, -1.0):
+        shortest_schedule(reqs, start, cache)
+    assert built == [5]
+    shortest_schedule(reqs[:3], 0.5, cache)
+    shortest_schedule(reqs, 0.5, cache)
+    assert built == [5, 3, 5]
 
 
 def reconstruct_two_pass(comp, lookup, row, loaded, done, order):
@@ -416,7 +453,7 @@ def test_single_pass_reconstruction_matches_the_two_pass_oracle():
     # move their points by less than TIE_EPS, so ties are near, not exact;
     # ids run against release order in half the instances, so ranking
     # by id and by position differ; the 12-request instance is above the
-    # search cap, so its tables are scoped
+    # search cap, so it plans on caches over just its subsets
     rng = random.Random(19)
     sp = matrix_space([[0, 1.5, 2, 3.25], [1.5, 0, 0.5, 1.75], [2, 0.5, 0, 1.25],
                        [3.25, 1.75, 1.25, 0]])
@@ -435,25 +472,28 @@ def test_single_pass_reconstruction_matches_the_two_pass_oracle():
                         b=r.b + rng.choice((0.0, 1e-13, 3e-13))) for r in inst.requests))
         cache = OptCache(inst)
         comp = cache.comp
-        full = (1 << m) - 1
         for _ in range(3):
             subset = rng.sample(range(m), rng.randint(1, min(m, 8)))
-            lookup = cache._rest_over(sorted(subset)).lookup
-            done = full & ~sum(1 << j for j in subset)
-            for order in (sorted(subset), sorted(subset, key=lambda j: comp.ids[j])):
-                on_board = rng.sample(subset, rng.randint(0, min(len(subset), comp.cap, 2)))
+            # this cache within the cap; above it, one over just the subset
+            plan = cache._planner([inst.requests[j] for j in subset])
+            own = plan.comp
+            lookup = plan._rest_over(own.m)
+            subset = [plan.index[comp.ids[j]] for j in subset]
+            done = ((1 << own.m) - 1) & ~sum(1 << j for j in subset)
+            for order in (sorted(subset), sorted(subset, key=lambda j: own.ids[j])):
+                on_board = rng.sample(subset, rng.randint(0, min(len(subset), own.cap, 2)))
                 loaded = sum(1 << j for j in on_board)
                 # distances from the start: off the request points on the line
-                # kinds, at a compiled point, and at the pickup of a request on
-                # board, which is a cell
-                rows = [[space.raw_distance(p, q) for q in comp.points]
-                        for p in (rng.uniform(0.0, 3.5), 1.25) if space.kind != "matrix"]
-                rows.append(comp.dist[rng.randrange(2 * m + 1)])
+                # kinds, at a point of the instance, and at the pickup of a
+                # request on board, which is a cell
+                starts = [p for p in (rng.uniform(0.0, 3.5), 1.25) if space.kind != "matrix"]
+                starts.append(comp.points[rng.randrange(2 * m + 1)])
+                rows = [[space.raw_distance(p, q) for q in own.points] for p in starts]
                 if on_board:
-                    rows.append(comp.dist[1 + 2 * on_board[0]])
+                    rows.append(own.dist[1 + 2 * on_board[0]])
                 for row in rows:
-                    want, ties = reconstruct_two_pass(comp, lookup, row, loaded, done, order)
-                    assert offline._reconstruct_free(comp, lookup, row, loaded, done, order) == want
+                    want, ties = reconstruct_two_pass(own, lookup, row, loaded, done, order)
+                    assert offline._reconstruct_free(own, lookup, row, loaded, done, order) == want
                     checked += 1
                     tied += ties
     assert checked > 2000 and tied > 1000
@@ -636,13 +676,17 @@ def test_dp_cells_equal_the_recursion_at_eight_requests():
         comp = OptCache(inst).comp
         memo = {}
         oracle = recursive_rest(comp, memo)
-        rest = _table_rest(comp, tuple(range(8)))
-        assert rest(0, 0, 0) == oracle(0, 0, 0)
+        lookup = _table_rest(comp, 8)
+
+        def step(pos, loaded, done):
+            return _step(comp, lookup, comp.dist[pos], loaded, done, range(8))
+
+        assert step(0, 0, 0) == oracle(0, 0, 0)
         cells = [(state, want) for state, want in memo.items() if state[0]]
         assert len(cells) > 1000
         for (pos, loaded, done), want in rng.sample(cells, 1000):
-            assert rest.lookup(pos, loaded, done) == want
-            assert rest(pos, loaded, done) == want
+            assert lookup(pos, loaded, done) == want
+            assert step(pos, loaded, done) == want
         off = 0
         while off < 300:
             (_, loaded, done), _ = rng.choice(cells)
@@ -654,7 +698,7 @@ def test_dp_cells_equal_the_recursion_at_eight_requests():
             points = (0, 1 + 2 * j, 2 + 2 * j)
             pos = rng.choice([p for p in points if p != points[digit]])
             if capacity is None or loaded.bit_count() <= capacity:
-                assert rest(pos, loaded, done) == oracle(pos, loaded, done)
+                assert step(pos, loaded, done) == oracle(pos, loaded, done)
                 off += 1
 
 
@@ -673,8 +717,10 @@ inst = make_instance(line(), None, [(rng.uniform(-10, 10), rng.uniform(-10, 10),
                                     for _ in range(10)])
 offline._cells(10, 10)
 tracemalloc.start()
-rest = offline.OptCache(inst)._rest_over(range(10))
-print(tracemalloc.get_traced_memory()[1], repr(rest(0, 0, 0)))
+cache = offline.OptCache(inst)
+lookup = cache._rest_over(10)
+peak = tracemalloc.get_traced_memory()[1]
+print(peak, repr(offline._step(cache.comp, lookup, cache.comp.dist[0], 0, 0, range(10))))
 """, timeout=60)
     assert int(out[0]) < 8 << 20, int(out[0]) / (1 << 20)
     assert out[1] == "34.48616431365099"

@@ -11,3 +11,13 @@ def test_public_surface():
     ]
     for name in openride.__all__:
         assert getattr(openride, name) is not None
+
+
+def test_benchmark_entry_points_exist():
+    # the benchmark's tracer wraps entry points by name, such as
+    # OptCache.solve_prefix, engine.shortest_schedule and
+    # experiments.validate_schedule; renaming one must fail here
+    from perfbench.tracing import Tracer
+
+    with Tracer().installed():
+        pass
