@@ -105,47 +105,28 @@ class Simulation:
         """Plan from the server's position, via the better end of its edge.
 
         plan(p) returns (length, result) for a plan starting at point p.
-        Returns (total length, lead steps, start point, result); mid-edge
-        the lead step is a Move to the end node whose plan finishes first,
-        ties going to u.  Each plan checks its start point, so the edge
-        length is read unchecked.
+        Returns (total length, lead steps, result); mid-edge the lead step
+        is a Move to the end node whose plan finishes first, ties going
+        to u.  Each plan checks its start point, so the edge length is
+        read unchecked.
         """
         pos = self.pos
         if not isinstance(pos, EdgePos):
             length, result = plan(pos)
-            return length, [], pos, result
+            return length, [], result
         lu, ru = plan(pos.u)
         lv, rv = plan(pos.v)
         back, ahead = pos.offset, self.space.raw_distance(pos.u, pos.v) - pos.offset
         if back + lu <= ahead + lv + TIE_EPS:
-            return back + lu, [Move(pos, pos.u, back)], pos.u, ru
-        return ahead + lv, [Move(pos, pos.v, ahead)], pos.v, rv
+            return back + lu, [Move(pos, pos.u, back)], ru
+        return ahead + lv, [Move(pos, pos.v, ahead)], rv
 
     def fastest_return_plan(self):
         """Duration and steps of the quickest deliver-all-and-go-home route."""
-        dests = sorted({self.inst.request(rid).b for rid in self.loaded})
-        total, lead, node, route = self._plan_from_here(
-            lambda p: fastest_delivery_and_return(dests, p, self.space))
-        return total, lead + self._route_steps(node, route)
-
-    def _route_steps(self, start: Point, route) -> list:
-        """Moves along route waypoints, unloading at matching dropoffs.
-
-        start and route come from fastest_delivery_and_return, which
-        checked every point of them.
-        """
-        steps: list = []
-        cur = start
-        left = sorted(self.loaded)
-        for w in route:  # every dropoff is a waypoint before the closing origin
-            if not self.space.same_point(cur, w):
-                steps.append(Move(cur, w, self.space.raw_distance(cur, w)))
-                cur = w
-            for rid in list(left):
-                if self.space.same_point(self.inst.request(rid).b, w):
-                    steps.append(Unload(rid))
-                    left.remove(rid)
-        return steps
+        onboard = [self.inst.request(rid) for rid in self.loaded]
+        total, lead, steps = self._plan_from_here(
+            lambda p: fastest_delivery_and_return(onboard, p, self.space))
+        return total, lead + steps
 
     # -- commands issued by policies ---------------------------------
 
@@ -188,7 +169,7 @@ class Simulation:
             sched = shortest_schedule(reqs, p, self.opt_cache, loaded, self.time)
             return schedule_length(sched), sched
 
-        total, lead, _, sched = self._plan_from_here(plan)
+        total, lead, sched = self._plan_from_here(plan)
         if any(isinstance(act, Wait) for act in sched.actions):
             raise EngineError("planned schedules never wait")
         self._follow(sched, total, self.pos, lead + list(sched.actions))

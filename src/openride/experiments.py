@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -94,6 +95,9 @@ def competitive_ratio(inst: Instance, algo: str, alpha: float | None = None,
 
 # most worker processes one fuzz run may start
 MAX_FUZZ_WORKERS = 64
+# instances per task of a run with workers, and tasks in flight per worker
+FUZZ_CHUNK = 64
+FUZZ_CHUNKS_PER_WORKER = 2
 
 
 def _is_int(v) -> bool:
@@ -266,23 +270,41 @@ def _fuzz_task(args) -> tuple[float, int]:
     return ratio, bad
 
 
+def _fuzz_chunk(cfg: FuzzConfig, algo: str, start: int, stop: int) -> list[tuple[float, int]]:
+    return [_fuzz_task((cfg, algo, i)) for i in range(start, stop)]
+
+
+def _fuzz_results(cfg: FuzzConfig, algo: str):
+    """(ratio, violations) of each instance, in index order.
+
+    With workers, the instances go out in chunks of FUZZ_CHUNK, at most
+    FUZZ_CHUNKS_PER_WORKER chunks per worker in flight, so memory does
+    not grow with cfg.count on either path.
+    """
+    if not (cfg.workers and cfg.workers > 1):
+        yield from map(_fuzz_task, ((cfg, algo, i) for i in range(cfg.count)))
+        return
+    window: deque = deque()
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        for start in range(0, cfg.count, FUZZ_CHUNK):
+            stop = min(start + FUZZ_CHUNK, cfg.count)
+            window.append(pool.submit(_fuzz_chunk, cfg, algo, start, stop))
+            if len(window) == cfg.workers * FUZZ_CHUNKS_PER_WORKER:
+                yield from window.popleft().result()
+        while window:
+            yield from window.popleft().result()
+
+
 def fuzz(cfg: FuzzConfig, algo: str) -> RatioReport:
     """Run `algo` over cfg.count random instances and report the ratios.
 
-    The serial path streams its instances, so its memory does not grow
-    with cfg.count.
+    Both paths stream their instances, so memory does not grow with
+    cfg.count.
     """
-    tasks = ((cfg, algo, i) for i in range(cfg.count))
-    if cfg.workers and cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_fuzz_task, tasks,
-                                    chunksize=max(1, cfg.count // (cfg.workers * 8))))
-    else:
-        results = map(_fuzz_task, tasks)
     worst, worst_index = -math.inf, -1
     total = 0.0
     violations = 0
-    for i, (ratio, bad) in enumerate(results):
+    for i, (ratio, bad) in enumerate(_fuzz_results(cfg, algo)):
         total += ratio
         violations += bad
         if ratio > worst:

@@ -26,6 +26,12 @@ class InvalidPointError(ValueError):
     """Point is not a member of the metric space."""
 
 
+def short_repr(v, limit: int = 40) -> str:
+    """repr(v), cut after limit characters, so a huge value gives a short message."""
+    r = repr(v)
+    return r if len(r) <= limit else f"{r[:limit]}... ({len(r)} characters)"
+
+
 @dataclass(frozen=True)
 class MetricViolation:
     """First metric axiom broken by a distance matrix."""
@@ -58,15 +64,21 @@ class MetricSpace:
     def is_point(self, p: Point) -> bool:
         if self.kind == MATRIX:
             return isinstance(p, int) and not isinstance(p, bool) and 0 <= p < len(self.matrix)
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
+        try:
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
+                return False
+        except OverflowError:  # an int beyond the float range
             return False
         if self.kind == HALF_LINE:
             return p >= -TOLERANCE
         return True
 
+    def not_a_point(self, p) -> str:
+        return f"{short_repr(p)} is not a point of the {self.kind} space"
+
     def check_point(self, p: Point) -> None:
         if not self.is_point(p):
-            raise InvalidPointError(f"{p!r} is not a point of the {self.kind} space")
+            raise InvalidPointError(self.not_a_point(p))
 
     def distance(self, x: Point, y: Point) -> float:
         self.check_point(x)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, Point, matrix_space
+from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, Point, matrix_space, short_repr
 from .numeric import TOLERANCE
 
 
@@ -66,6 +66,9 @@ class Instance:
     requests: tuple[Request, ...]
 
     def __post_init__(self) -> None:
+        bad = self.space.validate()
+        if bad is not None:
+            raise SemanticError(f"invalid distance matrix: {bad.reason}: {bad.detail}", "metric.d")
         cap = self.capacity
         if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
             raise SemanticError("capacity must be a positive integer or None", "capacity")
@@ -76,10 +79,7 @@ class Instance:
             seen.add(r.id)
             for label, p in (("a", r.a), ("b", r.b)):
                 if not self.space.is_point(p):
-                    raise SemanticError(
-                        f"{p!r} is not a point of the {self.space.kind} space",
-                        f"requests[{r.id}].{label}",
-                    )
+                    raise SemanticError(self.space.not_a_point(p), f"requests[{r.id}].{label}")
             if not math.isfinite(r.release) or r.release < 0:
                 raise SemanticError("release time must be finite and nonnegative",
                                     f"requests[{r.id}].t")
@@ -294,7 +294,7 @@ class Trace:
 
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SemanticError(f"{v!r} is not a number", where)
+        raise SemanticError(f"{short_repr(v)} is not a number", where)
     try:
         return float(v)
     except OverflowError:
@@ -323,11 +323,8 @@ def instance_from_dict(obj: dict) -> Instance:
             raise SemanticError("matrix entries must be an array of arrays", "metric.d")
         space = matrix_space([[_number(v, f"metric.d[{i}][{j}]") for j, v in enumerate(row)]
                               for i, row in enumerate(d)])
-        bad = space.validate()
-        if bad is not None:
-            raise SemanticError(f"invalid distance matrix: {bad.reason}: {bad.detail}", "metric.d")
     else:
-        raise SemanticError(f"unknown metric type {kind!r}", "metric.type")
+        raise SemanticError(f"unknown metric type {short_repr(kind)}", "metric.type")
     cap = obj["capacity"]
     if cap == "inf":
         capacity = None

@@ -11,8 +11,9 @@ Three problems are solved exactly for small request sets:
 * shortest_schedule: minimal-travel serving order ignoring release
   times, over some of an instance's requests, from an arbitrary start
   point;
-* fastest_delivery_and_return: quickest way to drop off everything on
-  board and come back to the origin.
+* fastest_delivery_and_return: quickest way to drop off the requests
+  on board and come back to the origin, as its duration and the Moves
+  and Unloads the engine follows.
 
 OptCache compiles an instance once: its points, checked once, and its
 distance table.  It fills the release-free (position, loaded, done) DP
@@ -35,11 +36,6 @@ prefix, only the last one kept, and shortest_schedule plans on an
 OptCache over just its requests, the last one kept by their ids.
 OptCache keeps each prefix's event order and value; a Schedule is built
 only when opt_upto asks for one.
-
-opt_upto_naive is a structure-free enumeration over all feasible event
-orders, used as an oracle.  It shares only the greedy timing rule with
-the branch and bound: the earliest feasible execution of a fixed order,
-optimal per order since event times are monotone in their predecessors.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from .model import Instance, Load, Move, Request, Schedule, Unload, Wait
 from .numeric import TIE_EPS, TOLERANCE
 
 DEFAULT_SEARCH_CAP = 10
-NAIVE_CAP = 6
 CELL_CACHE_BYTES = 32 << 20  # index arrays _cells keeps between tables
 
 _INF = float("inf")
@@ -322,25 +317,27 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
     return _build_schedule(comp, seq, space, start, row, start_time)
 
 
-def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace):
+def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
     """Quickest drop-everything-and-go-home route.
 
-    destinations is the multiset of dropoff points currently on board.
-    Returns (duration, waypoints) where waypoints visits every distinct
-    destination and ends at the origin.  Ties prefer the
-    lexicographically smallest waypoint order.  Each point is checked
-    once, and the distance tables are read unchecked.
+    Returns (duration, steps): the Moves and Unloads that take the
+    requests onboard to every distinct dropoff, lexicographically
+    smallest stop order on ties, then home.  A move to the same point is
+    skipped; a stop unloads, in id order, every request left whose
+    dropoff is the same point.  Each point is checked once, and the
+    distance tables are read unchecked.
     """
     space.check_point(pos)
-    pts = sorted(set(destinations))
+    pts = sorted({r.b for r in onboard})
     if len(pts) > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(f"{len(pts)} distinct destinations exceed the search cap {DEFAULT_SEARCH_CAP}")
     for p in pts:
         space.check_point(p)
     o = space.origin
     dist = space.raw_distance
-    if not pts:
-        return dist(pos, o), (o,)
+    if not pts:  # straight home, the common case, without building the tables
+        total = dist(pos, o)
+        return total, [] if space.same_point(pos, o) else [Move(pos, o, total)]
     nodes = [pos] + pts  # node 0 is the start, nodes 1.. the destinations
     dest_nodes = range(1, len(nodes))
     d = [[dist(p, q) for q in nodes] for p in nodes]
@@ -359,14 +356,22 @@ def fastest_delivery_and_return(destinations, pos: Point, space: MetricSpace):
 
     remaining = (1 << len(nodes)) - 2  # every destination, not the start
     total = rest(0, remaining)
-    route = []
-    cur = 0
+    left = sorted(onboard, key=lambda r: r.id)
+    steps: list = []
+    cur = at = 0  # the stop just chosen, and the node the server stands at
     while remaining:  # the first next stop that stays optimal, so ties go lexicographically
         cur = next(j for j in dest_nodes if remaining & (1 << j)
                    and d[cur][j] + rest(j, remaining & ~(1 << j)) <= rest(cur, remaining) + TIE_EPS)
         remaining &= ~(1 << cur)
-        route.append(nodes[cur])
-    return total, (*route, o)
+        stop = nodes[cur]
+        if not space.same_point(nodes[at], stop):
+            steps.append(Move(nodes[at], stop, d[at][cur]))
+            at = cur
+        steps += [Unload(r.id) for r in left if space.same_point(r.b, stop)]
+        left = [r for r in left if not space.same_point(r.b, stop)]
+    if not space.same_point(nodes[at], o):
+        steps.append(Move(nodes[at], o, home[at]))
+    return total, steps
 
 
 # ---------------------------------------------------------------------------
@@ -556,42 +561,3 @@ def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[S
         cache = OptCache(inst)
     seq, value = cache.solve_prefix(cache.prefix_for(t))
     return _build_schedule(cache.comp, seq, inst.space, inst.space.origin, cache.comp.dist[0]), value
-
-
-def opt_upto_naive(inst: Instance, t: float) -> float:
-    """Exhaustive-enumeration oracle for opt_upto's completion value.
-
-    Enumerates every capacity-feasible interleaving of pickup and
-    delivery events with greedy earliest-feasible timing.  No pruning,
-    no relaxations; capped at 6 requests.
-    """
-    releases = [r.release for r in inst.requests]
-    k = bisect_right(releases, t + TOLERANCE)
-    if k > NAIVE_CAP:
-        raise SearchCapExceeded(f"{k} released requests exceed the oracle cap {NAIVE_CAP}")
-    if k == 0:
-        return 0.0
-    comp = _Compiled(inst.space, list(inst.requests[:k]), inst.capacity)
-    dist, rel, cap = comp.dist, comp.rel, comp.cap
-    full = (1 << k) - 1
-    best = [_INF]
-
-    def go(pos: int, t_now: float, loaded: int, done: int) -> None:
-        if done == full:
-            if t_now < best[0]:
-                best[0] = t_now
-            return
-        room = loaded.bit_count() < cap
-        for j in range(k):
-            bit = 1 << j
-            if done & bit:
-                continue
-            if loaded & bit:
-                tgt = 2 + 2 * j
-                go(tgt, t_now + dist[pos][tgt], loaded & ~bit, done | bit)
-            elif room:
-                tgt = 1 + 2 * j
-                go(tgt, max(t_now + dist[pos][tgt], rel[j]), loaded | bit, done)
-
-    go(0, 0.0, 0, 0)
-    return best[0]

@@ -443,6 +443,15 @@ def test_integer_beyond_float_range_fails_fast(stdin, field):
     assert err.startswith("error:") and field in err
 
 
+def test_huge_matrix_point_message_is_short():
+    # the point's repr is cut, the field still named
+    stdin = NAN_MATRIX.replace("NaN", "1").replace('"b": 1', f'"b": -{HUGE}')
+    code, out, err = run_guarded("opt", "--instance", "-", stdin=stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "requests[0].b" in err and len(err) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--grid", "0:1e9:1e-9"),
     ("sweep", "--grid", "0:1:1e-320"),

@@ -1,5 +1,7 @@
 """Online simulation engine and trace checkers."""
 
+from dataclasses import replace
+
 import pytest
 
 from openride import engine
@@ -12,7 +14,7 @@ from openride.engine import (
     check_lazy_starts,
     simulate,
 )
-from openride.experiments import gen_halfline_lb
+from openride.experiments import FuzzConfig, gen_halfline_lb, generate_instance, make_policy
 from openride.metric import half_line, line, matrix_space
 from openride.model import (
     Load,
@@ -24,7 +26,7 @@ from openride.model import (
     Wait,
     make_instance,
 )
-from openride.offline import OptCache, opt_upto
+from openride.offline import DEFAULT_SEARCH_CAP, OptCache, opt_upto
 
 
 def test_lazy_single_request_waits_then_serves():
@@ -253,6 +255,41 @@ def test_a_policy_that_never_serves_ends_with_unserved_requests():
     inst = make_instance(line(), 1, [(0.0, 1.0, 0.0), (1.0, 2.0, 3.0)])
     with pytest.raises(EngineError, match="run ended with unserved requests"):
         simulate(inst, _AlwaysIdle())
+
+
+def test_step_guard_leaves_a_wide_margin(monkeypatch):
+    # run()'s loop takes one iteration per finished step, ended command and
+    # release batch, and one more to stop.  Over the instances of the golden
+    # fuzz stream and the plan corpus that stays far below the guard
+    from test_golden import FUZZ_COUNT, POLICIES
+    from test_golden_plan import COUNT, make_case
+
+    steps = [0]
+    finish = engine.Simulation._finish_step
+
+    def counted(sim):
+        steps[0] += 1
+        finish(sim)
+
+    monkeypatch.setattr(engine.Simulation, "_finish_step", counted)
+    insts = [generate_instance(FuzzConfig(seed=0), i) for i in range(FUZZ_COUNT)]
+    insts += [make_case(i)[0] for i in range(COUNT)]
+    worst = 0.0
+    for full in insts:
+        cache = OptCache(full)
+        for algo, alpha in POLICIES:
+            inst = full
+            if algo == "lazy" and len(full.requests) > DEFAULT_SEARCH_CAP:
+                # lazy reads OPT over every release prefix, which the search
+                # cap bounds: it runs on the longest prefix it can solve
+                inst = replace(full, requests=full.requests[:DEFAULT_SEARCH_CAP])
+            steps[0] = 0
+            trace = simulate(inst, make_policy(algo, alpha), cache if inst is full else None)
+            ends = sum(ev.kind.endswith("-end") for ev in trace.events)
+            batches = len({r.release for r in inst.requests})
+            guard = 200 * (len(inst.requests) + 1) + 1000
+            worst = max(worst, (steps[0] + ends + batches + 1) / guard)
+    assert 0.0 < worst < 0.1
 
 
 def test_check_alpha_good_flags_bad_schedules():

@@ -187,6 +187,46 @@ def test_fuzz_streams_in_memory_independent_of_count(monkeypatch):
     assert large - small < 100_000, (small, large)
 
 
+def test_fuzz_workers_keep_a_bounded_window(monkeypatch):
+    # a stub pool runs each chunk in process when it is submitted and counts
+    # the chunks submitted but not yet consumed; no process starts
+    from openride import experiments
+
+    flight = {"now": 0, "most": 0}
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            flight["now"] -= 1
+            return self.value
+
+    class Pool:
+        def __init__(self, max_workers):
+            assert max_workers == 3
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            flight["now"] += 1
+            flight["most"] = max(flight["most"], flight["now"])
+            return Done(fn(*args))
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "_fuzz_task",
+                        lambda task: (1.0 + (task[2] == 99_998), task[2] % 2))
+    report = fuzz(FuzzConfig(count=100_000, workers=3), "ignore")
+    assert flight == {"now": 0, "most": 3 * experiments.FUZZ_CHUNKS_PER_WORKER}
+    # results come back in index order: the one worst ratio keeps its index
+    assert report.worst == 2.0 and report.worst_index == 99_998
+    assert report.violations == 50_000 and report.mean == (100_000 + 1.0) / 100_000
+
+
 # ---------------------------------------------------------------------------
 # lower-bound sweep
 

@@ -99,6 +99,39 @@ def test_completion_bound_ignores_unused_matrix_nodes():
     make_instance(line(), None, [(1e307, -1e307, 0.0)] * 3)  # 7 trips of 2e307
 
 
+@pytest.mark.parametrize("space, where, reason", [
+    (matrix_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]]), (0, 1, 2), "triangle"),
+    (matrix_space([]), (), "shape"),
+], ids=["non-metric", "empty"])
+def test_library_matrix_instances_are_checked(space, where, reason):
+    # make_instance runs the same metric check as the JSON path
+    requests = [(0, 2, 0.0)] if space.size else []
+    with pytest.raises(SemanticError, match=f"invalid distance matrix: {reason}") as ei:
+        make_instance(space, 1, requests)
+    assert ei.value.where == "metric.d"
+    assert space.validate().where == where
+
+
+@pytest.mark.parametrize("space", [line(), half_line(), matrix_space([[0, 1], [1, 0]])],
+                         ids=["line", "half-line", "matrix"])
+def test_integer_point_beyond_float_range_is_rejected_briefly(space):
+    for huge in (-10 ** 400, 10 ** 400):
+        assert not space.is_point(huge)
+        with pytest.raises(SemanticError) as ei:
+            make_instance(space, 1, [(0, huge, 0.0)])
+        assert ei.value.where == "requests[0].b"
+        assert "is not a point" in str(ei.value) and len(str(ei.value)) < 200
+
+
+def test_long_junk_values_are_cut_in_messages():
+    junk = "x" * 1000
+    doc = {"metric": {"type": "line"}, "capacity": 1, "requests": [{"a": 0, "b": 1, "t": junk}]}
+    for bad, where in ((doc, "requests[0].t"), ({**doc, "metric": {"type": junk}}, "metric.type")):
+        with pytest.raises(SemanticError) as ei:
+            instance_from_dict(bad)
+        assert ei.value.where == where and len(str(ei.value)) < 200
+
+
 def test_bad_capacity_rejected():
     for cap in (0, -2, 1.5, True):
         with pytest.raises(SemanticError):

@@ -35,9 +35,10 @@ from openride.offline import (
     _table_rest,
     fastest_delivery_and_return,
     opt_upto,
-    opt_upto_naive,
     shortest_schedule,
 )
+
+from oracles import opt_upto_naive
 
 
 def plan(reqs, start, space, capacity, loaded_ids=(), start_time=0.0):
@@ -130,29 +131,48 @@ def test_shortest_schedule_start_time_waits_for_release():
     ) == pytest.approx(11.0)
 
 
+def _onboard(dests):
+    """Requests on board with these dropoffs, ids by position."""
+    return [Request(i, b, b, 0.0) for i, b in enumerate(dests)]
+
+
+def _stops(steps):
+    return tuple(step.end for step in steps if isinstance(step, Move))
+
+
 def test_fastest_delivery_and_return_halfline():
-    dur, route = fastest_delivery_and_return({1.0, 3.0}, 2.0, half_line())
+    dur, steps = fastest_delivery_and_return(_onboard([1.0, 3.0]), 2.0, half_line())
     assert dur == pytest.approx(4.0)
-    assert route == (3.0, 1.0, 0.0)
+    assert steps == [Move(2.0, 3.0, 1.0), Unload(1), Move(3.0, 1.0, 2.0), Unload(0),
+                     Move(1.0, 0.0, 1.0)]
 
 
 def test_fastest_delivery_and_return_empty():
-    dur, route = fastest_delivery_and_return(set(), 5.0, half_line())
+    dur, steps = fastest_delivery_and_return([], 5.0, half_line())
     assert dur == pytest.approx(5.0)
-    assert route == (0.0,)
+    assert steps == [Move(5.0, 0.0, 5.0)]
+    assert fastest_delivery_and_return([], 0.0, half_line()) == (0.0, [])
 
 
 def test_fastest_delivery_and_return_line_negative():
-    dur, route = fastest_delivery_and_return({-1.0}, -2.0, line())
+    dur, steps = fastest_delivery_and_return(_onboard([-1.0]), -2.0, line())
     assert dur == pytest.approx(2.0)
-    assert route == (-1.0, 0.0)
+    assert _stops(steps) == (-1.0, 0.0)
 
 
 def test_fastest_delivery_and_return_matrix():
     sp = matrix_space([[0, 3, 1], [3, 0, 2], [1, 2, 0]])
-    dur, route = fastest_delivery_and_return({1}, 2, sp)
+    dur, steps = fastest_delivery_and_return(_onboard([1]), 2, sp)
     assert dur == pytest.approx(5.0)
-    assert route == (1, 0)
+    assert steps == [Move(2, 1, 2.0), Unload(0), Move(1, 0, 3.0)]
+
+
+def test_fastest_delivery_and_return_merges_stops_within_tolerance():
+    # two dropoffs 1e-12 apart are one stop: both unload there, in id order
+    near = 1.0 + 1e-12
+    dur, steps = fastest_delivery_and_return(_onboard([1.0, near]), 2.0, line())
+    assert dur == pytest.approx(2.0)
+    assert steps == [Move(2.0, near, 2.0 - near), Unload(0), Unload(1), Move(near, 0.0, near)]
 
 
 def _closed_integer_matrix(rng, n):
@@ -188,9 +208,26 @@ def test_fastest_delivery_and_return_matches_brute_force():
             cost = sum(space.distance(p, q) for p, q in zip(stops, stops[1:]))
             if best is None or cost < best:
                 best, best_order = cost, order
-        dur, route = fastest_delivery_and_return(dests, pos, space)
+        dur, steps = fastest_delivery_and_return(_onboard(dests), pos, space)
         assert dur == best, (case, space.kind, pos, dests)
-        assert route == (*best_order, space.origin), (case, space.kind, pos, dests)
+        # the stops in that order, a move skipped where the server already is
+        want, here = [], pos
+        for p in (*best_order, space.origin):
+            if p != here:
+                want.append(p)
+                here = p
+        assert _stops(steps) == tuple(want), (case, space.kind, pos, dests)
+        # every request unloads once, at its dropoff, on arrival there, in id order
+        here, unloaded = pos, []
+        for step in steps:
+            if isinstance(step, Move):
+                assert step.start == here and step.distance == space.distance(here, step.end)
+                here = step.end
+            else:
+                assert dests[step.request_id] == here
+                unloaded.append(step.request_id)
+        assert here == space.origin
+        assert unloaded == sorted(range(len(dests)), key=lambda i: (best_order.index(dests[i]), i))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from openride.experiments import OPTIMAL_ALPHA_GENERAL, _check_trace, make_polic
 from openride.engine import simulate
 from openride.metric import half_line, line, matrix_space
 from openride.model import Instance, InstanceError, instance_from_dict, make_instance
-from openride.offline import OptCache, opt_upto_naive
+from openride.offline import OptCache
+
+from oracles import opt_upto_naive
 
 # few distinct values, so pickups, dropoffs, the origin and releases coincide
 LINE_POINTS = (-2.5, -1.0, 0.0, 0.5, 2.0)
