@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
 from .model import Instance, Load, Schedule, Trace, Unload, make_instance, validate_schedule
-from .numeric import CHECK_TOL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
-from .numeric import OPTIMAL_ALPHA_GENERAL  # noqa: F401  re-exported for existing importers
+from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from .offline import OptCache
 
 # the half-line impossibility threshold
@@ -254,7 +253,12 @@ def _check_trace(inst: Instance, trace: Trace, algo: str, alpha: float | None,
         elif abs(finish - (rec.start_time + rec.length)) > CHECK_TOL:
             bad += 1
     if algo == "lazy" and alpha is not None and alpha >= 1.0:
-        if any(not row.ok for row in check_alpha_good(trace, inst, alpha, cache=cache)):
+        # the deadline (1 + alpha) * OPT(t) is a proven bound only from the
+        # space's optimal alpha up: below it the half-line family reaches
+        # 2 + 1/(2 alpha) > 1 + alpha
+        optimal = OPTIMAL_ALPHA_HALF_LINE if inst.space.kind == HALF_LINE else OPTIMAL_ALPHA_GENERAL
+        rows = check_alpha_good(trace, inst, alpha, cache=cache)
+        if any(not row.length_ok or (alpha >= optimal and not row.deadline_ok) for row in rows):
             bad += 1
         if check_lazy_starts(trace, inst, cache=cache):
             bad += 1

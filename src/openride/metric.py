@@ -4,6 +4,8 @@ Three kinds are supported: the real line, the half-line (nonnegative
 reals), and finite symmetric distance matrices standing in for general
 metric spaces.  Points on the line variants are floats; points of a
 matrix space are integer node indices.  The origin is 0 in every kind.
+A matrix is checked against the metric axioms once, when its space is
+built, and a violation raises the SemanticError an instance raises.
 """
 
 from __future__ import annotations
@@ -26,19 +28,20 @@ class InvalidPointError(ValueError):
     """Point is not a member of the metric space."""
 
 
+class InstanceError(ValueError):
+    """Base class for instance parsing and validation failures."""
+
+
+class SemanticError(InstanceError):
+    def __init__(self, message: str, where: str):
+        super().__init__(f"{message} (at {where})")
+        self.where = where
+
+
 def short_repr(v, limit: int = 40) -> str:
     """repr(v), cut after limit characters, so a huge value gives a short message."""
     r = repr(v)
     return r if len(r) <= limit else f"{r[:limit]}... ({len(r)} characters)"
-
-
-@dataclass(frozen=True)
-class MetricViolation:
-    """First metric axiom broken by a distance matrix."""
-
-    reason: str  # "shape" | "finite" | "diagonal" | "symmetry" | "negative" | "triangle"
-    where: tuple[int, ...]
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,10 @@ class MetricSpace:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if (self.kind == MATRIX) != (self.matrix is not None):
             raise ValueError("matrix entries required exactly for matrix spaces")
+        if self.matrix is not None:
+            fault = _metric_fault(self.matrix)
+            if fault is not None:
+                raise SemanticError(f"invalid distance matrix: {fault}", "metric.d")
 
     @property
     def origin(self) -> Point:
@@ -96,49 +103,41 @@ class MetricSpace:
             return x == y
         return abs(float(x) - float(y)) <= TOLERANCE
 
-    def validate(self) -> MetricViolation | None:
-        """Check the metric axioms; report the first violation found.
 
-        Line kinds are valid by construction.  For matrices the checks
-        run in order: shape, finite entries, zero diagonal, symmetry,
-        nonnegativity, triangle inequality (all up to TOLERANCE).
-        """
-        if self.kind != MATRIX:
-            return None
-        d = self.matrix
-        n = len(d)
-        if n == 0:
-            return MetricViolation("shape", (), "the matrix has no nodes, so no origin")
-        for i, row in enumerate(d):
-            if len(row) != n:
-                return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")
-        for i, row in enumerate(d):
-            for j, v in enumerate(row):
-                if not math.isfinite(v):
-                    return MetricViolation("finite", (i, j), f"d[{i}][{j}] = {v} is not finite")
-        for i in range(n):
-            if abs(d[i][i]) > TOLERANCE:
-                return MetricViolation("diagonal", (i,), f"d[{i}][{i}] = {d[i][i]} is not 0")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(d[i][j] - d[j][i]) > TOLERANCE:
-                    return MetricViolation(
-                        "symmetry", (i, j), f"d[{i}][{j}] = {d[i][j]} but d[{j}][{i}] = {d[j][i]}"
-                    )
-        for i in range(n):
-            for j in range(n):
-                if d[i][j] < -TOLERANCE:
-                    return MetricViolation("negative", (i, j), f"d[{i}][{j}] = {d[i][j]} < 0")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k] + TOLERANCE:
-                        return MetricViolation(
-                            "triangle",
-                            (i, j, k),
-                            f"d[{i}][{k}] = {d[i][k]} > d[{i}][{j}] + d[{j}][{k}] = {d[i][j] + d[j][k]}",
-                        )
-        return None
+def _metric_fault(d) -> str | None:
+    """"reason: detail" for the first metric axiom a matrix breaks, else None.
+
+    The checks run in order: shape, finite entries, zero diagonal,
+    symmetry, nonnegativity, triangle inequality (all up to TOLERANCE).
+    """
+    n = len(d)
+    if n == 0:
+        return "shape: the matrix has no nodes, so no origin"
+    for i, row in enumerate(d):
+        if len(row) != n:
+            return f"shape: row {i} has length {len(row)}, expected {n}"
+    for i, row in enumerate(d):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                return f"finite: d[{i}][{j}] = {v} is not finite"
+    for i in range(n):
+        if abs(d[i][i]) > TOLERANCE:
+            return f"diagonal: d[{i}][{i}] = {d[i][i]} is not 0"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(d[i][j] - d[j][i]) > TOLERANCE:
+                return f"symmetry: d[{i}][{j}] = {d[i][j]} but d[{j}][{i}] = {d[j][i]}"
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] < -TOLERANCE:
+                return f"negative: d[{i}][{j}] = {d[i][j]} < 0"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k] + TOLERANCE:
+                    return (f"triangle: d[{i}][{k}] = {d[i][k]} > "
+                            f"d[{i}][{j}] + d[{j}][{k}] = {d[i][j] + d[j][k]}")
+    return None
 
 
 def line() -> MetricSpace:

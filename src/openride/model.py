@@ -17,7 +17,8 @@ The JSON wire formats are:
              "events": [{"t", "kind", ...}, ...],
              "completion": <float>}
 
-Request ids are assigned by input order.
+Request ids are assigned by input order, and requests are written in
+id order, so a document read back keeps its ids.
 """
 
 from __future__ import annotations
@@ -27,12 +28,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, Point, matrix_space, short_repr
+from .metric import (HALF_LINE, LINE, MATRIX, InstanceError, MetricSpace, Point, SemanticError,
+                     matrix_space, short_repr)
 from .numeric import TOLERANCE
-
-
-class InstanceError(ValueError):
-    """Base class for instance parsing and validation failures."""
 
 
 class ParseError(InstanceError):
@@ -41,12 +39,6 @@ class ParseError(InstanceError):
         super().__init__(f"{message}{loc}")
         self.line = line
         self.col = col
-
-
-class SemanticError(InstanceError):
-    def __init__(self, message: str, where: str):
-        super().__init__(f"{message} (at {where})")
-        self.where = where
 
 
 @dataclass(frozen=True)
@@ -66,9 +58,6 @@ class Instance:
     requests: tuple[Request, ...]
 
     def __post_init__(self) -> None:
-        bad = self.space.validate()
-        if bad is not None:
-            raise SemanticError(f"invalid distance matrix: {bad.reason}: {bad.detail}", "metric.d")
         cap = self.capacity
         if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
             raise SemanticError("capacity must be a positive integer or None", "capacity")
@@ -340,10 +329,7 @@ def instance_from_dict(obj: dict) -> Instance:
         if not isinstance(r, dict) or not all(k in r for k in ("a", "b", "t")):
             raise SemanticError("request needs fields a, b, t", f"requests[{i}]")
         a, b = r["a"], r["b"]
-        if kind == MATRIX:
-            if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
-                raise SemanticError("matrix points must be integer node indices", f"requests[{i}]")
-        else:
+        if kind != MATRIX:  # matrix points are checked as node indices by Instance
             a, b = _number(a, f"requests[{i}].a"), _number(b, f"requests[{i}].b")
         triples.append((a, b, _number(r["t"], f"requests[{i}].t")))
     return make_instance(space, capacity, triples)
@@ -357,7 +343,8 @@ def instance_to_dict(inst: Instance) -> dict:
     return {
         "metric": m,
         "capacity": "inf" if inst.capacity is None else inst.capacity,
-        "requests": [{"a": r.a, "b": r.b, "t": r.release} for r in inst.requests],
+        "requests": [{"a": r.a, "b": r.b, "t": r.release}
+                     for r in sorted(inst.requests, key=lambda r: r.id)],
     }
 
 

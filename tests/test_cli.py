@@ -3,15 +3,19 @@
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import openride
 from openride.cli import main
+
+from test_properties import FIELD, documents
 
 
 def run(capsys, *argv):
@@ -304,6 +308,19 @@ def run_guarded(*argv, stdin=""):
                           capture_output=True, text=True, timeout=30, env=env,
                           preexec_fn=_limit_memory)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(documents())
+def test_bad_documents_run_or_fail_naming_a_field(doc):
+    code, out, err = run_guarded("ratio", "--algo", "replan", "--instance", "-",
+                                 stdin=json.dumps(doc))
+    assert "Traceback" not in err
+    if code != 0:
+        assert code == 1 and out == "", (code, err)
+        where = re.search(r"\(at (\S+)\)$", err.rstrip())
+        assert where is not None, err
+        assert FIELD.fullmatch(where[1]) or (where[1] == "$" and not isinstance(doc, dict)), err
 
 
 def _line_instance(a="0", t="0"):

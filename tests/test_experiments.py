@@ -15,11 +15,14 @@ from openride.experiments import (
     gen_halfline_lb,
     generate_instance,
     make_policy,
+    _check_trace,
+    measure_ratio,
     sweep_lower_bounds,
 )
 from openride.engine import IgnorePolicy, LazyPolicy, ReplanPolicy
-from openride.metric import HALF_LINE, LINE, MATRIX, line
-from openride.model import make_instance
+from openride.metric import HALF_LINE, LINE, MATRIX, half_line, line, matrix_space
+from openride.model import ScheduleRecord, Trace, instance_from_dict, instance_to_dict, make_instance
+from openride.offline import OptCache
 
 
 def test_constants():
@@ -61,6 +64,79 @@ def test_gen_halfline_lb_ratio_formula():
     assert ratio == pytest.approx(want, abs=1e-9)
 
 
+def _lazy_violations(inst, alpha):
+    cache = OptCache(inst)
+    trace, _, ratio = measure_ratio(inst, "lazy", alpha, cache)
+    return ratio, _check_trace(inst, trace, "lazy", alpha, cache)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.1, 1.2, 1.3, 1.36])
+def test_check_trace_skips_the_deadline_below_the_optimal_alpha(alpha):
+    # the family's ratio 2 + 1/(2 alpha) exceeds 1 + alpha, so the deadline
+    # (1 + alpha) * OPT(t) cannot hold on it; its schedules are still checked
+    ratio, bad = _lazy_violations(gen_halfline_lb(alpha, 1e-3), alpha)
+    assert ratio > 1.0 + alpha
+    assert bad == 0
+
+
+def _late_trace(alpha):
+    # one schedule of length OPT = 1 that starts after alpha * OPT and ends
+    # at 3.5, past (1 + alpha) * OPT for every alpha below 2.5
+    rec = ScheduleRecord(index=0, start_time=2.5, start_pos=0.0, request_ids=(0,),
+                         length=1.0, interrupted=False)
+    return Trace(algo="lazy", alpha=alpha, schedules=[rec], events=[], completion=3.5)
+
+
+@pytest.mark.parametrize("space, alpha, counted", [
+    (line(), OPTIMAL_ALPHA_GENERAL, 1),
+    (matrix_space([[0, 1], [1, 0]]), OPTIMAL_ALPHA_GENERAL, 1),
+    (half_line(), OPTIMAL_ALPHA_HALF_LINE, 1),
+    (line(), OPTIMAL_ALPHA_HALF_LINE, 0),
+    (half_line(), 1.2, 0),
+], ids=["line", "matrix", "half-line", "line-below", "half-line-below"])
+def test_check_trace_counts_late_schedules_from_the_optimal_alpha(space, alpha, counted):
+    point = 1 if space.kind == MATRIX else 1.0
+    inst = make_instance(space, 1, [(space.origin, point, 0.0)])
+    assert _check_trace(inst, _late_trace(alpha), "lazy", alpha, OptCache(inst)) == counted
+
+
+def test_check_trace_counts_long_schedules_for_every_alpha():
+    inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
+    trace = _late_trace(1.0)
+    trace.schedules[0].length = 1.5
+    assert _check_trace(inst, trace, "lazy", 1.0, OptCache(inst)) == 1
+
+
+@pytest.mark.parametrize("eps, ratio, opt", [(1e-3, 2.4987506246876565, 2.001),
+                                             (1e-6, 2.499998750000625, 2.000001)])
+def test_three_request_family_at_alpha_one(eps, ratio, opt):
+    # (0 -> 1, t = 0), (1/2 -> 0, t = 0.43), (1 -> 1, t = 2 + eps): lazy at
+    # alpha = 1 finishes at 5 against OPT = 2 + eps, a ratio of 2.5 - O(eps);
+    # power-of-two scalings keep every bit of the ratio
+    for scale in (1.0, 2.0 ** 10, 2.0 ** -10):
+        inst = make_instance(half_line(), 1, [(0.0, scale, 0.0), (scale / 2, 0.0, scale * 0.43),
+                                              (scale, scale, scale * (2.0 + eps))])
+        cache = OptCache(inst)
+        trace, got_opt, got = measure_ratio(inst, "lazy", 1.0, cache)
+        assert got == ratio
+        assert got_opt == opt * scale and trace.completion == 5.0 * scale
+        assert _check_trace(inst, trace, "lazy", 1.0, cache) == 0
+
+
+def test_instance_round_trip_keeps_ids_and_ratios():
+    # documents list requests in id order, so reading one back changes no
+    # id and no tie-break
+    cfg = FuzzConfig(seed=0, max_requests=6)
+    for i in range(500):
+        inst = generate_instance(cfg, i)
+        back = instance_from_dict(instance_to_dict(inst))
+        assert back == inst
+        caches = OptCache(inst), OptCache(back)
+        for algo, alpha in (("lazy", OPTIMAL_ALPHA_GENERAL), ("replan", None), ("ignore", None)):
+            ratio, ratio_back = (measure_ratio(x, algo, alpha, c)[2] for x, c in zip((inst, back), caches))
+            assert ratio.hex() == ratio_back.hex()
+
+
 def test_make_policy():
     assert isinstance(make_policy("lazy", 1.3), LazyPolicy)
     assert isinstance(make_policy("replan", None), ReplanPolicy)
@@ -99,7 +175,7 @@ def test_generate_instance_respects_config():
         inst = generate_instance(cfg, i)
         assert inst.space.kind == MATRIX
         assert inst.space.size == 4
-        assert inst.space.validate() is None
+        assert matrix_space(inst.space.matrix) == inst.space  # rebuilding checks the axioms
         assert inst.capacity == 2
         assert 1 <= len(inst.requests) <= 3
         for r in inst.requests:

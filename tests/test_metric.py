@@ -2,6 +2,7 @@
 
 import pytest
 
+from openride import metric
 from openride.metric import (
     HALF_LINE,
     LINE,
@@ -12,7 +13,7 @@ from openride.metric import (
     line,
     matrix_space,
 )
-from openride.model import SemanticError, instance_from_dict
+from openride.model import SemanticError, instance_from_dict, make_instance
 from openride.numeric import TOLERANCE
 
 
@@ -82,23 +83,29 @@ def test_same_point():
     assert not sp.same_point(0, 1)
 
 
+def _assert_invalid(build, reason: str, entry: str):
+    """Building the space raises the error an instance raises, naming reason and entry."""
+    with pytest.raises(SemanticError, match=f"invalid distance matrix: {reason}: ") as err:
+        build()
+    assert err.value.where == "metric.d"
+    assert entry in str(err.value), str(err.value)
+
+
 def test_validate_line_kinds_always_pass():
-    assert line().validate() is None
-    assert half_line().validate() is None
+    assert MetricSpace(LINE) == line()
+    assert MetricSpace(HALF_LINE) == half_line()
 
 
 def test_validate_ok_matrix():
-    assert matrix_space([[0, 3, 1], [3, 0, 2], [1, 2, 0]]).validate() is None
+    assert matrix_space([[0, 3, 1], [3, 0, 2], [1, 2, 0]]).size == 3
 
 
 def test_validate_shape():
-    v = MetricSpace(MATRIX, ((0.0, 1.0), (1.0,))).validate()
-    assert v is not None and v.reason == "shape" and v.where == (1,)
+    _assert_invalid(lambda: MetricSpace(MATRIX, ((0.0, 1.0), (1.0,))), "shape", "row 1 has length 1")
 
 
 def test_validate_empty_matrix_has_no_origin():
-    v = matrix_space([]).validate()
-    assert v is not None and v.reason == "shape" and v.where == ()
+    _assert_invalid(lambda: matrix_space([]), "shape", "the matrix has no nodes")
 
 
 def test_empty_matrix_instance_is_rejected():
@@ -108,36 +115,40 @@ def test_empty_matrix_instance_is_rejected():
 
 
 def test_validate_finite():
-    v = matrix_space([[0, float("nan")], [float("nan"), 0]]).validate()
-    assert v.reason == "finite" and v.where == (0, 1)
-    assert matrix_space([[float("inf"), 1], [1, 0]]).validate().reason == "finite"
+    _assert_invalid(lambda: matrix_space([[0, float("nan")], [float("nan"), 0]]), "finite", "d[0][1] = nan")
+    _assert_invalid(lambda: matrix_space([[float("inf"), 1], [1, 0]]), "finite", "d[0][0] = inf")
     assert not line().is_point(float("inf")) and not half_line().is_point(float("nan"))
 
 
 def test_validate_diagonal():
-    v = matrix_space([[0, 1], [1, 0.5]]).validate()
-    assert v is not None and v.reason == "diagonal" and v.where == (1,)
+    _assert_invalid(lambda: matrix_space([[0, 1], [1, 0.5]]), "diagonal", "d[1][1] = 0.5")
 
 
 def test_validate_symmetry():
-    v = matrix_space([[0, 1], [2, 0]]).validate()
-    assert v is not None and v.reason == "symmetry" and v.where == (0, 1)
+    _assert_invalid(lambda: matrix_space([[0, 1], [2, 0]]), "symmetry", "d[0][1] = 1.0 but d[1][0] = 2.0")
 
 
 def test_validate_negative():
-    v = matrix_space([[0, -1], [-1, 0]]).validate()
-    assert v is not None and v.reason == "negative"
-    assert v.where == (0, 1)
+    _assert_invalid(lambda: matrix_space([[0, -1], [-1, 0]]), "negative", "d[0][1] = -1.0")
 
 
 def test_validate_triangle():
-    v = matrix_space([[0, 10, 2], [10, 0, 2], [2, 2, 0]]).validate()
-    assert v is not None and v.reason == "triangle"
     # d[0][1] = 10 > d[0][2] + d[2][1] = 4
-    assert v.where == (0, 2, 1)
+    _assert_invalid(lambda: matrix_space([[0, 10, 2], [10, 0, 2], [2, 2, 0]]), "triangle",
+            "d[0][1] = 10.0 > d[0][2] + d[2][1] = 4.0")
 
 
 def test_validate_order_shape_before_triangle():
     # broken shape and broken triangle: shape reported first
-    v = MetricSpace(MATRIX, ((0.0, 10.0, 2.0), (10.0, 0.0, 2.0), (2.0, 2.0))).validate()
-    assert v is not None and v.reason == "shape"
+    _assert_invalid(lambda: MetricSpace(MATRIX, ((0.0, 10.0, 2.0), (10.0, 0.0, 2.0), (2.0, 2.0))),
+            "shape", "row 2 has length 2")
+
+
+def test_matrix_is_checked_once_per_space(monkeypatch):
+    # instances over one space reuse its check: the scan runs when the space is built
+    calls = []
+    monkeypatch.setattr(metric, "_metric_fault", lambda d: calls.append(d))
+    space = matrix_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    for t in (0.0, 1.0, 2.0):
+        make_instance(space, 1, [(0, 2, t), (2, 1, t)])
+    assert len(calls) == 1

@@ -99,17 +99,17 @@ def test_completion_bound_ignores_unused_matrix_nodes():
     make_instance(line(), None, [(1e307, -1e307, 0.0)] * 3)  # 7 trips of 2e307
 
 
-@pytest.mark.parametrize("space, where, reason", [
-    (matrix_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]]), (0, 1, 2), "triangle"),
-    (matrix_space([]), (), "shape"),
+@pytest.mark.parametrize("entries, entry, reason", [
+    ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], "d[0][2] = 5.0 > d[0][1] + d[1][2] = 2.0", "triangle"),
+    ([], "the matrix has no nodes", "shape"),
 ], ids=["non-metric", "empty"])
-def test_library_matrix_instances_are_checked(space, where, reason):
-    # make_instance runs the same metric check as the JSON path
-    requests = [(0, 2, 0.0)] if space.size else []
+def test_library_matrix_instances_are_checked(entries, entry, reason):
+    # a library-built space runs the same metric check as the JSON path
+    requests = [(0, 2, 0.0)] if entries else []
     with pytest.raises(SemanticError, match=f"invalid distance matrix: {reason}") as ei:
-        make_instance(space, 1, requests)
+        make_instance(matrix_space(entries), 1, requests)
     assert ei.value.where == "metric.d"
-    assert space.validate().where == where
+    assert entry in str(ei.value)
 
 
 @pytest.mark.parametrize("space", [line(), half_line(), matrix_space([[0, 1], [1, 0]])],
@@ -315,6 +315,9 @@ def test_parse_instance_invalid_matrix():
     }
     with pytest.raises(SemanticError, match="triangle"):
         instance_from_dict(obj)
+    with pytest.raises(SemanticError) as ei:  # the metric is read before the capacity
+        instance_from_dict({**obj, "capacity": 0})
+    assert ei.value.where == "metric.d"
     for d, where in ((5, "metric.d"), ([0, 1], "metric.d"),
                      ([[0, "x"], [1, 0]], r"metric.d\[0\]\[1\]"),
                      ([[0, True], [1, 0]], r"metric.d\[0\]\[1\]")):
@@ -338,8 +341,9 @@ def test_parse_instance_matrix_points_must_be_ints():
         "capacity": 1,
         "requests": [{"a": 0.0, "b": 1, "t": 0}],
     }
-    with pytest.raises(SemanticError, match="integer node"):
+    with pytest.raises(SemanticError, match="0.0 is not a point of the matrix space") as ei:
         instance_from_dict(obj)
+    assert ei.value.where == "requests[0].a"
 
 
 def test_parse_instance_request_missing_field():
