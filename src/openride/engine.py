@@ -153,11 +153,14 @@ class Simulation:
         self.cmd = Command("return", steps)
         self.log("return")
 
-    def start_pending_schedule(self) -> None:
-        """Plan and follow a shortest schedule over the pending set."""
-        if isinstance(self.pos, EdgePos) or self.loaded:
+    def serve_pending(self) -> None:
+        """Every policy's idle rule: a shortest schedule over the pending set, or idle."""
+        if not self.pending:
+            self.note_idle()
+        elif isinstance(self.pos, EdgePos) or self.loaded:
             raise EngineError("schedules start empty-handed at a node")
-        self.start_replan_schedule()
+        else:
+            self.start_replan_schedule()
 
     def start_replan_schedule(self) -> None:
         """Re-plan over all unserved requests, keeping what is on board."""
@@ -323,10 +326,8 @@ class LazyPolicy:
         target = self._target(sim)
         if sim.time < target - TOLERANCE:
             sim.start_wait(target)
-        elif sim.pending:
-            sim.start_pending_schedule()
         else:
-            sim.note_idle()
+            sim.serve_pending()
 
 
 class ReplanPolicy:
@@ -338,10 +339,7 @@ class ReplanPolicy:
         sim.start_replan_schedule()
 
     def on_idle(self, sim: Simulation) -> None:
-        if sim.pending:
-            sim.start_pending_schedule()
-        else:
-            sim.note_idle()
+        sim.serve_pending()
 
 
 class IgnorePolicy:
@@ -353,10 +351,7 @@ class IgnorePolicy:
         pass
 
     def on_idle(self, sim: Simulation) -> None:
-        if sim.pending:
-            sim.start_pending_schedule()
-        else:
-            sim.note_idle()
+        sim.serve_pending()
 
 
 def simulate(inst: Instance, policy, opt_cache: OptCache | None = None) -> Trace:
@@ -368,55 +363,41 @@ def simulate(inst: Instance, policy, opt_cache: OptCache | None = None) -> Trace
 # trace checkers
 
 
-@dataclass(frozen=True)
-class GoodnessRow:
-    index: int
-    opt_value: float
-    length_ok: bool
-    deadline_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.length_ok and self.deadline_ok
+def _lazy_inputs(trace: Trace, inst: Instance, cache: OptCache | None):
+    """The trace's alpha and an OPT cache; a trace without an alpha is refused."""
+    if trace.alpha is None:
+        raise ValueError("lazy trace checks need a trace with its alpha")
+    return trace.alpha, cache if cache is not None else OptCache(inst)
 
 
-def check_alpha_good(trace: Trace, inst: Instance, alpha: float,
-                     cache: OptCache | None = None) -> list[GoodnessRow]:
+def check_alpha_good(trace: Trace, inst: Instance, cache: OptCache | None = None) -> list[dict]:
     """Check each schedule of a lazy trace against the two-part bound.
 
-    Schedule i starting at time t with optimum value opt = OPT(t) is
-    good when its length is at most opt and it finishes by
-    (1 + alpha) * opt, both up to CHECK_TOL.
+    Schedule i starting at time t with optimum value opt = OPT(t) must
+    be no longer than opt ("length-within-opt") and finish by
+    (1 + alpha) * opt ("finish-by-deadline"), both up to CHECK_TOL.
+    Returns the list of violations, as check_lazy_starts does.
     """
-    if cache is None:
-        cache = OptCache(inst)
-    rows = []
+    alpha, cache = _lazy_inputs(trace, inst, cache)
+    bad = []
     for rec in trace.schedules:
-        opt_val = cache.value(cache.prefix_for(rec.start_time))
-        rows.append(
-            GoodnessRow(
-                index=rec.index,
-                opt_value=opt_val,
-                length_ok=rec.length <= opt_val + CHECK_TOL,
-                deadline_ok=rec.start_time + rec.length <= (1 + alpha) * opt_val + CHECK_TOL,
-            )
-        )
-    return rows
+        opt = cache.value(cache.prefix_for(rec.start_time))
+        finish, deadline = rec.start_time + rec.length, (1 + alpha) * opt
+        if rec.length > opt + CHECK_TOL:
+            bad.append({"i": rec.index, "rule": "length-within-opt", "lhs": rec.length, "rhs": opt})
+        if finish > deadline + CHECK_TOL:
+            bad.append({"i": rec.index, "rule": "finish-by-deadline", "lhs": finish, "rhs": deadline})
+    return bad
 
 
-def check_lazy_starts(trace: Trace, inst: Instance,
-                      cache: OptCache | None = None) -> list[dict]:
+def check_lazy_starts(trace: Trace, inst: Instance, cache: OptCache | None = None) -> list[dict]:
     """Consecutive-schedule inequalities of a lazy trace.
 
     For schedules i-1, i: OPT(t_i) >= t_{i-1} and
     t_{i-1} >= alpha * OPT(t_{i-1}), both up to CHECK_TOL.  Returns the
     list of violations (empty when the trace is consistent).
     """
-    if trace.alpha is None:
-        raise ValueError("start checks need a lazy trace with its alpha")
-    if cache is None:
-        cache = OptCache(inst)
-    alpha = trace.alpha
+    alpha, cache = _lazy_inputs(trace, inst, cache)
     bad = []
     recs = trace.schedules
     for rec in recs:

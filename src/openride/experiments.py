@@ -235,9 +235,12 @@ def _replayable(sched: Schedule) -> bool:
     return True
 
 
-def _check_trace(inst: Instance, trace: Trace, algo: str, alpha: float | None,
-                 cache: OptCache) -> int:
-    """Structural checks on one run; returns the number of violations."""
+def _check_trace(inst: Instance, trace: Trace, cache: OptCache) -> int:
+    """Structural checks on one run; returns the number of violations.
+
+    The policy and alpha are the trace's.  A lazy trace with alpha >= 1
+    adds one per lazy checker that reports a counted rule.
+    """
     bad = 0
     opt = cache.value(len(inst.requests))
     if trace.completion < opt - CHECK_TOL:
@@ -252,16 +255,16 @@ def _check_trace(inst: Instance, trace: Trace, algo: str, alpha: float | None,
             bad += 1
         elif abs(finish - (rec.start_time + rec.length)) > CHECK_TOL:
             bad += 1
-    if algo == "lazy" and alpha is not None and alpha >= 1.0:
+    alpha = trace.alpha
+    if trace.algo == "lazy" and alpha is not None and alpha >= 1.0:
+        counted = {"length-within-opt", "start-after-alpha-opt", "opt-dominates-previous-start"}
         # the deadline (1 + alpha) * OPT(t) is a proven bound only from the
         # space's optimal alpha up: below it the half-line family reaches
         # 2 + 1/(2 alpha) > 1 + alpha
-        optimal = OPTIMAL_ALPHA_HALF_LINE if inst.space.kind == HALF_LINE else OPTIMAL_ALPHA_GENERAL
-        rows = check_alpha_good(trace, inst, alpha, cache=cache)
-        if any(not row.length_ok or (alpha >= optimal and not row.deadline_ok) for row in rows):
-            bad += 1
-        if check_lazy_starts(trace, inst, cache=cache):
-            bad += 1
+        if alpha >= (OPTIMAL_ALPHA_HALF_LINE if inst.space.kind == HALF_LINE else OPTIMAL_ALPHA_GENERAL):
+            counted.add("finish-by-deadline")
+        for check in (check_alpha_good, check_lazy_starts):
+            bad += any(v["rule"] in counted for v in check(trace, inst, cache=cache))
     return bad
 
 
@@ -270,7 +273,7 @@ def _fuzz_task(args) -> tuple[float, int]:
     inst = generate_instance(cfg, index)
     cache = OptCache(inst)
     trace, _, ratio = measure_ratio(inst, algo, cfg.alpha, cache)
-    bad = _check_trace(inst, trace, algo, cfg.alpha, cache) if cfg.check_schedules else 0
+    bad = _check_trace(inst, trace, cache) if cfg.check_schedules else 0
     return ratio, bad
 
 

@@ -11,6 +11,7 @@ built, and a violation raises the SemanticError an instance raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .numeric import TOLERANCE
@@ -148,6 +149,18 @@ def half_line() -> MetricSpace:
     return MetricSpace(HALF_LINE)
 
 
+def _entry(v, i: int, j: int) -> float:
+    """float(v) for a real, non-boolean entry d[i][j]; else the matrix is invalid."""
+    try:
+        # int and float first: they skip the slower abstract-class check
+        if not isinstance(v, bool) and isinstance(v, (int, float, numbers.Real)):
+            return float(v)
+        reason = "is not a number"
+    except OverflowError:
+        reason = "is beyond the float range"
+    raise SemanticError(f"invalid distance matrix: finite: d[{i}][{j}] = {short_repr(v)} {reason}", "metric.d")
+
+
 def matrix_space(entries) -> MetricSpace:
-    rows = tuple(tuple(float(v) for v in row) for row in entries)
+    rows = tuple(tuple(_entry(v, i, j) for j, v in enumerate(row)) for i, row in enumerate(entries))
     return MetricSpace(MATRIX, rows)

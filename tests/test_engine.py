@@ -127,8 +127,7 @@ def test_lazy_delivers_cargo_during_interrupt():
     unloads = [ev for ev in trace.events if ev.kind == "unload"]
     assert unloads[0].data == {"id": 0}
     assert unloads[0].time == pytest.approx(3.0)
-    rows = check_alpha_good(trace, inst, 2.0)
-    assert all(r.ok for r in rows)
+    assert check_alpha_good(trace, inst) == []
     assert check_lazy_starts(trace, inst) == []
 
 
@@ -294,10 +293,10 @@ def test_step_guard_leaves_a_wide_margin(monkeypatch):
 
 def test_check_alpha_good_flags_bad_schedules():
     inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
-    rows = check_alpha_good(_fake_trace([_rec(1, 0.1, 5.0)]), inst, 1.0)
-    assert len(rows) == 1
-    assert not rows[0].length_ok and not rows[0].deadline_ok and not rows[0].ok
-    assert rows[0].opt_value == pytest.approx(1.0)
+    bad = check_alpha_good(_fake_trace([_rec(1, 0.1, 5.0)]), inst)
+    assert [(v["i"], v["rule"]) for v in bad] == [(1, "length-within-opt"), (1, "finish-by-deadline")]
+    assert bad[0]["lhs"] == 5.0 and bad[0]["rhs"] == pytest.approx(1.0)
+    assert bad[1]["lhs"] == pytest.approx(5.1) and bad[1]["rhs"] == pytest.approx(2.0)
 
 
 def test_check_lazy_starts_flags_early_start():
@@ -312,8 +311,9 @@ def test_check_lazy_starts_flags_inverted_pair():
     assert any(v["rule"] == "opt-dominates-previous-start" for v in bad)
 
 
-def test_check_lazy_starts_needs_alpha():
+@pytest.mark.parametrize("check", [check_alpha_good, check_lazy_starts], ids=lambda f: f.__name__)
+def test_lazy_checkers_need_alpha(check):
     inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
     trace = Trace(algo="ignore", alpha=None, schedules=[], events=[], completion=0.0)
     with pytest.raises(ValueError):
-        check_lazy_starts(trace, inst)
+        check(trace, inst)

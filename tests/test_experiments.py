@@ -67,7 +67,7 @@ def test_gen_halfline_lb_ratio_formula():
 def _lazy_violations(inst, alpha):
     cache = OptCache(inst)
     trace, _, ratio = measure_ratio(inst, "lazy", alpha, cache)
-    return ratio, _check_trace(inst, trace, "lazy", alpha, cache)
+    return ratio, _check_trace(inst, trace, cache)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.2, 1.3, 1.36])
@@ -97,14 +97,14 @@ def _late_trace(alpha):
 def test_check_trace_counts_late_schedules_from_the_optimal_alpha(space, alpha, counted):
     point = 1 if space.kind == MATRIX else 1.0
     inst = make_instance(space, 1, [(space.origin, point, 0.0)])
-    assert _check_trace(inst, _late_trace(alpha), "lazy", alpha, OptCache(inst)) == counted
+    assert _check_trace(inst, _late_trace(alpha), OptCache(inst)) == counted
 
 
 def test_check_trace_counts_long_schedules_for_every_alpha():
     inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
     trace = _late_trace(1.0)
     trace.schedules[0].length = 1.5
-    assert _check_trace(inst, trace, "lazy", 1.0, OptCache(inst)) == 1
+    assert _check_trace(inst, trace, OptCache(inst)) == 1
 
 
 @pytest.mark.parametrize("eps, ratio, opt", [(1e-3, 2.4987506246876565, 2.001),
@@ -120,7 +120,7 @@ def test_three_request_family_at_alpha_one(eps, ratio, opt):
         trace, got_opt, got = measure_ratio(inst, "lazy", 1.0, cache)
         assert got == ratio
         assert got_opt == opt * scale and trace.completion == 5.0 * scale
-        assert _check_trace(inst, trace, "lazy", 1.0, cache) == 0
+        assert _check_trace(inst, trace, cache) == 0
 
 
 def test_instance_round_trip_keeps_ids_and_ratios():

@@ -117,6 +117,12 @@ def test_empty_matrix_instance_is_rejected():
 def test_validate_finite():
     _assert_invalid(lambda: matrix_space([[0, float("nan")], [float("nan"), 0]]), "finite", "d[0][1] = nan")
     _assert_invalid(lambda: matrix_space([[float("inf"), 1], [1, 0]]), "finite", "d[0][0] = inf")
+    # an entry that is not a real number, or does not fit a float, is named briefly
+    for v, entry in [("x", "d[0][1] = 'x' is not a number"), (None, "d[0][1] = None is not a number"),
+                     (True, "d[0][1] = True is not a number"), ("1", "d[0][1] = '1' is not a number"),
+                     (10 ** 400, "d[0][1] = 1000000000000000000000000000000000000000... (401 characters) "
+                                 "is beyond the float range")]:
+        _assert_invalid(lambda: matrix_space([[0, v], [v, 0]]), "finite", entry)
     assert not line().is_point(float("inf")) and not half_line().is_point(float("nan"))
 
 

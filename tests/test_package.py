@@ -21,3 +21,21 @@ def test_benchmark_entry_points_exist():
 
     with Tracer().installed():
         pass
+
+
+def test_benchmark_spans_are_reached():
+    # a checked lazy fuzz run and one factor-revealing solve pass through
+    # every wrapped entry point; a call routed around one would read 0.
+    # Both are called through their modules, where the tracer wraps them
+    from openride import experiments, factor_revealing
+    from perfbench.tracing import LAYERS, Tracer
+
+    cfg = experiments.FuzzConfig(count=20, alpha=openride.OPTIMAL_ALPHA_GENERAL, check_schedules=True)
+    assert any(experiments.generate_instance(cfg, i).space.kind == experiments.MATRIX
+               for i in range(cfg.count))
+    tracer = Tracer()
+    with tracer.installed():
+        assert experiments.fuzz(cfg, "lazy").violations == 0
+        factor_revealing.solve_fr(1.2)
+    calls = {layer: tracer.metrics()[f"{layer}.calls"] for layer, *_ in LAYERS}
+    assert all(n >= 1 for n in calls.values()), calls

@@ -65,7 +65,7 @@ def test_optimum_equals_brute_force_and_bounds_every_policy(inst):
     for algo, alpha in POLICIES:
         trace = simulate(inst, make_policy(algo, alpha), cache)
         assert trace.completion >= opt - 1e-9
-        assert _check_trace(inst, trace, algo, alpha, cache) == 0
+        assert _check_trace(inst, trace, cache) == 0
 
 
 # ---------------------------------------------------------------------------
