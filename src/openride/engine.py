@@ -183,6 +183,7 @@ class Simulation:
             start_time=self.time,
             start_pos=encode_pos(pos),
             request_ids=tuple(sorted(self.pending)),
+            loaded=tuple(sorted(self.loaded)),
             length=length,
             interrupted=False,
             schedule=sched,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
-from .model import Instance, Load, Schedule, Trace, Unload, make_instance, validate_schedule
+from .model import Instance, Trace, make_instance, validate_schedule
 from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from .offline import OptCache
 
@@ -225,21 +225,12 @@ def generate_instance(cfg: FuzzConfig, index: int) -> Instance:
     return make_instance(space, capacity, triples)
 
 
-def _replayable(sched: Schedule) -> bool:
-    seen = set()
-    for act in sched.actions:
-        if isinstance(act, Load):
-            seen.add(act.request_id)
-        elif isinstance(act, Unload) and act.request_id not in seen:
-            return False  # started with requests already on board
-    return True
-
-
 def _check_trace(inst: Instance, trace: Trace, cache: OptCache) -> int:
     """Structural checks on one run; returns the number of violations.
 
-    The policy and alpha are the trace's.  A lazy trace with alpha >= 1
-    adds one per lazy checker that reports a counted rule.
+    Every completed schedule is replayed from its recorded position and
+    on-board set.  The policy and alpha are the trace's.  A lazy trace
+    with alpha >= 1 adds one per lazy checker that reports a counted rule.
     """
     bad = 0
     opt = cache.value(len(inst.requests))
@@ -248,9 +239,12 @@ def _check_trace(inst: Instance, trace: Trace, cache: OptCache) -> int:
     for rec in trace.schedules:
         if rec.interrupted or rec.schedule is None:
             continue
-        if isinstance(rec.start_pos, dict) or not _replayable(rec.schedule):
-            continue
-        finish = validate_schedule(inst, rec.schedule, start_time=rec.start_time, scope=rec.request_ids)
+        lead = 0.0  # mid-edge, the lead-in to the schedule's first node
+        if isinstance(rec.start_pos, dict):
+            (u, v), offset = rec.start_pos["edge"], rec.start_pos["offset"]
+            lead = offset if rec.schedule.start_pos == u else inst.space.raw_distance(u, v) - offset
+        finish = validate_schedule(inst, rec.schedule, start_time=rec.start_time + lead,
+                                   scope=rec.request_ids, loaded=rec.loaded)
         if not isinstance(finish, float):
             bad += 1
         elif abs(finish - (rec.start_time + rec.length)) > CHECK_TOL:

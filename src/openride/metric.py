@@ -4,8 +4,10 @@ Three kinds are supported: the real line, the half-line (nonnegative
 reals), and finite symmetric distance matrices standing in for general
 metric spaces.  Points on the line variants are floats; points of a
 matrix space are integer node indices.  The origin is 0 in every kind.
-A matrix is checked against the metric axioms once, when its space is
-built, and a violation raises the SemanticError an instance raises.
+A matrix is checked once, when its space is built, however it is built:
+each entry must be a real number and is stored as a float, and the
+matrix must satisfy the metric axioms.  A violation raises the
+SemanticError an instance raises.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class MetricSpace:
         if (self.kind == MATRIX) != (self.matrix is not None):
             raise ValueError("matrix entries required exactly for matrix spaces")
         if self.matrix is not None:
+            object.__setattr__(self, "matrix", _rows(self.matrix))
             fault = _metric_fault(self.matrix)
             if fault is not None:
                 raise SemanticError(f"invalid distance matrix: {fault}", "metric.d")
@@ -161,6 +164,18 @@ def _entry(v, i: int, j: int) -> float:
     raise SemanticError(f"invalid distance matrix: finite: d[{i}][{j}] = {short_repr(v)} {reason}", "metric.d")
 
 
+def _rows(d) -> tuple[tuple[float, ...], ...]:
+    """d as a tuple of float tuples, each entry through _entry; a row that is not a sequence is a shape fault."""
+    rows = []
+    for i, row in enumerate(d):
+        try:
+            entries = enumerate(row)
+        except TypeError:
+            raise SemanticError(f"invalid distance matrix: shape: row {i} = {short_repr(row)} is not a sequence",
+                                "metric.d") from None
+        rows.append(tuple(_entry(v, i, j) for j, v in entries))
+    return tuple(rows)
+
+
 def matrix_space(entries) -> MetricSpace:
-    rows = tuple(tuple(_entry(v, i, j) for j, v in enumerate(row)) for i, row in enumerate(entries))
-    return MetricSpace(MATRIX, rows)
+    return MetricSpace(MATRIX, entries)

@@ -12,7 +12,9 @@ The JSON wire formats are:
              "capacity": <positive int> | "inf",
              "requests": [{"a": .., "b": .., "t": ..}, ...]}
 
-  trace     {"schedules": [{"i", "t", "p", "length", "interrupted",
+  trace     {"algo": "lazy" | "replan" | "ignore",
+             "alpha": <float> | null,
+             "schedules": [{"i", "t", "p", "length", "interrupted",
                             "requests"}, ...],
              "events": [{"t", "kind", ...}, ...],
              "completion": <float>}
@@ -127,8 +129,8 @@ def _completion_overflow(inst: Instance) -> str | None:
 
 
 def make_instance(space: MetricSpace, capacity: int | None, triples) -> Instance:
-    """Build an instance from (a, b, t) triples, ids by position."""
-    reqs = tuple(Request(i, a, b, float(t)) for i, (a, b, t) in enumerate(triples))
+    """Build an instance from (a, b, t) triples, ids by position; t must be a real number."""
+    reqs = tuple(Request(i, a, b, _number(t, f"requests[{i}].t")) for i, (a, b, t) in enumerate(triples))
     return Instance(space, capacity, reqs)
 
 
@@ -184,6 +186,7 @@ def validate_schedule(
     sched: Schedule,
     start_time: float = 0.0,
     scope: set[int] | tuple[int, ...] | None = None,
+    loaded: tuple[int, ...] = (),
 ):
     """Replay a schedule against an instance.
 
@@ -193,6 +196,9 @@ def validate_schedule(
     than its release, unloads at the dropoff after the load, the load
     count never exceeds capacity, and the schedule serves exactly the
     request ids in scope (default: all of the instance's requests).
+    The ids in loaded are on board at the start: each must be in scope,
+    counts against capacity from the first action, is unloaded without
+    a load, and may not be loaded again.
     """
     space = inst.space
     by_id = inst._by_id
@@ -200,8 +206,10 @@ def validate_schedule(
     cap = inst.effective_capacity
     pos = sched.start_pos
     t = start_time
-    loaded: set[int] = set()
+    loaded = set(loaded)
     served: set[int] = set()
+    if not loaded <= scope:
+        return ScheduleViolation("out-of-scope", 0, f"requests {sorted(loaded - scope)} on board are not in scope")
     for i, act in enumerate(sched.actions):
         if isinstance(act, Move):
             if not space.same_point(act.start, pos):
@@ -259,6 +267,7 @@ class ScheduleRecord:
     length: float
     interrupted: bool
     schedule: Schedule | None = None  # kept for replay checks, not serialized
+    loaded: tuple[int, ...] = ()  # ids on board at the start; replay-only, like schedule
 
 
 @dataclass(frozen=True)
@@ -331,7 +340,7 @@ def instance_from_dict(obj: dict) -> Instance:
         a, b = r["a"], r["b"]
         if kind != MATRIX:  # matrix points are checked as node indices by Instance
             a, b = _number(a, f"requests[{i}].a"), _number(b, f"requests[{i}].b")
-        triples.append((a, b, _number(r["t"], f"requests[{i}].t")))
+        triples.append((a, b, r["t"]))
     return make_instance(space, capacity, triples)
 
 

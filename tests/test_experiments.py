@@ -1,9 +1,11 @@
 """Instance generators, ratio measurement, fuzzing, and the bound sweep."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from openride import experiments
 from openride.experiments import (
     HALF_LINE_LOWER_BOUND,
     MAX_FUZZ_WORKERS,
@@ -121,6 +123,45 @@ def test_three_request_family_at_alpha_one(eps, ratio, opt):
         assert got == ratio
         assert got_opt == opt * scale and trace.completion == 5.0 * scale
         assert _check_trace(inst, trace, cache) == 0
+
+
+def test_check_trace_replays_mid_edge_and_loaded_schedules(monkeypatch):
+    # replan starts schedules inside matrix edges and with cargo on board;
+    # each completed one is replayed, from the end node its lead-in reaches
+    calls = []
+    validate = experiments.validate_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "validate_schedule", counted)
+    cfg = FuzzConfig(seed=0)
+    completed = at_u = at_v = loaded = 0
+    for i in range(40):
+        inst = generate_instance(cfg, i)
+        cache = OptCache(inst)
+        trace = measure_ratio(inst, "replan", None, cache)[0]
+        del calls[:]
+        assert _check_trace(inst, trace, cache) == 0
+        recs = [rec for rec in trace.schedules if not rec.interrupted]
+        completed += len(recs)
+        assert len(calls) == len(recs)
+        for rec in recs:
+            wrong = []
+            if isinstance(rec.start_pos, dict):
+                at_u += rec.schedule.start_pos == rec.start_pos["edge"][0]
+                at_v += rec.schedule.start_pos == rec.start_pos["edge"][1]
+                wrong.append(replace(rec, start_pos={**rec.start_pos, "offset": rec.start_pos["offset"] + 0.5}))
+            if rec.loaded:
+                loaded += 1
+                wrong.append(replace(rec, loaded=()))
+            for bad in wrong:
+                broken = replace(trace, schedules=[bad if r is rec else r for r in trace.schedules])
+                assert _check_trace(inst, broken, cache) == 1
+    # the first 40 instances hold 52 completed schedules, 4 starting mid-edge
+    # toward u, 6 toward v, and 10 with cargo
+    assert completed == 52 and min(at_u, at_v, loaded) >= 4
 
 
 def test_instance_round_trip_keeps_ids_and_ratios():

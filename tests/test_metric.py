@@ -98,10 +98,15 @@ def test_validate_line_kinds_always_pass():
 
 def test_validate_ok_matrix():
     assert matrix_space([[0, 3, 1], [3, 0, 2], [1, 2, 0]]).size == 3
+    # entries are stored as a tuple of float tuples, however they were given
+    direct = MetricSpace(MATRIX, [[0, 2], [2, 0]])
+    assert direct.matrix == ((0.0, 2.0), (2.0, 0.0)) and isinstance(direct.matrix[0][1], float)
+    assert direct == matrix_space(((0.0, 2.0), (2.0, 0.0)))
 
 
 def test_validate_shape():
     _assert_invalid(lambda: MetricSpace(MATRIX, ((0.0, 1.0), (1.0,))), "shape", "row 1 has length 1")
+    _assert_invalid(lambda: matrix_space([[0, 1], 5]), "shape", "row 1 = 5 is not a sequence")
 
 
 def test_validate_empty_matrix_has_no_origin():
@@ -123,6 +128,10 @@ def test_validate_finite():
                      (10 ** 400, "d[0][1] = 1000000000000000000000000000000000000000... (401 characters) "
                                  "is beyond the float range")]:
         _assert_invalid(lambda: matrix_space([[0, v], [v, 0]]), "finite", entry)
+    # a space built directly checks its entries the same way
+    _assert_invalid(lambda: MetricSpace(MATRIX, ((0.0, "x"), ("x", 0.0))), "finite", "d[0][1] = 'x' is not a number")
+    _assert_invalid(lambda: MetricSpace(MATRIX, ((0.0, 10 ** 400), (10 ** 400, 0.0))), "finite",
+                    "(401 characters) is beyond the float range")
     assert not line().is_point(float("inf")) and not half_line().is_point(float("nan"))
 
 

@@ -1,6 +1,7 @@
 """Instance model, schedule validation, and JSON round trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -60,7 +61,8 @@ def test_negative_release_rejected():
 
 
 def test_non_finite_release_and_point_rejected():
-    for t in (float("nan"), float("inf")):
+    # a library release that is not a real number fails naming it, as in a document
+    for t in (float("nan"), float("inf"), 10 ** 400, "x", None, True):
         with pytest.raises(SemanticError) as ei:
             make_instance(line(), 1, [(0.0, 1.0, t)])
         assert ei.value.where == "requests[0].t"
@@ -262,6 +264,26 @@ def test_validate_schedule_scope_cutoff():
     v = validate_schedule(inst, sched, scope={0})
     assert v.rule == "out-of-scope"
     assert validate_schedule(inst, sched) == 9.0
+
+
+def test_validate_schedule_starts_with_cargo_on_board():
+    inst = make_instance(line(), 1, [(1.0, 3.0, 0.0), (3.0, 4.0, 0.0)])
+    # request 0, loaded before the schedule, is unloaded without a load
+    carry = Schedule(2.0, (Move(2.0, 3.0, 1.0), Unload(0)))
+    assert validate_schedule(inst, carry, start_time=4.0, scope={0}, loaded=(0,)) == 5.0
+    assert validate_schedule(inst, carry, start_time=4.0, scope={0}).rule == "unload-not-loaded"
+    # it may not be loaded again
+    reload = Schedule(1.0, (Load(0), Move(1.0, 3.0, 2.0), Unload(0)))
+    v = validate_schedule(inst, reload, scope={0}, loaded=(0,))
+    assert v.rule == "double-load" and v.action_index == 0
+    # it must be in scope
+    v = validate_schedule(inst, carry, scope={1}, loaded=(0,))
+    assert v.rule == "out-of-scope" and v.action_index == 0 and "[0]" in v.detail
+    # and it counts against capacity from the first action
+    more = Schedule(3.0, (Load(1), Unload(0), Move(3.0, 4.0, 1.0), Unload(1)))
+    v = validate_schedule(inst, more, loaded=(0,))
+    assert v.rule == "capacity" and v.action_index == 0
+    assert validate_schedule(replace(inst, capacity=2), more, loaded=(0,)) == 1.0
 
 
 def test_validate_schedule_matrix_point_to_point():
