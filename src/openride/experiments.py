@@ -228,21 +228,34 @@ def generate_instance(cfg: FuzzConfig, index: int) -> Instance:
 def _check_trace(inst: Instance, trace: Trace, cache: OptCache) -> int:
     """Structural checks on one run; returns the number of violations.
 
-    Every completed schedule is replayed from its recorded position and
-    on-board set.  The policy and alpha are the trace's.  A lazy trace
-    with alpha >= 1 adds one per lazy checker that reports a counted rule.
+    Every completed schedule must start where its record stands, or at
+    an end of the record's edge when that is mid-edge, and is replayed
+    from there with its recorded on-board set.  The policy and alpha are
+    the trace's.  A lazy trace with alpha >= 1 adds one per lazy checker
+    that reports a counted rule.
     """
     bad = 0
     opt = cache.value(len(inst.requests))
     if trace.completion < opt - CHECK_TOL:
         bad += 1  # an online run can never beat the clairvoyant optimum
+    space = inst.space
     for rec in trace.schedules:
         if rec.interrupted or rec.schedule is None:
             continue
+        first = rec.schedule.start_pos
         lead = 0.0  # mid-edge, the lead-in to the schedule's first node
         if isinstance(rec.start_pos, dict):
             (u, v), offset = rec.start_pos["edge"], rec.start_pos["offset"]
-            lead = offset if rec.schedule.start_pos == u else inst.space.raw_distance(u, v) - offset
+            if space.same_point(first, u):
+                lead = offset
+            elif space.same_point(first, v):
+                lead = space.raw_distance(u, v) - offset
+            else:  # a schedule from inside an edge starts at one of its ends
+                bad += 1
+                continue
+        elif not space.same_point(first, rec.start_pos):  # or where the record stands
+            bad += 1
+            continue
         finish = validate_schedule(inst, rec.schedule, start_time=rec.start_time + lead,
                                    scope=rec.request_ids, loaded=rec.loaded)
         if not isinstance(finish, float):

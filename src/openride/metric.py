@@ -102,6 +102,14 @@ class MetricSpace:
             return float(self.matrix[x][y])
         return abs(float(x) - float(y))
 
+    def table(self, xs, ys) -> list[list[float]]:
+        """[[raw_distance(x, y) for y in ys] for x in xs], the same expression per pair, unchecked."""
+        if self.kind == MATRIX:
+            rows = self.matrix  # its entries are floats already
+            return [[row[y] for y in ys] for row in (rows[x] for x in xs)]
+        fys = [float(y) for y in ys]
+        return [[abs(fx - fy) for fy in fys] for fx in map(float, xs)]
+
     def same_point(self, x: Point, y: Point) -> bool:
         if self.kind == MATRIX:
             return x == y

@@ -46,7 +46,7 @@ import numpy as np
 
 from .metric import MetricSpace, Point
 from .model import Instance, Load, Move, Request, Schedule, Unload, Wait
-from .numeric import TIE_EPS, TOLERANCE
+from .numeric import TIE_EPS
 
 DEFAULT_SEARCH_CAP = 10
 CELL_CACHE_BYTES = 32 << 20  # index arrays _cells keeps between tables
@@ -78,7 +78,7 @@ class _Compiled:
             pts.append(r.a)
             pts.append(r.b)
         self.points = pts
-        self.dist = [[space.raw_distance(p, q) for q in pts] for p in pts]
+        self.dist = space.table(pts, pts)
         self.rel = [r.release for r in requests]
         self.cap = self.m if capacity is None else capacity
 
@@ -232,26 +232,29 @@ def _table_rest(comp: _Compiled, k: int):
     return lookup
 
 
-def _moves(cap: int, loaded: int, done: int, order):
-    """Events possible next, as (j, (point, loaded, done) after it), in order."""
-    room = loaded.bit_count() < cap
+def _step(comp: _Compiled, lookup, row, loaded: int, done: int, order) -> float:
+    """The release-free minimum from any root, row its distances to the points.
+
+    Each move, the first of equal ones kept, reaches a cell, read through
+    lookup; with nothing left, zero.
+    """
+    room = loaded.bit_count() < comp.cap
+    best = None
     for j in order:
         bit = 1 << j
         if done & bit:
             continue
         if loaded & bit:
-            yield j, (2 + 2 * j, loaded & ~bit, done | bit)
+            pos = 2 + 2 * j
+            cost = row[pos] + lookup(pos, loaded & ~bit, done | bit)
         elif room:
-            yield j, (1 + 2 * j, loaded | bit, done)
-
-
-def _step(comp: _Compiled, lookup, row, loaded: int, done: int, order) -> float:
-    """The release-free minimum from any root, row its distances to the points.
-
-    Each move reaches a cell, read through lookup; with nothing left, zero.
-    """
-    return min((row[s[0]] + lookup(*s) for _, s in _moves(comp.cap, loaded, done, order)),
-               default=0.0)
+            pos = 1 + 2 * j
+            cost = row[pos] + lookup(pos, loaded | bit, done)
+        else:
+            continue
+        if best is None or cost < best:
+            best = cost
+    return 0.0 if best is None else best
 
 
 def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, order):
@@ -264,19 +267,32 @@ def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, orde
     which may be off the cells, takes the explicit step: every later
     state is a cell, whose table entry, read when the move into it was
     chosen, is the same min over the same float sums.  Each step takes
-    the first move within TIE_EPS of its target.
+    the first move within TIE_EPS of its target, or the last move when
+    rounding leaves none within it.
     """
     full = (1 << comp.m) - 1
+    cap, dist = comp.cap, comp.dist
     seq = []
     target = _step(comp, lookup, row, loaded, done, order)
     while done != full:
-        for j, s in _moves(comp.cap, loaded, done, order):
-            rest = lookup(*s)
-            if row[s[0]] + rest <= target + TIE_EPS:
+        room = loaded.bit_count() < cap
+        for j in order:
+            bit = 1 << j
+            if done & bit:
+                continue
+            if loaded & bit:
+                pos, next_loaded, next_done = 2 + 2 * j, loaded & ~bit, done | bit
+            elif room:
+                pos, next_loaded, next_done = 1 + 2 * j, loaded | bit, done
+            else:
+                continue
+            pick = j
+            rest = lookup(pos, next_loaded, next_done)
+            if row[pos] + rest <= target + TIE_EPS:
                 break
-        pos, loaded, done = s
-        seq.append((j, pos == 2 + 2 * j))
-        row = comp.dist[pos]
+        loaded, done = next_loaded, next_done
+        seq.append((pick, pos == 2 + 2 * pick))
+        row = dist[pos]
         target = rest  # the table entry of the state just entered
     return seq
 
@@ -312,7 +328,7 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
         loaded |= 1 << j
     if loaded.bit_count() > comp.cap:
         raise ValueError("more requests on board than the capacity allows")
-    row = [space.raw_distance(start, p) for p in comp.points]
+    row = space.table([start], comp.points)[0]
     seq = _reconstruct_free(comp, cache._rest_over(comp.m), row, loaded, done, order)
     return _build_schedule(comp, seq, space, start, row, start_time)
 
@@ -334,14 +350,13 @@ def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
     for p in pts:
         space.check_point(p)
     o = space.origin
-    dist = space.raw_distance
     if not pts:  # straight home, the common case, without building the tables
-        total = dist(pos, o)
+        total = space.raw_distance(pos, o)
         return total, [] if space.same_point(pos, o) else [Move(pos, o, total)]
     nodes = [pos] + pts  # node 0 is the start, nodes 1.. the destinations
     dest_nodes = range(1, len(nodes))
-    d = [[dist(p, q) for q in nodes] for p in nodes]
-    home = [dist(p, o) for p in nodes]
+    d = space.table(nodes, nodes + [o])  # the last column is home
+    home = [row[-1] for row in d]
     memo: dict = {}
 
     def rest(i: int, remaining: int) -> float:  # node i, through every node in remaining, home
@@ -386,6 +401,12 @@ class OptCache:
     release epochs, so results are memoized per prefix (requests are
     stored sorted by release time).  Up to the search cap, prefixes and
     shortest_schedule share one release-free DP table.
+
+    A request is released by time t when its release time is at most t,
+    compared exactly, with no tolerance: the rule by which the engine
+    releases a batch at its release time, before a command that ends at
+    that time.  prefix_for(t), OPT(t) of opt_upto and the lazy checkers
+    all count releases by it.
     """
 
     def __init__(self, inst: Instance):
@@ -423,7 +444,8 @@ class OptCache:
         return self._plan[1]
 
     def prefix_for(self, t: float) -> int:
-        return bisect_right(self.comp.rel, t + TOLERANCE)
+        """The number of requests released by t: those whose release time is at most t, exactly."""
+        return bisect_right(self.comp.rel, t)
 
     def solve_prefix(self, k: int) -> tuple[tuple, float]:
         """The optimal event order over the first k requests and its completion time.
@@ -443,21 +465,37 @@ class OptCache:
     def _greedy(self, k: int):
         """Always execute the earliest feasible event next; seed incumbent."""
         comp = self.comp
-        dist, rel = comp.dist, comp.rel
+        dist, rel, cap = comp.dist, comp.rel, comp.cap
         pos, t = 0, 0.0
         loaded = done = 0
         full = (1 << k) - 1
         seq = []
         while done != full:
-            best_t, best_j, best_s = _INF, -1, None
-            for j, s in _moves(comp.cap, loaded, done, range(k)):
-                tj = t + dist[pos][s[0]]
-                if s[1] >> j & 1:  # a pickup waits for its release
-                    tj = max(tj, rel[j])
+            row = dist[pos]
+            room = loaded.bit_count() < cap
+            best_t, best_j = _INF, -1
+            for j in range(k):
+                bit = 1 << j
+                if done & bit:
+                    continue
+                if loaded & bit:
+                    tj = t + row[2 + 2 * j]
+                elif room:  # a pickup waits for its release
+                    tj = t + row[1 + 2 * j]
+                    if rel[j] > tj:
+                        tj = rel[j]
+                else:
+                    continue
                 if tj < best_t - TIE_EPS:
-                    best_t, best_j, best_s = tj, j, s
-            pos, loaded, done = best_s
-            seq.append((best_j, pos == 2 + 2 * best_j))
+                    best_t, best_j = tj, j
+            bit = 1 << best_j
+            unload = bool(loaded & bit)
+            if unload:
+                loaded, done = loaded & ~bit, done | bit
+            else:
+                loaded |= bit
+            pos = 2 + 2 * best_j if unload else 1 + 2 * best_j
+            seq.append((best_j, unload))
             t = best_t
         return seq, t
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from openride.model import Instance
-from openride.numeric import TOLERANCE
 from openride.offline import SearchCapExceeded
 
 NAIVE_CAP = 6
@@ -23,7 +22,7 @@ def opt_upto_naive(inst: Instance, t: float) -> float:
     NAIVE_CAP requests.
     """
     releases = [r.release for r in inst.requests]
-    k = bisect_right(releases, t + TOLERANCE)
+    k = bisect_right(releases, t)  # released by t, as OptCache counts them
     if k > NAIVE_CAP:
         raise SearchCapExceeded(f"{k} released requests exceed the oracle cap {NAIVE_CAP}")
     # point 0 is the origin, then the pickup 1 + 2j and dropoff 2 + 2j of request j

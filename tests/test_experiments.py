@@ -125,6 +125,49 @@ def test_three_request_family_at_alpha_one(eps, ratio, opt):
         assert _check_trace(inst, trace, cache) == 0
 
 
+@pytest.mark.parametrize("alpha", [1.1, 1.2, 1.3])
+def test_three_request_family_scales_exactly(alpha):
+    # (0 -> 1, t = 0), (1/2 + delta -> 0, t = 0), (p -> p, t = 2 alpha + eps):
+    # lazy reaches (4 alpha + 1 - 2 delta) / (2 alpha + eps).  At scale 2**-10
+    # the late request comes about 1e-9 after lazy's start at alpha * OPT, so
+    # the checkers must count it out of OPT(t) as the engine does
+    delta, eps = 1e-4, 1e-6
+    p = max(1.0, 2.0 * alpha - 1.0 - 2.0 * delta)
+    ratios = set()
+    for scale in (1.0, 2.0 ** 10, 2.0 ** -10):
+        inst = make_instance(half_line(), 1, [(0.0, scale, 0.0), (scale * (0.5 + delta), 0.0, 0.0),
+                                              (scale * p, scale * p, scale * (2.0 * alpha + eps))])
+        cache = OptCache(inst)
+        trace, _, ratio = measure_ratio(inst, "lazy", alpha, cache)
+        ratios.add(ratio.hex())
+        assert ratio == pytest.approx((4.0 * alpha + 1.0 - 2.0 * delta) / (2.0 * alpha + eps), rel=1e-12)
+        assert _check_trace(inst, trace, cache) == 0
+    assert len(ratios) == 1
+
+
+def test_check_trace_counts_a_schedule_that_starts_elsewhere():
+    # a schedule at a node must start where its record stands, and one from
+    # inside an edge at one of the edge's ends
+    inst = generate_instance(FuzzConfig(seed=0), 0)
+    cache = OptCache(inst)
+    trace = measure_ratio(inst, "replan", None, cache)[0]
+    last = max(i for i, rec in enumerate(trace.schedules) if not rec.interrupted)
+    rec = trace.schedules[last]
+    assert rec.start_pos == pytest.approx(2.84, abs=0.01) and _check_trace(inst, trace, cache) == 0
+    moved = replace(trace, schedules=trace.schedules[:last] + [replace(rec, start_pos=rec.start_pos + 5.0)])
+    assert _check_trace(inst, moved, cache) == 1
+    sp = matrix_space([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+    inst = make_instance(sp, 1, [(1, 1, 0.0)])
+    cache = OptCache(inst)
+    trace = measure_ratio(inst, "replan", None, cache)[0]
+    (rec,) = trace.schedules
+    assert rec.schedule.start_pos == 0 and _check_trace(inst, trace, cache) == 0
+    # each offset puts the lead-in to node 0 at 0; edge (1, 2) has no end at 0
+    for edge, offset, count in (([0, 1], 0.0, 0), ([1, 0], 2.0, 0), ([1, 2], 1.0, 1)):
+        off_edge = replace(rec, start_pos={"edge": edge, "offset": offset})
+        assert _check_trace(inst, replace(trace, schedules=[off_edge]), cache) == count
+
+
 def test_check_trace_replays_mid_edge_and_loaded_schedules(monkeypatch):
     # replan starts schedules inside matrix edges and with cargo on board;
     # each completed one is replayed, from the end node its lead-in reaches

@@ -75,6 +75,20 @@ def test_matrix_distance_and_points():
         sp.distance(0, 3)
 
 
+@pytest.mark.parametrize("space, points", [
+    (line(), [-0.0, 0, 0.0, 3, -2.5, 0.1, 1e-300, -7, 2.0 ** 60 + 1]),
+    (half_line(), [-0.0, 0, 0.0, 0.5, 7, 1e-9, 0.1 + 0.2, -TOLERANCE / 2]),
+    (matrix_space([[-0.0, 3, 0.5], [3, 0, 2.5], [0.5, 2.5, 0.0]]), [0, 1, 2, 2, 0]),
+], ids=["line", "half-line", "matrix"])
+def test_table_equals_raw_distance_bit_for_bit(space, points):
+    want = [[space.raw_distance(x, y).hex() for y in points] for x in points]
+    got = space.table(points, points)
+    assert [[type(v) for v in row] for row in got] == [[float] * len(points)] * len(points)
+    assert [[v.hex() for v in row] for row in got] == want
+    assert space.table(points[:2], points[1:]) == [row[1:] for row in got[:2]]
+    assert space.table([], points) == [] and space.table(points, []) == [[]] * len(points)
+
+
 def test_same_point():
     assert line().same_point(1.0, 1.0 + TOLERANCE / 2)
     assert not line().same_point(1.0, 1.0 + 1e-6)

@@ -277,8 +277,9 @@ def test_opt_cache_shared_across_prefixes():
     # serve 1, 2 then swing back to -1: 2 + 3 = 5
     assert v3 == pytest.approx(5.0)
     assert cache.value(cache.prefix_for(50.0)) == pytest.approx(5.0)
-    # prefix_for snaps to release times within tolerance
-    assert cache.prefix_for(1.0 - 1e-12) == 2
+    # a request is released by t only when its release time is at most t exactly
+    assert cache.prefix_for(1.0 - 1e-12) == 1
+    assert cache.prefix_for(1.0) == 2
     assert cache.prefix_for(0.5) == 1
 
 
@@ -464,6 +465,19 @@ def test_dp_table_above_the_cap_covers_only_the_scope(monkeypatch):
     assert built == [5, 3, 5]
 
 
+def moves(cap, loaded, done, order):
+    """Events possible next, as (j, (point, loaded, done) after it), in order."""
+    room = loaded.bit_count() < cap
+    for j in order:
+        bit = 1 << j
+        if done & bit:
+            continue
+        if loaded & bit:
+            yield j, (2 + 2 * j, loaded & ~bit, done | bit)
+        elif room:
+            yield j, (1 + 2 * j, loaded | bit, done)
+
+
 def reconstruct_two_pass(comp, lookup, row, loaded, done, order):
     """_reconstruct_free as a two-pass scan per step: the oracle for its one pass.
 
@@ -475,7 +489,7 @@ def reconstruct_two_pass(comp, lookup, row, loaded, done, order):
     seq, tied = [], 0
     while done != full:
         steps = [(row[s[0]] + lookup(*s), j, s)
-                 for j, s in offline._moves(comp.cap, loaded, done, order)]
+                 for j, s in moves(comp.cap, loaded, done, order)]
         target = min(step[0] for step in steps)
         near = [step for step in steps if step[0] <= target + TIE_EPS]
         tied += len(near) > 1
@@ -483,6 +497,17 @@ def reconstruct_two_pass(comp, lookup, row, loaded, done, order):
         seq.append((j, pos == 2 + 2 * j))
         row = comp.dist[pos]
     return seq, tied
+
+
+def test_reconstruction_takes_the_last_move_when_none_is_within_its_target():
+    # a table of zeros leaves no move within TIE_EPS of a later target, so
+    # each step after the first falls through to the last possible move;
+    # with capacity 1 the requests after a loaded one cannot move, and the
+    # unload chosen is still the loaded request's
+    inst = make_instance(line(), 1, [(1.0, 2.0, 0.0), (3.0, 4.0, 0.0), (5.0, 6.0, 0.0)])
+    comp = OptCache(inst).comp
+    seq = offline._reconstruct_free(comp, lambda pos, loaded, done: 0.0, comp.dist[0], 0, 0, range(3))
+    assert seq == [(0, False), (0, True), (2, False), (2, True), (1, False), (1, True)]
 
 
 def test_single_pass_reconstruction_matches_the_two_pass_oracle():
