@@ -23,6 +23,12 @@ ternary per request: untouched, on board or done.  The table holds only
 the cells: states with the pickup of a request on board or the dropoff
 of a request done, where some event of the state left the server.
 Every move ends on a cell, read through one lookup(pos, loaded, done).
+The table is allocated uninitialized, since a fill writes every cell
+before any move reads it.  A fill's index arrays and lookup's offsets
+are built once per shape (request count, capacity) and cached up to
+CELL_CACHE_BYTES.  They are intp, so no take converts an index, for
+every shape that fits the cache in intp: up to 9 requests, and 10 up to
+capacity 4.  The larger 10-request shapes are int32.
 A root off the cells, such as the origin, takes one explicit DP step
 (_step).  A reconstruction takes it at its start, then reads each target
 from the table.
@@ -40,6 +46,7 @@ only when opt_upto asks for one.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -141,36 +148,52 @@ def _cells(k: int, cap: int):
     count, largest first (stable), and the pairs are grouped by move
     rank: ranks[r] = (d_idx, v_idx) holds the r-th move of every cell
     that has more than r moves, which are the first len(d_idx) cells.
-    So a fill needs no float array longer than the layer's cells.  The
-    arrays are int32, and they are kept per (k, cap), least recently
-    used first, until they hold more than CELL_CACHE_BYTES; the newest
-    shape is always kept.  The largest shape, k = 10 with unbounded
-    capacity, takes 21.0 MiB, so the cache never holds more than
-    CELL_CACHE_BYTES (all ten k = 10 shapes, capacities 1 to 10, take
-    145 MiB together).
+    So a fill needs no float array longer than the layer's cells.
+
+    Returns (layers, offsets): offsets[mask] is the flat offset k times
+    the ternary code of a bitmask over the k requests, which lookup
+    reads.  The index arrays are intp, so a fill's take converts none,
+    when the shape's arrays and offsets fit CELL_CACHE_BYTES in intp:
+    every shape up to k = 9, and k = 10 up to capacity 4 (26.0 MiB).
+    The larger k = 10 shapes are int32 (21.1 MiB at unbounded capacity,
+    42.1 MiB it would take in intp).  Shapes are kept per (k, cap),
+    least recently used first, until they hold more than
+    CELL_CACHE_BYTES; the newest shape is always kept, and none takes
+    more than CELL_CACHE_BYTES (all ten k = 10 shapes, capacities 1 to
+    10, take 169 MiB together).
     """
     key = (k, cap)
     got = _cell_cache.pop(key, None)
     if got is not None:
         _cell_cache[key] = got  # now the most recently used
         return got[0]
-    # every index array is int32 or int8, argsort's permutation of the
-    # cells aside: a code times k stays below 2**31
+    offsets = [0]
+    for j in range(k):
+        offsets += [c + k * 3 ** j for c in offsets]
+    offsets_bytes = sys.getsizeof(offsets) + sum(map(sys.getsizeof, offsets))
+    # int32 holds every index, argsort's permutation of the cells aside: a
+    # code times k stays below 2**31.  The arrays are built in their final
+    # type: intp when the cells plus two indices per pair fit the cache
     i32 = np.int32
     steps = 3 ** np.arange(k, dtype=i32)
     digits = (np.arange(3 ** k, dtype=i32)[:, None] // steps % 3).astype(np.int8)
     onboard = (digits == 1).sum(axis=1, dtype=np.int8)
     progress = digits.sum(axis=1, dtype=np.int8)
     moves = (digits == 1) | ((digits == 0) & (onboard < cap)[:, None])
+    kept = (progress > 0) & (progress < 2 * k) & (onboard <= cap)
+    entries = ((digits > 0).sum(axis=1) * (1 + 2 * moves.sum(axis=1)))[kept].sum()
+    fits = entries * np.dtype(np.intp).itemsize + offsets_bytes <= CELL_CACHE_BYTES
+    it = np.intp if fits else i32
+    steps = steps.astype(it)
     width = 2 * k + 1
     layers = []
     for p in range(2 * k - 1, 0, -1):
-        states = np.flatnonzero((progress == p) & (onboard <= cap)).astype(i32)
+        states = np.flatnonzero(kept & (progress == p)).astype(it)
         sub = digits[states]
-        rows, js = (a.astype(i32) for a in np.nonzero(sub))  # the cells, by state
-        trows, tjs = (a.astype(i32) for a in np.nonzero(moves[states]))  # the moves, by state
-        counts = np.bincount(trows, minlength=len(states)).astype(i32)
-        first = np.cumsum(counts, dtype=i32) - counts  # each state's first move
+        rows, js = (a.astype(it) for a in np.nonzero(sub))  # the cells, by state
+        trows, tjs = (a.astype(it) for a in np.nonzero(moves[states]))  # the moves, by state
+        counts = np.bincount(trows, minlength=len(states)).astype(it)
+        first = np.cumsum(counts, dtype=it) - counts  # each state's first move
         per_cell = counts[rows]
         by_count = np.argsort(-per_cell, kind="stable")
         rows, js, per_cell = rows[by_count], js[by_count], per_cell[by_count]
@@ -183,15 +206,15 @@ def _cells(k: int, cap: int):
             move = first[rows[:n]] + r  # the r-th move of each one's state
             ranks.append((pos[:n] + tgt[move], reach[move]))
         layers.append((states[rows] * k + js, tuple(ranks)))
-    layers = tuple(layers)
-    _cell_cache[key] = layers, sum(cells.nbytes + sum(d.nbytes + v.nbytes for d, v in ranks)
-                                   for cells, ranks in layers)
+    shape = tuple(layers), offsets
+    _cell_cache[key] = shape, offsets_bytes + sum(
+        cells.nbytes + sum(d.nbytes + v.nbytes for d, v in ranks) for cells, ranks in layers)
     held = sum(size for _, size in _cell_cache.values())
     for old in list(_cell_cache)[:-1]:
         if held <= CELL_CACHE_BYTES:
             break
         held -= _cell_cache.pop(old)[1]
-    return layers
+    return shape
 
 
 def _table_rest(comp: _Compiled, k: int):
@@ -206,9 +229,10 @@ def _table_rest(comp: _Compiled, k: int):
     """
     width = 2 * k + 1
     take = np.array([row[:width] for row in comp.dist[:width]]).ravel().take
-    flat = np.full(3 ** k * k, _INF)
+    layers, offsets = _cells(k, min(comp.cap, k))
+    flat = np.empty(3 ** k * k)  # a fill writes every cell before any is read
     flat[flat.size - k:] = 0.0
-    for cells, ranks in _cells(k, min(comp.cap, k)):
+    for cells, ranks in layers:
         # one min per move rank, over the cells that have that many moves;
         # a min returns one of its inputs, so the order of ranks is immaterial
         d_idx, v_idx = ranks[0]
@@ -221,13 +245,10 @@ def _table_rest(comp: _Compiled, k: int):
             np.minimum(head, cost, out=head)
         flat[cells] = best
     item = flat.item
-    row = [0]  # flat offset k * (ternary code) of a bitmask over the first k requests
-    for j in range(k):
-        row += [c + k * 3 ** j for c in row]
     mask = (1 << k) - 1
 
     def lookup(pos: int, loaded: int, done: int) -> float:
-        return item(row[loaded & mask] + 2 * row[done & mask] + (pos - 1 >> 1))
+        return item(offsets[loaded & mask] + 2 * offsets[done & mask] + (pos - 1 >> 1))
 
     return lookup
 

@@ -1,5 +1,6 @@
 """Exact offline solvers: shortest schedules and release-aware optima."""
 
+import math
 import os
 import random
 import resource
@@ -9,11 +10,13 @@ from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import openride
 from openride import offline
 
+from openride.experiments import FuzzConfig, generate_instance
 from openride.metric import half_line, line, matrix_space
 from openride.model import (
     Instance,
@@ -799,7 +802,7 @@ def test_root_at_the_origin_takes_the_off_cell_step():
 
 
 def test_cell_cache_is_bounded_in_bytes():
-    # every k = 10 shape, capacities 1 to 10, held at once would take 145 MiB;
+    # every k = 10 shape, capacities 1 to 10, held at once would take 169 MiB;
     # the cache keeps the newest one and stays under its byte cap
     out = run_child("""
 import random
@@ -817,3 +820,94 @@ inst = make_instance(line(), None, [(rng.uniform(-10, 10), rng.uniform(-10, 10),
 print(repr(offline.OptCache(inst).value(10)), len(offline._cell_cache))
 """, timeout=60)
     assert out == ["38.00904680302526", "1"]
+
+
+def test_cells_are_intp_where_a_shape_fits_the_cache_in_intp():
+    # intp up to k = 9 and at k = 10 up to capacity 4, so no take converts an
+    # index; (10, 10) would take 42.1 MiB in intp and stays int32.  Each
+    # cache entry's size counts its arrays and offsets, and the cache holds
+    # no more than its byte cap
+    out = run_child("""
+import sys
+import numpy as np
+from openride import offline
+
+def nbytes(shape):
+    layers, offsets = shape
+    arrays = [a for cells, ranks in layers for a in (cells, *(i for pair in ranks for i in pair))]
+    return arrays, sum(a.nbytes for a in arrays) + sys.getsizeof(offsets) + sum(map(sys.getsizeof, offsets))
+
+for k, cap in ((3, 3), (8, 1), (8, 8), (10, 10)):
+    arrays, _ = nbytes(offline._cells(k, cap))
+    types = {"intp" if a.dtype == np.intp else a.dtype.name for a in arrays}
+    held = 0
+    for shape, size in offline._cell_cache.values():
+        assert nbytes(shape)[1] == size, (k, cap)
+        held += size
+    assert held <= offline.CELL_CACHE_BYTES, held
+    print(k, cap, *sorted(types))
+""", timeout=30)
+    assert out == ["3", "3", "intp", "8", "1", "intp", "8", "8", "intp", "10", "10", "int32"]
+
+
+def exact_style_instances(seed):
+    """One 8-request instance of each (space, capacity), from a fuzz stream on 6-8-node matrices."""
+    cfg = FuzzConfig(seed=seed, max_requests=8, matrix_nodes=(6, 8))
+    found = {}
+    index = 0
+    while len(found) < 9:
+        inst = generate_instance(cfg, index)
+        key = (inst.space.kind, inst.capacity)
+        if len(inst.requests) == 8 and key not in found:
+            found[key] = inst
+        index += 1
+    return list(found.values())
+
+
+def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
+    # the table is allocated uninitialized: filled with NaN instead, every
+    # value a lookup returns is still finite, and every optimum, event order
+    # and plan is the same, bit for bit, as with a table from np.empty
+    cfg = FuzzConfig(seed=3, max_requests=5, matrix_nodes=(4, 4))
+    cases = exact_style_instances(3) + exact_style_instances(4) + [generate_instance(cfg, i) for i in range(120)]
+
+    def outputs():
+        got = []
+        for inst in cases:
+            cache = OptCache(inst)
+            for t in sorted({0.0} | {r.release for r in inst.requests}):
+                sched, value = opt_upto(inst, t, cache)
+                got.append((cache.solve_prefix(cache.prefix_for(t))[0], repr(sched), value.hex()))
+            reqs = sorted(inst.requests, key=lambda r: r.release)
+            got.append(repr(shortest_schedule(reqs, inst.space.origin, cache)))
+            tail = reqs[len(reqs) // 2:]
+            got.append(repr(shortest_schedule(tail, tail[0].a, cache, loaded_ids=[tail[0].id])))
+        return got
+
+    want = outputs()
+    real_empty = np.empty
+    nan_tables = []
+    read = []
+
+    def nan_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+            nan_tables.append(out.size)
+        return out
+
+    def checked(comp, k):
+        lookup = _table_rest(comp, k)
+
+        def read_lookup(pos, loaded, done):
+            value = lookup(pos, loaded, done)
+            read.append(math.isfinite(value))
+            return value
+
+        return read_lookup
+
+    monkeypatch.setattr(offline.np, "empty", nan_empty)
+    monkeypatch.setattr(offline, "_table_rest", checked)
+    assert outputs() == want
+    assert len(nan_tables) > 120 and len(read) > 8000
+    assert all(read)
