@@ -27,11 +27,13 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .metric import MATRIX, MetricSpace, Point
+from .metric import MATRIX, MetricSpace
 from .model import (
+    EdgePos,
     Instance,
     Load,
     Move,
+    Position,
     Schedule,
     ScheduleRecord,
     Trace,
@@ -46,24 +48,6 @@ from .offline import OptCache, fastest_delivery_and_return, shortest_schedule
 
 class EngineError(RuntimeError):
     """The simulation violated an internal invariant."""
-
-
-@dataclass(frozen=True)
-class EdgePos:
-    """Position strictly inside edge (u, v) of a matrix space."""
-
-    u: int
-    v: int
-    offset: float  # distance travelled from u toward v
-
-
-Position = Point | EdgePos
-
-
-def encode_pos(pos: Position):
-    if isinstance(pos, EdgePos):
-        return {"edge": [pos.u, pos.v], "offset": pos.offset}
-    return pos
 
 
 @dataclass
@@ -181,7 +165,7 @@ class Simulation:
         rec = ScheduleRecord(
             index=len(self.records) + 1,
             start_time=self.time,
-            start_pos=encode_pos(pos),
+            start_pos=pos,
             request_ids=tuple(sorted(self.pending)),
             loaded=tuple(sorted(self.loaded)),
             length=length,

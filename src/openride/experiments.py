@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
-from .model import Instance, Trace, make_instance, validate_schedule
+from .model import EdgePos, Instance, Trace, make_instance, validate_schedule
 from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from .offline import OptCache
 
@@ -97,6 +97,11 @@ MAX_FUZZ_WORKERS = 64
 # instances per task of a run with workers, and tasks in flight per worker
 FUZZ_CHUNK = 64
 FUZZ_CHUNKS_PER_WORKER = 2
+# the generator's coordinate bound, last release time, and the chance that
+# a request's dropoff is its pickup
+SPAN = 10.0
+HORIZON = 10.0
+SAME_POINT_PROB = 0.25
 
 
 def _is_int(v) -> bool:
@@ -117,9 +122,6 @@ class FuzzConfig:
     max_requests: int = 5
     capacities: tuple[int | None, ...] = (1, 2, None)
     matrix_nodes: tuple[int, int] = (2, 5)
-    span: float = 10.0
-    horizon: float = 10.0
-    same_point_prob: float = 0.25
     alpha: float | None = None
     workers: int | None = None
     check_schedules: bool = False
@@ -150,9 +152,6 @@ class FuzzConfig:
         if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2 and all(map(_is_int, nodes))
                 and 1 <= nodes[0] <= nodes[1]):
             bad("matrix_nodes", "two integers lo, hi with 1 <= lo <= hi")
-        for field_name in ("span", "horizon", "same_point_prob"):
-            if not _is_real(getattr(self, field_name)):
-                bad(field_name, "a finite number")
         if not isinstance(self.check_schedules, bool):
             bad("check_schedules", "true or false")
 
@@ -169,20 +168,20 @@ class RatioReport:
     worst_instance: Instance | None = field(default=None, compare=False)
 
 
-def _coord(rng: random.Random, cfg: FuzzConfig, lo: float) -> float:
+def _coord(rng: random.Random, lo: float) -> float:
     if rng.random() < 0.25:
         x = float(rng.randint(-3, 3))
         return abs(x) if lo == 0.0 else x
-    return rng.uniform(lo, cfg.span)
+    return rng.uniform(lo, SPAN)
 
 
-def _release(rng: random.Random, cfg: FuzzConfig) -> float:
+def _release(rng: random.Random) -> float:
     u = rng.random()
     if u < 0.2:
         return 0.0
     if u < 0.4:
         return float(rng.randint(0, 4))
-    return rng.uniform(0.0, cfg.horizon)
+    return rng.uniform(0.0, HORIZON)
 
 
 def _random_matrix(rng: random.Random, nodes: tuple[int, int]) -> MetricSpace:
@@ -206,7 +205,7 @@ def generate_instance(cfg: FuzzConfig, index: int) -> Instance:
     rng = random.Random(cfg.seed * 1_000_003 + index)
     kind = rng.choice(cfg.spaces)
     if kind == LINE:
-        space, lo = line(), -cfg.span
+        space, lo = line(), -SPAN
     elif kind == HALF_LINE:
         space, lo = half_line(), 0.0
     else:
@@ -217,11 +216,11 @@ def generate_instance(cfg: FuzzConfig, index: int) -> Instance:
     for _ in range(n):
         if kind == MATRIX:
             a = rng.randrange(space.size)
-            b = a if rng.random() < cfg.same_point_prob else rng.randrange(space.size)
+            b = a if rng.random() < SAME_POINT_PROB else rng.randrange(space.size)
         else:
-            a = _coord(rng, cfg, lo)
-            b = a if rng.random() < cfg.same_point_prob else _coord(rng, cfg, lo)
-        triples.append((a, b, _release(rng, cfg)))
+            a = _coord(rng, lo)
+            b = a if rng.random() < SAME_POINT_PROB else _coord(rng, lo)
+        triples.append((a, b, _release(rng)))
     return make_instance(space, capacity, triples)
 
 
@@ -244,16 +243,16 @@ def _check_trace(inst: Instance, trace: Trace, cache: OptCache) -> int:
             continue
         first = rec.schedule.start_pos
         lead = 0.0  # mid-edge, the lead-in to the schedule's first node
-        if isinstance(rec.start_pos, dict):
-            (u, v), offset = rec.start_pos["edge"], rec.start_pos["offset"]
-            if space.same_point(first, u):
-                lead = offset
-            elif space.same_point(first, v):
-                lead = space.raw_distance(u, v) - offset
+        pos = rec.start_pos
+        if isinstance(pos, EdgePos):
+            if space.same_point(first, pos.u):
+                lead = pos.offset
+            elif space.same_point(first, pos.v):
+                lead = space.raw_distance(pos.u, pos.v) - pos.offset
             else:  # a schedule from inside an edge starts at one of its ends
                 bad += 1
                 continue
-        elif not space.same_point(first, rec.start_pos):  # or where the record stands
+        elif not space.same_point(first, pos):  # or where the record stands
             bad += 1
             continue
         finish = validate_schedule(inst, rec.schedule, start_time=rec.start_time + lead,

@@ -19,6 +19,10 @@ The JSON wire formats are:
              "events": [{"t", "kind", ...}, ...],
              "completion": <float>}
 
+A schedule's "p" is the point it starts from, or, when the server is
+inside an edge (u, v) of a matrix space, {"edge": [u, v], "offset": s}
+with s the distance travelled from u toward v.
+
 Request ids are assigned by input order, and requests are written in
 id order, so a document read back keeps its ids.
 """
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Any
 
 from .metric import (HALF_LINE, LINE, MATRIX, InstanceError, MetricSpace, Point, SemanticError,
                      matrix_space, short_repr)
@@ -71,7 +75,8 @@ class Instance:
             for label, p in (("a", r.a), ("b", r.b)):
                 if not self.space.is_point(p):
                     raise SemanticError(self.space.not_a_point(p), f"requests[{r.id}].{label}")
-            if not math.isfinite(r.release) or r.release < 0:
+            t = _number(r.release, f"requests[{r.id}].t")
+            if not math.isfinite(t) or t < 0:
                 raise SemanticError("release time must be finite and nonnegative",
                                     f"requests[{r.id}].t")
         where = _completion_overflow(self)
@@ -256,13 +261,25 @@ def validate_schedule(
 # traces
 
 
+@dataclass(frozen=True)
+class EdgePos:
+    """Position strictly inside edge (u, v) of a matrix space."""
+
+    u: int
+    v: int
+    offset: float  # distance travelled from u toward v
+
+
+Position = Point | EdgePos
+
+
 @dataclass
 class ScheduleRecord:
     """One planned schedule of an online run."""
 
     index: int
     start_time: float
-    start_pos: Any  # Point, or {"edge": [u, v], "offset": s} after encoding
+    start_pos: Position
     request_ids: tuple[int, ...]
     length: float
     interrupted: bool
@@ -291,7 +308,8 @@ class Trace:
 
 
 def _number(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """float(v) for a real, non-boolean number, as metric._entry reads a matrix entry; else fail at where."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):
         raise SemanticError(f"{short_repr(v)} is not a number", where)
     try:
         return float(v)
@@ -391,7 +409,8 @@ def trace_to_dict(trace: Trace) -> dict:
             {
                 "i": rec.index,
                 "t": rec.start_time,
-                "p": rec.start_pos,
+                "p": ({"edge": [rec.start_pos.u, rec.start_pos.v], "offset": rec.start_pos.offset}
+                      if isinstance(rec.start_pos, EdgePos) else rec.start_pos),
                 "length": rec.length,
                 "interrupted": rec.interrupted,
                 "requests": list(rec.request_ids),

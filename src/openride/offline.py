@@ -34,12 +34,12 @@ A root off the cells, such as the origin, takes one explicit DP step
 from the table.
 
 Searches are exponential in the number of requests and capped at
-DEFAULT_SEARCH_CAP = 10.  Every table covers a prefix of the compiled
-requests; those after it count as done.  Up to the cap one table over
-all requests serves every prefix and every plan.  Above it, 3**m rows
-would not fit in memory: the branch and bound reads a table over its
-prefix, only the last one kept, and shortest_schedule plans on an
-OptCache over just its requests, the last one kept by their ids.
+DEFAULT_SEARCH_CAP = 10.  A table covers all of its cache's requests; a
+prefix or a plan over fewer marks the others done.  Up to the cap one
+table serves every prefix and every plan.  Above it, 3**m rows would
+not fit in memory, so every prefix solve and every plan reads an
+OptCache over just its requests (OptCache._planner), and only the last
+one is kept.
 OptCache keeps each prefix's event order and value; a Schedule is built
 only when opt_upto asks for one.
 """
@@ -52,7 +52,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .metric import MetricSpace, Point
-from .model import Instance, Load, Move, Request, Schedule, Unload, Wait
+from .model import Instance, Load, Move, Schedule, Unload, Wait
 from .numeric import TIE_EPS
 
 DEFAULT_SEARCH_CAP = 10
@@ -66,65 +66,41 @@ class SearchCapExceeded(RuntimeError):
     """Request set larger than the exact-search cap."""
 
 
-class _Compiled:
-    """Request data flattened for the searches.
-
-    Points are indexed 0 (the origin) then pickup/dropoff pairs in
-    request order: pickup of local request j is point 1 + 2j, dropoff
-    2 + 2j.  All pairwise distances are precomputed, unchecked: the
-    requests come from an Instance, which checked their points.
-    """
-
-    __slots__ = ("ids", "points", "dist", "rel", "cap", "m")
-
-    def __init__(self, space: MetricSpace, requests: list[Request], capacity: int | None):
-        self.m = len(requests)
-        self.ids = [r.id for r in requests]
-        pts: list[Point] = [space.origin]
-        for r in requests:
-            pts.append(r.a)
-            pts.append(r.b)
-        self.points = pts
-        self.dist = space.table(pts, pts)
-        self.rel = [r.release for r in requests]
-        self.cap = self.m if capacity is None else capacity
-
-
-def _walk(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
-          start_time: float = 0.0, actions: list | None = None) -> float:
+def _walk(cache: OptCache, seq, start: Point, row, start_time: float = 0.0,
+          actions: list | None = None) -> float:
     """Finish time of an event sequence [(j, is_unload), ...] run from start.
 
-    row holds the distances from start to the compiled points.  A move
+    row holds the distances from start to the cache's points.  A move
     to the same point takes no time, and a load waits for its release
     time.  When actions is a list, the schedule's actions are appended
     to it: a Wait goes before each load that would otherwise happen
     ahead of the release time.
     """
+    space = cache.inst.space
     here = start
     t = start_time
     for j, is_unload in seq:
         tgt = 2 + 2 * j if is_unload else 1 + 2 * j
-        there = comp.points[tgt]
+        there = cache.points[tgt]
         if not space.same_point(here, there):
             if actions is not None:
                 actions.append(Move(here, there, row[tgt]))
             t += row[tgt]
-        here, row = there, comp.dist[tgt]
-        wait = not is_unload and t < comp.rel[j] - TIE_EPS
+        here, row = there, cache.dist[tgt]
+        wait = not is_unload and t < cache.rel[j] - TIE_EPS
         if wait:
-            t = comp.rel[j]
+            t = cache.rel[j]
         if actions is not None:
             if wait:
                 actions.append(Wait(t))
-            actions.append(Unload(comp.ids[j]) if is_unload else Load(comp.ids[j]))
+            actions.append(Unload(cache.ids[j]) if is_unload else Load(cache.ids[j]))
     return t
 
 
-def _build_schedule(comp: _Compiled, seq, space: MetricSpace, start: Point, row,
-                    start_time: float = 0.0) -> Schedule:
+def _build_schedule(cache: OptCache, seq, start: Point, row, start_time: float = 0.0) -> Schedule:
     """The Schedule of an event sequence run from start (see _walk)."""
     actions: list = []
-    _walk(comp, seq, space, start, row, start_time, actions)
+    _walk(cache, seq, start, row, start_time, actions)
     return Schedule(start, tuple(actions))
 
 
@@ -217,19 +193,18 @@ def _cells(k: int, cap: int):
     return shape
 
 
-def _table_rest(comp: _Compiled, k: int):
-    """Release-free minimum remaining travel over the first k requests, as one table.
+def _table_rest(cache: OptCache):
+    """Release-free minimum remaining travel over all of the cache's requests, as one table.
 
-    The table holds the cells of _cells only, over the leading
-    (2k+1)-square block of distances; the all-done row is zero.  The
-    returned lookup(pos, loaded, done) takes compiled point indices and
-    request bitmasks and reads a cell of a state with every request from
-    k on done.  Each layer takes the same min over the same float sums as
-    the top-down recursion, so values match it bit for bit.
+    The table holds the cells of _cells only; the all-done row is zero.
+    The returned lookup(pos, loaded, done) takes the cache's point
+    indices and request bitmasks and reads a cell.  Each layer takes the
+    same min over the same float sums as the top-down recursion, so
+    values match it bit for bit.
     """
-    width = 2 * k + 1
-    take = np.array([row[:width] for row in comp.dist[:width]]).ravel().take
-    layers, offsets = _cells(k, min(comp.cap, k))
+    k = cache.m
+    take = np.array(cache.dist).ravel().take
+    layers, offsets = _cells(k, min(cache.cap, k))
     flat = np.empty(3 ** k * k)  # a fill writes every cell before any is read
     flat[flat.size - k:] = 0.0
     for cells, ranks in layers:
@@ -245,21 +220,20 @@ def _table_rest(comp: _Compiled, k: int):
             np.minimum(head, cost, out=head)
         flat[cells] = best
     item = flat.item
-    mask = (1 << k) - 1
 
     def lookup(pos: int, loaded: int, done: int) -> float:
-        return item(offsets[loaded & mask] + 2 * offsets[done & mask] + (pos - 1 >> 1))
+        return item(offsets[loaded] + 2 * offsets[done] + (pos - 1 >> 1))
 
     return lookup
 
 
-def _step(comp: _Compiled, lookup, row, loaded: int, done: int, order) -> float:
+def _step(cache: OptCache, lookup, row, loaded: int, done: int, order) -> float:
     """The release-free minimum from any root, row its distances to the points.
 
     Each move, the first of equal ones kept, reaches a cell, read through
     lookup; with nothing left, zero.
     """
-    room = loaded.bit_count() < comp.cap
+    room = loaded.bit_count() < cache.cap
     best = None
     for j in order:
         bit = 1 << j
@@ -278,10 +252,10 @@ def _step(comp: _Compiled, lookup, row, loaded: int, done: int, order) -> float:
     return 0.0 if best is None else best
 
 
-def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, order):
+def _reconstruct_free(cache: OptCache, lookup, row, loaded: int, done: int, order):
     """Event order achieving the release-free minimum from a point.
 
-    row holds the distances from that point to the compiled points, and
+    row holds the distances from that point to the cache's points, and
     lookup reads the DP table's cells (see _table_rest).  Among optimal
     orders the lexicographically smallest wins, requests ranked by their
     place in order, which lists every request not done.  Only the start,
@@ -291,10 +265,10 @@ def _reconstruct_free(comp: _Compiled, lookup, row, loaded: int, done: int, orde
     the first move within TIE_EPS of its target, or the last move when
     rounding leaves none within it.
     """
-    full = (1 << comp.m) - 1
-    cap, dist = comp.cap, comp.dist
+    full = (1 << cache.m) - 1
+    cap, dist = cache.cap, cache.dist
     seq = []
-    target = _step(comp, lookup, row, loaded, done, order)
+    target = _step(cache, lookup, row, loaded, done, order)
     while done != full:
         room = loaded.bit_count() < cap
         for j in order:
@@ -338,20 +312,19 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
     if not requests:
         return Schedule(start, ())
     cache = cache._planner(requests)
-    comp = cache.comp
     order = [cache.index[r.id] for r in sorted(requests, key=lambda r: r.id)]
-    done = ((1 << comp.m) - 1) ^ sum(1 << j for j in order)  # every other request
+    done = ((1 << cache.m) - 1) ^ sum(1 << j for j in order)  # every other request
     loaded = 0
     for rid in loaded_ids:
         j = cache.index.get(rid)
         if j is None or done >> j & 1:
             raise ValueError(f"request {rid} is on board but not planned")
         loaded |= 1 << j
-    if loaded.bit_count() > comp.cap:
+    if loaded.bit_count() > cache.cap:
         raise ValueError("more requests on board than the capacity allows")
-    row = space.table([start], comp.points)[0]
-    seq = _reconstruct_free(comp, cache._rest_over(comp.m), row, loaded, done, order)
-    return _build_schedule(comp, seq, space, start, row, start_time)
+    row = space.table([start], cache.points)[0]
+    seq = _reconstruct_free(cache, cache._rest_over(), row, loaded, done, order)
+    return _build_schedule(cache, seq, start, row, start_time)
 
 
 def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
@@ -420,8 +393,15 @@ class OptCache:
     The simulator asks for the optimal completion over the currently
     released requests many times; the released set only changes at
     release epochs, so results are memoized per prefix (requests are
-    stored sorted by release time).  Up to the search cap, prefixes and
-    shortest_schedule share one release-free DP table.
+    stored sorted by release time).
+
+    The cache is the compiled instance: points are indexed 0 (the
+    origin) then pickup/dropoff pairs in request order, the pickup of
+    the request at position j being point 1 + 2j and its dropoff 2 + 2j.
+    All pairwise distances are precomputed, unchecked, since the
+    Instance checked its points.  Its one release-free DP table covers
+    all of its requests; above the search cap, prefixes and plans read
+    the cache of _planner instead.
 
     A request is released by time t when its release time is at most t,
     compared exactly, with no tolerance: the rule by which the engine
@@ -432,31 +412,37 @@ class OptCache:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.comp = _Compiled(inst.space, list(inst.requests), inst.capacity)
-        self.index = {rid: j for j, rid in enumerate(self.comp.ids)}  # request id -> position
-        self._table: tuple | None = None  # (k, lookup) of the last DP table built
-        self._plan: tuple | None = None  # (ids, OptCache) of the last plan above the cap
+        reqs = inst.requests
+        self.m = len(reqs)
+        self.ids = [r.id for r in reqs]
+        self.index = {rid: j for j, rid in enumerate(self.ids)}  # request id -> position
+        pts: list[Point] = [inst.space.origin]
+        for r in reqs:
+            pts.append(r.a)
+            pts.append(r.b)
+        self.points = pts
+        self.dist = inst.space.table(pts, pts)
+        self.rel = [r.release for r in reqs]
+        self.cap = inst.effective_capacity
+        self._lookup = None  # of the DP table, built on first use
+        self._plan: tuple | None = None  # (ids, OptCache) of the last _planner cache above the cap
         self._solved: dict[int, tuple[tuple, float]] = {}  # prefix -> (event order, value)
 
-    def _rest_over(self, k: int):
-        """The release-free DP's lookup for states marking every request from position k on done.
-
-        Up to the search cap one table over all requests serves every k.
-        Above it a table over all requests would not fit in memory, so a
-        table covers the first k requests, and only the last one is kept.
-        """
-        if self.comp.m <= DEFAULT_SEARCH_CAP:
-            k = self.comp.m
-        if self._table is None or self._table[0] != k:
-            self._table = (k, _table_rest(self.comp, k))
-        return self._table[1]
+    def _rest_over(self):
+        """The release-free DP's lookup over all of this cache's requests, built on first use."""
+        if self._lookup is None:
+            self._lookup = _table_rest(self)
+        return self._lookup
 
     def _planner(self, requests) -> OptCache:
-        """The cache a plan over these requests reads: this one, or above the cap one over just them.
+        """The cache a solve or plan over these requests reads: this one, or above the cap one over just them.
 
-        The last is kept, keyed by their ids, so plans from both ends of an edge build one table.
+        The only rule for what a table covers above the cap.  The last
+        cache is kept, keyed by the requests' ids, so plans from both
+        ends of an edge build one table.  Its positions keep the order of
+        this cache's, so a prefix's are the same in both.
         """
-        if self.comp.m <= DEFAULT_SEARCH_CAP:
+        if self.m <= DEFAULT_SEARCH_CAP:
             return self
         ids = frozenset(r.id for r in requests)
         if self._plan is None or self._plan[0] != ids:
@@ -466,7 +452,7 @@ class OptCache:
 
     def prefix_for(self, t: float) -> int:
         """The number of requests released by t: those whose release time is at most t, exactly."""
-        return bisect_right(self.comp.rel, t)
+        return bisect_right(self.rel, t)
 
     def solve_prefix(self, k: int) -> tuple[tuple, float]:
         """The optimal event order over the first k requests and its completion time.
@@ -485,8 +471,7 @@ class OptCache:
 
     def _greedy(self, k: int):
         """Always execute the earliest feasible event next; seed incumbent."""
-        comp = self.comp
-        dist, rel, cap = comp.dist, comp.rel, comp.cap
+        dist, rel, cap = self.dist, self.rel, self.cap
         pos, t = 0, 0.0
         loaded = done = 0
         full = (1 << k) - 1
@@ -521,17 +506,19 @@ class OptCache:
         return seq, t
 
     def _solve(self, k: int) -> tuple[tuple, float]:
-        comp = self.comp
         if k > DEFAULT_SEARCH_CAP:
             raise SearchCapExceeded(f"{k} released requests exceed the search cap {DEFAULT_SEARCH_CAP}")
         if k == 0:
             return (), 0.0
-        dist, cap = comp.dist, comp.cap
+        planner = self._planner(self.inst.requests[:k])
+        if planner is not self:  # its positions are this cache's first k
+            return planner._solve(k)
+        dist, cap = self.dist, self.cap
         full = (1 << k) - 1
-        hidden = ((1 << comp.m) - 1) ^ full  # out-of-prefix requests count as done
-        lookup = self._rest_over(k)
+        hidden = ((1 << self.m) - 1) ^ full  # out-of-prefix requests count as done
+        lookup = self._rest_over()
         # (j, bit, pickup, dropoff, release, ride) per request of the prefix
-        reqs = [(j, 1 << j, 1 + 2 * j, 2 + 2 * j, comp.rel[j], dist[1 + 2 * j][2 + 2 * j])
+        reqs = [(j, 1 << j, 1 + 2 * j, 2 + 2 * j, self.rel[j], dist[1 + 2 * j][2 + 2 * j])
                 for j in range(k)]
         seen: dict = {}  # (pos, loaded, done) packed in an int -> earliest entry time
 
@@ -578,7 +565,7 @@ class OptCache:
             # the rest: the search stops here and the table's tail follows
             if pending_rel <= t:
                 if not pos:
-                    free = t + _step(comp, lookup, row, loaded, done | hidden, range(k))
+                    free = t + _step(self, lookup, row, loaded, done | hidden, range(k))
                 if free < best[0]:
                     best[0], best[1], best[2] = free, list(seq), (pos, loaded, done)
                 return
@@ -602,11 +589,10 @@ class OptCache:
         seq = best[1]
         if best[2] is not None:
             pos, loaded, done = best[2]
-            seq = seq + _reconstruct_free(comp, lookup, dist[pos], loaded, done | hidden, range(k))
+            seq = seq + _reconstruct_free(self, lookup, dist[pos], loaded, done | hidden, range(k))
         # the value is the forward sum over the order, which can differ from
         # best[0] in the last bits when the order ends on the table's tail
-        space = self.inst.space
-        return tuple(seq), _walk(comp, seq, space, space.origin, dist[0])
+        return tuple(seq), _walk(self, seq, self.points[0], dist[0])
 
 
 def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[Schedule, float]:
@@ -619,4 +605,4 @@ def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[S
     if cache is None:
         cache = OptCache(inst)
     seq, value = cache.solve_prefix(cache.prefix_for(t))
-    return _build_schedule(cache.comp, seq, inst.space, inst.space.origin, cache.comp.dist[0]), value
+    return _build_schedule(cache, seq, cache.points[0], cache.dist[0]), value

@@ -272,6 +272,15 @@ def test_fuzz_bad_config_key(capsys, tmp_path):
     assert "bad fuzz config" in err
 
 
+def test_fuzz_config_has_no_generator_knobs(capsys, tmp_path):
+    # the coordinate span, release horizon and same-point chance are constants
+    cfgfile = tmp_path / "fuzz.json"
+    cfgfile.write_text(json.dumps({"span": 5.0}))
+    code, _, err = run(capsys, "fuzz", "--algo", "ignore", "--count", "1", "--config", str(cfgfile))
+    assert code == 1
+    assert "bad fuzz config" in err and "span" in err
+
+
 def test_fuzz_lazy_needs_alpha(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["fuzz", "--algo", "lazy", "--count", "5"])

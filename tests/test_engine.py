@@ -6,6 +6,7 @@ import pytest
 
 from openride import engine
 from openride.engine import (
+    EdgePos,
     EngineError,
     IgnorePolicy,
     LazyPolicy,
@@ -25,6 +26,7 @@ from openride.model import (
     Unload,
     Wait,
     make_instance,
+    trace_to_dict,
 )
 from openride.offline import DEFAULT_SEARCH_CAP, OptCache, opt_upto
 
@@ -163,7 +165,8 @@ def test_replan_mid_edge_backtracks():
     first, second = trace.schedules
     assert first.interrupted
     assert second.start_time == pytest.approx(3.0)
-    assert second.start_pos == {"edge": [0, 1], "offset": 3.0}
+    assert second.start_pos == EdgePos(0, 1, 3.0)
+    assert trace_to_dict(trace)["schedules"][1]["p"] == {"edge": [0, 1], "offset": 3.0}
     assert second.length == pytest.approx(14.0)
 
 

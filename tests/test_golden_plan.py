@@ -23,14 +23,20 @@ behaviour change.  To re-record after an intended change, run
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
+
+import pytest
 
 from openride.engine import simulate
 from openride.experiments import make_policy
 from openride.metric import half_line, line, matrix_space
-from openride.model import canonical_json, make_instance, schedule_length, schedule_to_obj, trace_to_dict
+from openride.model import (EdgePos, Instance, canonical_json, make_instance, schedule_length,
+                            schedule_to_obj, trace_to_dict)
 from openride.offline import DEFAULT_SEARCH_CAP, OptCache, shortest_schedule
+
+from oracles import NAIVE_CAP, opt_upto_naive
 
 GOLDEN = Path(__file__).with_name("golden")
 PLAN_FILE = GOLDEN / "plan.jsonl"
@@ -124,6 +130,23 @@ def test_plans_above_the_cap_match_golden():
         assert g == w, f"line {i + 1} of {PLAN_FILE.name} differs"
 
 
+def test_prefix_solves_above_the_cap_equal_a_cache_over_the_prefix():
+    # a line, a half-line and a matrix instance of the corpus, capacity 1 so
+    # the brute force stays fast: every prefix solve within the cap gives the
+    # bits of a fresh cache over just the prefix's requests, and the
+    # brute-force optimum where that reaches
+    for index in (0, 12, 6):
+        inst, _ = make_case(index)
+        cache = OptCache(inst)
+        for k in range(DEFAULT_SEARCH_CAP + 1):
+            prefix = Instance(inst.space, inst.capacity, inst.requests[:k])
+            seq, value = cache.solve_prefix(k)
+            want_seq, want = OptCache(prefix).solve_prefix(k)
+            assert (seq, value.hex()) == (want_seq, want.hex()), (index, k)
+            if k <= NAIVE_CAP:
+                assert value == pytest.approx(opt_upto_naive(prefix, math.inf), abs=1e-9), (index, k)
+
+
 def test_matrix_replan_runs_plan_from_inside_an_edge():
     # the corpus reaches the mid-edge path, which plans from both ends of an edge
     mid_edge = 0
@@ -131,7 +154,7 @@ def test_matrix_replan_runs_plan_from_inside_an_edge():
         inst, _ = make_case(index)
         if inst.space.kind == "matrix":
             trace = simulate(inst, make_policy("replan", None))
-            mid_edge += sum(isinstance(rec.start_pos, dict) for rec in trace.schedules)
+            mid_edge += sum(isinstance(rec.start_pos, EdgePos) for rec in trace.schedules)
     assert mid_edge >= 5
 
 

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from openride.metric import half_line, line, matrix_space
@@ -66,6 +67,13 @@ def test_non_finite_release_and_point_rejected():
         with pytest.raises(SemanticError) as ei:
             make_instance(line(), 1, [(0.0, 1.0, t)])
         assert ei.value.where == "requests[0].t"
+    # a directly built instance checks its releases by the same rule
+    for t in (10 ** 400, "x", None, True):
+        with pytest.raises(SemanticError) as ei:
+            Instance(line(), 1, (Request(0, 0.0, 1.0, t),))
+        assert ei.value.where == "requests[0].t"
+    for t in (np.float32(1.5), np.int64(2)):  # NumPy scalars are real numbers
+        assert Instance(line(), 1, (Request(0, 0.0, 1.0, t),)).requests[0].release == t
     with pytest.raises(SemanticError) as ei:
         make_instance(line(), 1, [(0.0, float("-inf"), 0.0)])
     assert ei.value.where == "requests[0].b"

@@ -337,9 +337,9 @@ def test_shortest_schedule_shares_the_instance_cache():
 # the release-free DP table
 
 
-def recursive_rest(comp, memo):
+def recursive_rest(cache, memo):
     """Top-down, dict-memoised release-free DP: the oracle for the table."""
-    dist, cap, m = comp.dist, comp.cap, comp.m
+    dist, cap, m = cache.dist, cache.cap, cache.m
     full = (1 << m) - 1
 
     def rest(pos, loaded, done):
@@ -383,11 +383,11 @@ def random_instance(rng, space, m, capacity):
                                            for _ in range(m)])
 
 
-def table_value(comp, lookup, pos, loaded, done):
+def table_value(cache, lookup, pos, loaded, done):
     """The table's value at any root: its entry at a cell, the explicit step off the cells."""
     if pos and (loaded if pos & 1 else done) >> (pos - 1 >> 1) & 1:
         return lookup(pos, loaded, done)
-    return _step(comp, lookup, comp.dist[pos], loaded, done, range(comp.m))
+    return _step(cache, lookup, cache.dist[pos], loaded, done, range(cache.m))
 
 
 def test_dp_table_equals_the_recursion():
@@ -400,20 +400,20 @@ def test_dp_table_equals_the_recursion():
             for capacity in (1, 2, None):
                 inst = random_instance(rng, space, m, capacity)
                 cache = OptCache(inst)
-                comp = cache.comp
                 memo = {}
-                oracle = recursive_rest(comp, memo)
+                oracle = recursive_rest(cache, memo)
                 full = (1 << m) - 1
                 # scopes: every request, a prefix, and a scattered subset; a
-                # scattered one is read through a cache over just its requests,
-                # whose positions keep the scope's order
+                # prefix reads the table over every request with the rest
+                # done, a scattered one a cache over just its requests, whose
+                # positions keep the scope's order
                 scopes = {tuple(range(m)), tuple(range(m // 2)), tuple(range(0, m, 2))}
                 for scope in scopes:
                     if scope == tuple(range(len(scope))):
-                        own, lookup = comp, _table_rest(comp, len(scope))
+                        own, lookup = cache, _table_rest(cache)
                     else:
                         sub = OptCache(Instance(space, capacity, tuple(inst.requests[j] for j in scope)))
-                        own, lookup = sub.comp, sub._rest_over(len(scope))
+                        own, lookup = sub, sub._rest_over()
                         local = {j: i for i, j in enumerate(scope)}
                     hidden = full ^ sum(1 << j for j in scope)
                     memo.clear()
@@ -426,13 +426,13 @@ def test_dp_table_equals_the_recursion():
                                 if capacity is None or loaded.bit_count() <= capacity:
                                     oracle(pos, loaded, done)
                     for (pos, loaded, done), want in memo.items():
-                        if own is not comp:  # to the positions of the cache over the scope
+                        if own is not cache:  # to the positions of the cache over the scope
                             pos = pos and 2 * local[pos - 1 >> 1] + 2 - (pos & 1)
                             loaded, done = (sum(1 << i for j, i in local.items() if bits >> j & 1)
                                             for bits in (loaded, done))
                         assert table_value(own, lookup, pos, loaded, done) == want
                         checked += 1
-                assert _step(comp, cache._rest_over(m), comp.dist[0], 0, 0, range(m)) == oracle(0, 0, 0)
+                assert _step(cache, cache._rest_over(), cache.dist[0], 0, 0, range(m)) == oracle(0, 0, 0)
     assert checked > 20_000
 
 
@@ -442,28 +442,30 @@ def test_dp_table_above_the_cap_covers_only_the_scope(monkeypatch):
     inst = make_instance(line(), 2, [(rng.uniform(-4, 4), rng.uniform(-4, 4), 0.0)
                                      for _ in range(14)])
     cache = OptCache(inst)
-    oracle = recursive_rest(cache.comp, {})
+    oracle = recursive_rest(cache, {})
     full = (1 << 14) - 1
-    # the branch and bound's table covers its prefix, and only the last is kept
-    lookup = cache._rest_over(5)
-    assert _step(cache.comp, lookup, cache.comp.dist[0], 0, 0, range(5)) == oracle(0, 0, full ^ 31)
-    assert cache._rest_over(5) is lookup
-    cache._rest_over(3)
-    assert cache._rest_over(5) is not lookup
+    # the branch and bound reads a cache over its prefix, and only the last is kept
+    sub = cache._planner(inst.requests[:5])
+    lookup = sub._rest_over()
+    assert _step(sub, lookup, sub.dist[0], 0, 0, range(5)) == oracle(0, 0, full ^ 31)
+    assert cache._planner(inst.requests[:5])._rest_over() is lookup
+    cache._planner(inst.requests[:3])
+    assert cache._planner(inst.requests[:5])._rest_over() is not lookup
     # a plan over a scattered set reads a cache over just its requests
     scope = (1, 4, 5, 9, 13)
     reqs = [inst.requests[j] for j in scope]
     sub = cache._planner(reqs)
     hidden = full ^ sum(1 << j for j in scope)
-    assert _step(sub.comp, sub._rest_over(5), sub.comp.dist[0], 0, 0, range(5)) == oracle(0, 0, hidden)
-    # plans from both ends of an edge build one table; another set replaces it
+    assert _step(sub, sub._rest_over(), sub.dist[0], 0, 0, range(5)) == oracle(0, 0, hidden)
+    # plans from both ends of an edge build one table; a prefix solve, which
+    # reads the same single slot, replaces it
     built = []
-    monkeypatch.setattr(offline, "_table_rest", lambda comp, k: built.append(k) or _table_rest(comp, k))
+    monkeypatch.setattr(offline, "_table_rest", lambda cache: built.append(cache.m) or _table_rest(cache))
     cache = OptCache(inst)
     for start in (0.5, -1.0):
         shortest_schedule(reqs, start, cache)
     assert built == [5]
-    shortest_schedule(reqs[:3], 0.5, cache)
+    cache.solve_prefix(3)
     shortest_schedule(reqs, 0.5, cache)
     assert built == [5, 3, 5]
 
@@ -481,24 +483,24 @@ def moves(cap, loaded, done, order):
             yield j, (1 + 2 * j, loaded | bit, done)
 
 
-def reconstruct_two_pass(comp, lookup, row, loaded, done, order):
+def reconstruct_two_pass(cache, lookup, row, loaded, done, order):
     """_reconstruct_free as a two-pass scan per step: the oracle for its one pass.
 
     Each step lists every move's cost, takes their min, then picks the
     first move within TIE_EPS of it.  Also returns how many steps had
     more than one move within TIE_EPS, so a test can show it met ties.
     """
-    full = (1 << comp.m) - 1
+    full = (1 << cache.m) - 1
     seq, tied = [], 0
     while done != full:
         steps = [(row[s[0]] + lookup(*s), j, s)
-                 for j, s in moves(comp.cap, loaded, done, order)]
+                 for j, s in moves(cache.cap, loaded, done, order)]
         target = min(step[0] for step in steps)
         near = [step for step in steps if step[0] <= target + TIE_EPS]
         tied += len(near) > 1
         _, j, (pos, loaded, done) = near[0]
         seq.append((j, pos == 2 + 2 * j))
-        row = comp.dist[pos]
+        row = cache.dist[pos]
     return seq, tied
 
 
@@ -508,8 +510,8 @@ def test_reconstruction_takes_the_last_move_when_none_is_within_its_target():
     # with capacity 1 the requests after a loaded one cannot move, and the
     # unload chosen is still the loaded request's
     inst = make_instance(line(), 1, [(1.0, 2.0, 0.0), (3.0, 4.0, 0.0), (5.0, 6.0, 0.0)])
-    comp = OptCache(inst).comp
-    seq = offline._reconstruct_free(comp, lambda pos, loaded, done: 0.0, comp.dist[0], 0, 0, range(3))
+    cache = OptCache(inst)
+    seq = offline._reconstruct_free(cache, lambda pos, loaded, done: 0.0, cache.dist[0], 0, 0, range(3))
     assert seq == [(0, False), (0, True), (2, False), (2, True), (1, False), (1, True)]
 
 
@@ -536,14 +538,12 @@ def test_single_pass_reconstruction_matches_the_two_pass_oracle():
                 replace(r, a=r.a + rng.choice((0.0, 1e-13, 3e-13)),
                         b=r.b + rng.choice((0.0, 1e-13, 3e-13))) for r in inst.requests))
         cache = OptCache(inst)
-        comp = cache.comp
         for _ in range(3):
             subset = rng.sample(range(m), rng.randint(1, min(m, 8)))
             # this cache within the cap; above it, one over just the subset
-            plan = cache._planner([inst.requests[j] for j in subset])
-            own = plan.comp
-            lookup = plan._rest_over(own.m)
-            subset = [plan.index[comp.ids[j]] for j in subset]
+            own = cache._planner([inst.requests[j] for j in subset])
+            lookup = own._rest_over()
+            subset = [own.index[cache.ids[j]] for j in subset]
             done = ((1 << own.m) - 1) & ~sum(1 << j for j in subset)
             for order in (sorted(subset), sorted(subset, key=lambda j: own.ids[j])):
                 on_board = rng.sample(subset, rng.randint(0, min(len(subset), own.cap, 2)))
@@ -552,7 +552,7 @@ def test_single_pass_reconstruction_matches_the_two_pass_oracle():
                 # kinds, at a point of the instance, and at the pickup of a
                 # request on board, which is a cell
                 starts = [p for p in (rng.uniform(0.0, 3.5), 1.25) if space.kind != "matrix"]
-                starts.append(comp.points[rng.randrange(2 * m + 1)])
+                starts.append(cache.points[rng.randrange(2 * m + 1)])
                 rows = [[space.raw_distance(p, q) for q in own.points] for p in starts]
                 if on_board:
                     rows.append(own.dist[1 + 2 * on_board[0]])
@@ -738,13 +738,13 @@ def test_dp_cells_equal_the_recursion_at_eight_requests():
     for capacity in (1, 2, None):
         inst = make_instance(line(), capacity, [(rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0)
                                                 for _ in range(8)])
-        comp = OptCache(inst).comp
+        cache = OptCache(inst)
         memo = {}
-        oracle = recursive_rest(comp, memo)
-        lookup = _table_rest(comp, 8)
+        oracle = recursive_rest(cache, memo)
+        lookup = _table_rest(cache)
 
         def step(pos, loaded, done):
-            return _step(comp, lookup, comp.dist[pos], loaded, done, range(8))
+            return _step(cache, lookup, cache.dist[pos], loaded, done, range(8))
 
         assert step(0, 0, 0) == oracle(0, 0, 0)
         cells = [(state, want) for state, want in memo.items() if state[0]]
@@ -783,9 +783,9 @@ inst = make_instance(line(), None, [(rng.uniform(-10, 10), rng.uniform(-10, 10),
 offline._cells(10, 10)
 tracemalloc.start()
 cache = offline.OptCache(inst)
-lookup = cache._rest_over(10)
+lookup = cache._rest_over()
 peak = tracemalloc.get_traced_memory()[1]
-print(peak, repr(offline._step(cache.comp, lookup, cache.comp.dist[0], 0, 0, range(10))))
+print(peak, repr(offline._step(cache, lookup, cache.dist[0], 0, 0, range(10))))
 """, timeout=60)
     assert int(out[0]) < 8 << 20, int(out[0]) / (1 << 20)
     assert out[1] == "34.48616431365099"
@@ -896,8 +896,8 @@ def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
             nan_tables.append(out.size)
         return out
 
-    def checked(comp, k):
-        lookup = _table_rest(comp, k)
+    def checked(cache):
+        lookup = _table_rest(cache)
 
         def read_lookup(pos, loaded, done):
             value = lookup(pos, loaded, done)
