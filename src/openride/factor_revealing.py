@@ -35,6 +35,7 @@ scenarios the waiting rule would interrupt).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,18 +89,13 @@ class MilpInstance:
     rows: tuple[FrRow, ...]
 
     def __post_init__(self):
-        if self.big_m <= 0:
-            raise ValueError("big_m must be positive")
+        if not (math.isfinite(self.big_m) and self.big_m > 0):
+            raise ValueError("big_m must be positive and finite")
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """(objective, coeffs, rhs, m_const, m_coef) as arrays, built once.
-
-        Every branch program shares them, so they are read-only.
-        """
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rhs, m_const, m_coef) as read-only arrays, built once."""
         arrays = (
-            np.array(self.objective),
-            np.array([r.coeffs for r in self.rows]),
             np.array([r.rhs for r in self.rows]),
             np.array([r.m_const for r in self.rows]),
             np.array([r.m_coef for r in self.rows]),
@@ -107,6 +103,17 @@ class MilpInstance:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _base(self) -> LinearProgram:
+        """The program with no row relaxed; each branch swaps in its b_ub.
+
+        Built once per model, so all 16 branch programs share its arrays
+        and its standard form.
+        """
+        n = len(VARIABLES)
+        return LinearProgram(objective=self.objective, a_ub=[r.coeffs for r in self.rows],
+                             b_ub=self._arrays[0], lb=np.zeros(n), ub=np.full(n, BOX_BOUND))
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,7 @@ def build_fr_milp(alpha: float, big_m: float = DEFAULT_BIG_M) -> MilpInstance:
 
 def _m_mult(milp: MilpInstance, binaries) -> np.ndarray:
     """Per row, m_const + m_coef @ binaries: how many big-Ms relax it."""
-    *_, m_const, m_coef = milp._arrays
+    _, m_const, m_coef = milp._arrays
     return m_const + m_coef @ np.asarray(binaries, dtype=float)
 
 
@@ -198,15 +205,8 @@ def substitute(milp: MilpInstance, binaries) -> LinearProgram:
     b = tuple(int(v) for v in binaries)
     if len(b) != 4 or any(v not in (0, 1) for v in b):
         raise ValueError("binaries must be four 0/1 values")
-    objective, a_ub, rhs, _, _ = milp._arrays
-    n = len(VARIABLES)
-    return LinearProgram(
-        objective=objective,
-        a_ub=a_ub,
-        b_ub=rhs + milp.big_m * _m_mult(milp, b),
-        lb=np.zeros(n),
-        ub=np.full(n, BOX_BOUND),
-    )
+    rhs = milp._arrays[0]
+    return milp._base.with_rhs(rhs + milp.big_m * _m_mult(milp, b))
 
 
 def fr_closed_form(alpha: float) -> float:
@@ -216,12 +216,10 @@ def fr_closed_form(alpha: float) -> float:
     return max(3.0 + 1.0 / alpha - alpha, 1.0 + alpha)
 
 
-def _check_branch(milp: MilpInstance, binaries, sol: LpSolution) -> None:
+def _check_branch(milp: MilpInstance, binaries, lp: LinearProgram, sol: LpSolution) -> None:
     """Big-M and box sanity: relaxed rows and box bounds must stay slack."""
-    _, a_ub, rhs, _, _ = milp._arrays
-    m_mult = _m_mult(milp, binaries)
-    relaxed = np.flatnonzero(m_mult > 0.5)  # rows disabled in this branch
-    tight = relaxed[a_ub[relaxed] @ sol.x > rhs[relaxed] + milp.big_m * m_mult[relaxed] - 1.0]
+    relaxed = _m_mult(milp, binaries) > 0.5  # rows disabled in this branch
+    tight = np.flatnonzero(relaxed & (lp.a_ub @ sol.x > lp.b_ub - 1.0))
     if tight.size:
         raise FactorRevealingError(
             f"big-M too small: relaxed row {milp.rows[tight[0]].name} nearly tight at {binaries}")
@@ -241,8 +239,11 @@ def _lex_cmp(a, b, tol: float) -> int:
 def solve_fr(alpha: float, big_m: float = DEFAULT_BIG_M) -> FrSolution:
     """Maximize over all 16 binary branches.
 
-    Branch LPs are solved independently; the reported optimum is the
-    best branch.  Among branches tying on the objective the one whose
+    The branch LPs differ only in b_ub, so they share one program's
+    arrays and standard form (``LinearProgram.with_rhs``), but each is
+    still solved from its own fresh tableau: no basis or pivot carries
+    over from one branch to the next.  The reported optimum is the best
+    branch.  Among branches tying on the objective the one whose
     solution vector is lexicographically largest wins (the extreme
     witness, with the latest start times first), and an exact solution
     tie goes to the largest binary assignment read as a 4-bit integer
@@ -253,11 +254,12 @@ def solve_fr(alpha: float, big_m: float = DEFAULT_BIG_M) -> FrSolution:
     best = None  # (value, x, code)
     for code in range(16):
         b = ((code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1)
-        sol = solve_lp(substitute(milp, b))
+        lp = substitute(milp, b)
+        sol = solve_lp(lp)
         if sol.status != "optimal":
             branches.append(FrBranchResult(b, sol.status, None, None, ()))
             continue
-        _check_branch(milp, b, sol)
+        _check_branch(milp, b, lp, sol)
         x = tuple(sol.x.tolist())
         branches.append(FrBranchResult(b, "optimal", sol.value, x, sol.active_rows))
         if best is None or sol.value > best[0] + _VALUE_TIE:

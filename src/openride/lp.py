@@ -13,22 +13,46 @@ these programs produce.  Everything is dense numpy; the intended scale
 is tens of variables and rows, far below where sparsity or revised
 factorizations would pay off.
 
+A program holds read-only copies of its data.  The parts of the
+standard form that do not depend on b_ub are built once per program
+and shared by every program made from it with ``with_rhs``: the
+``[A | bound rows | I]`` block, the shift ``a_ub @ lb`` and the bound
+rows' right-hand side ``ub - lb``.  Per right-hand side, ``solve_lp`` only
+negates the rows whose shifted b_ub is negative, adds their artificial
+columns and writes the last column, so each solve still starts from
+its own fresh tableau.
+
 Each pivot is one rank-1 array update of the whole tableau.  Every
 entry still gets one multiply and one subtract, as it would in a loop
 over rows, so the values are the same bit for bit (up to the sign of
-an exact zero, which no comparison sees).  The entering column and the
-ratio test's candidate rows are found by array masks; the ratio test's
-tolerance and tie-break still run in row order over the candidates.
+an exact zero, which no comparison sees).  The entering column is found
+by an array mask; the ratio test runs in row order over the pivot
+column and the right-hand side as Python floats, whose division gives
+the same bits as numpy's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 LP_TOL = 1e-9
 _MAX_PIVOTS = 20000
+
+
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _check_rhs(b_ub: np.ndarray, rows: int) -> None:
+    if b_ub.shape != (rows,):
+        raise ValueError("b_ub length must match the number of rows")
+    if not np.isfinite(b_ub).all():
+        raise ValueError("b_ub entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -42,25 +66,55 @@ class LinearProgram:
     ub: np.ndarray  # np.inf entries allowed
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "a_ub", np.asarray(self.a_ub, dtype=float))
-        object.__setattr__(self, "b_ub", np.asarray(self.b_ub, dtype=float))
-        object.__setattr__(self, "lb", np.asarray(self.lb, dtype=float))
-        object.__setattr__(self, "ub", np.asarray(self.ub, dtype=float))
+        for name in ("objective", "a_ub", "b_ub", "lb", "ub"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         n = self.objective.shape[0]
         if self.a_ub.ndim != 2 or self.a_ub.shape[1] != n:
             raise ValueError("a_ub must have one column per variable")
-        if self.b_ub.shape[0] != self.a_ub.shape[0]:
-            raise ValueError("b_ub length must match the number of rows")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise ValueError("bounds must cover every variable")
-        for name in ("objective", "a_ub", "b_ub", "lb"):
+        for name in ("objective", "a_ub", "lb"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite")
+        _check_rhs(self.b_ub, self.a_ub.shape[0])
         if np.isnan(self.ub).any():
             raise ValueError("ub entries must be numbers or +inf")
         if (self.ub < self.lb).any():
             raise ValueError("upper bounds must dominate lower bounds")
+
+    @cached_property
+    def _form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a_lb, bound_rhs, block), the standard form's b-independent parts.
+
+        Shifting x to y = x - lb takes a_lb = a_ub @ lb off b_ub, and
+        each finite upper bound becomes a row y_j <= bound_rhs.  block is
+        the tableau's ``[A | bound rows | I]`` over the structural and
+        slack columns, one row per constraint.
+        """
+        n = self.objective.shape[0]
+        bounded = np.isfinite(self.ub).nonzero()[0]
+        k = self.a_ub.shape[0]
+        m = k + bounded.shape[0]
+        block = np.zeros((m, n + m))
+        block[:k, :n] = self.a_ub
+        block[np.arange(k, m), bounded] = 1.0
+        block[:, n:] = np.eye(m)
+        form = (self.a_ub @ self.lb, self.ub[bounded] - self.lb[bounded], block)
+        for a in form:
+            a.flags.writeable = False
+        return form
+
+    def with_rhs(self, b_ub) -> LinearProgram:
+        """This program with b_ub replaced; only the new b_ub is checked.
+
+        The result shares this program's read-only arrays and its
+        standard form, and owns a read-only copy of b_ub.
+        """
+        b_ub = _frozen(b_ub)
+        _check_rhs(b_ub, self.a_ub.shape[0])
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, b_ub=b_ub, _form=self._form)
+        return lp
 
 
 @dataclass(frozen=True)
@@ -73,10 +127,11 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    r = T[row]
+    r /= r[col]
     f = T[:, col].copy()
     f[row] = 0.0
-    T -= f[:, None] * T[row]
+    T -= f[:, None] * r
     basis[row] = col
 
 
@@ -104,14 +159,15 @@ def _run_simplex(T: np.ndarray, basis: list[int], enter_limit: int, tol: float):
         col = int(improving.argmax())  # Bland: smallest improving index
         if not improving[col]:
             return "optimal", pivots
-        cand = (T[:m, col] > tol).nonzero()[0]
-        ratios = (T[cand, -1] / T[cand, col]).tolist()
+        rhs = T[:m, -1].tolist()
         best, row = np.inf, -1
-        for i, ratio in zip(cand.tolist(), ratios):
-            if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
-                if ratio < best:
-                    best = ratio
-                row = i
+        for i, a in enumerate(T[:m, col].tolist()):
+            if a > tol:
+                ratio = rhs[i] / a
+                if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
+                    if ratio < best:
+                        best = ratio
+                    row = i
         if row < 0:
             return "unbounded", pivots
         _pivot(T, basis, row, col)
@@ -125,28 +181,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if n == 0:
         return LpSolution("optimal", np.zeros(0), 0.0, (), 0)
 
-    # shift to y = x - lb >= 0; finite upper bounds become rows
-    bounded = np.isfinite(lp.ub).nonzero()[0]
-    k = lp.a_ub.shape[0]
-    m = k + bounded.shape[0]
-    b = np.concatenate([lp.b_ub - lp.a_ub @ lp.lb, lp.ub[bounded] - lp.lb[bounded]])
-
-    # equalities A y + s = b with slacks; negate rows to make b nonnegative,
-    # and give each negated row an artificial column as its basic variable
-    neg = b < 0
-    art_rows = neg.nonzero()[0]
-    n_art = art_rows.shape[0]
+    # y = x - lb >= 0 with finite upper bounds as rows: A y + s = b with
+    # slacks; negate rows to make b nonnegative, and give each negated
+    # row an artificial column as its basic variable
+    a_lb, bound_rhs, block = lp._form
+    m = block.shape[0]
+    b = np.concatenate([lp.b_ub - a_lb, bound_rhs])
+    art_rows = (b < 0).nonzero()[0].tolist()
+    n_art = len(art_rows)
     ncols = n + m + n_art
+    sign = np.ones(m)
+    sign[art_rows] = -1.0
     T = np.zeros((m + 1, ncols + 1))
-    T[:k, :n] = lp.a_ub
-    T[np.arange(k, m), bounded] = 1.0
-    T[:m, n : n + m] = np.eye(m)
-    T[art_rows, : n + m] *= -1.0
-    T[art_rows, n + m + np.arange(n_art)] = 1.0
-    T[:m, -1] = np.where(neg, -b, b)
-    basis = np.arange(n, n + m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    basis = basis.tolist()
+    np.multiply(block, sign[:, None], out=T[:m, : n + m])
+    np.multiply(b, sign, out=T[:m, -1])
+    basis = list(range(n, n + m))
+    for j, i in enumerate(art_rows):
+        T[i, n + m + j] = 1.0
+        basis[i] = n + m + j
     pivots = 0
     if n_art:
         # phase one: maximize minus the sum of artificials

@@ -1,6 +1,7 @@
 """Branch-and-check solver for the waiting-policy worst-case model."""
 
 import math
+import warnings
 
 import pytest
 
@@ -49,6 +50,14 @@ def test_model_rejects_bad_big_m():
         build_fr_milp(1.2, big_m=0.0)
     with pytest.raises(ValueError):
         build_fr_milp(1.2, big_m=-10.0)
+    # a non-finite big_m is named up front, before any numpy arithmetic warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="big_m"):
+                build_fr_milp(1.2, big_m=bad)
+            with pytest.raises(ValueError, match="big_m"):
+                solve_fr(1.2, big_m=bad)
 
 
 def test_substitute_binaries_validation():

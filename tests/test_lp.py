@@ -235,3 +235,69 @@ def test_array_pivots_equal_the_row_loops(monkeypatch):
     want = [_exact(solve_lp(p)) for p in programs]
     assert got == want
     assert {g[0] for g in got} == {"optimal", "infeasible", "unbounded"}
+
+
+# ---------------------------------------------------------------------------
+# programs sharing one standard form through with_rhs
+
+
+def _random_base(rng, case):
+    """A seeded program with a nonzero lb, infinite ub entries and sometimes no rows."""
+    n = int(rng.integers(1, 6))
+    m = 0 if case % 7 == 0 else int(rng.integers(1, 8))
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    if case % 3 == 0:
+        a = rng.normal(size=(m, n))
+    c = rng.integers(-3, 4, size=n).astype(float)
+    lb = np.where(rng.random(n) < 0.4, rng.integers(-3, 2, size=n), 0).astype(float)
+    ub = np.where(rng.random(n) < 0.5, lb + rng.integers(0, 4, size=n), np.inf)
+    return c, a, lb, ub
+
+
+def test_with_rhs_equals_a_fresh_program_bit_for_bit():
+    rng = np.random.default_rng(19)
+    got, want = [], []
+    seen = {"lb": False, "inf_ub": False, "no_rows": False}
+    for case in range(300):
+        c, a, lb, ub = _random_base(rng, case)
+        m = a.shape[0]
+        seen["lb"] |= bool((lb != 0).any())
+        seen["inf_ub"] |= bool(np.isinf(ub).any())
+        seen["no_rows"] |= m == 0
+        base = LinearProgram(c, a, rng.integers(-2, 3, size=m).astype(float), lb, ub)
+        for _ in range(3):
+            b = rng.integers(-3, 4, size=m).astype(float) + (rng.normal(size=m) if case % 2 else 0.0)
+            shared = base.with_rhs(b)
+            assert shared._form is base._form
+            got.append(_exact(solve_lp(shared)))
+            want.append(_exact(solve_lp(LinearProgram(c, a, b, lb, ub))))
+    assert got == want
+    assert all(seen.values())
+    assert {g[0] for g in got} == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize("b_ub", [
+    [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0],
+])
+def test_with_rhs_checks_its_b_ub(b_ub):
+    base = _lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="b_ub"):
+        base.with_rhs(np.asarray(b_ub, dtype=float))
+
+
+def test_programs_keep_their_own_read_only_data():
+    data = {"objective": np.array([1.0, 1.0]), "a_ub": np.array([[1.0, 2.0], [3.0, 1.0]]),
+            "b_ub": np.array([4.0, 6.0]), "lb": np.zeros(2), "ub": np.array([np.inf, 1.5])}
+    lp = LinearProgram(**data)
+    b = np.array([2.0, 3.0])
+    shared = lp.with_rhs(b)
+    want = _exact(solve_lp(lp)), _exact(solve_lp(shared))
+    for arr in (*data.values(), b):
+        arr[...] = np.nan  # the caller's arrays, not the programs'
+    assert (_exact(solve_lp(lp)), _exact(solve_lp(shared))) == want
+    assert want[0][0] == want[1][0] == "optimal"
+    for prog in (lp, shared):
+        for name in ("objective", "a_ub", "b_ub", "lb", "ub"):
+            with pytest.raises(ValueError):
+                getattr(prog, name)[0] = 0.0
+    assert shared.a_ub is lp.a_ub and shared.b_ub is not lp.b_ub
