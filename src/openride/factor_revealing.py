@@ -11,19 +11,23 @@ bound on the competitive ratio over scenarios of this shape.
 
 Variables, in order:
 
-* prev_start, prev_len   start time and length of the second-to-last plan
-* last_start, last_len   start time and length of the last plan
-* prev_opt, last_opt     optimum value at the two start times
-* prev_end               where the second-to-last plan ends
-* first_pickup           where the reference tour collects the last batch first
-* serve_from_pickup      time to serve the last batch from that point
-* pickup_gap             distance between prev_end and first_pickup
+* prev_start, last_start   start times of the second-to-last and last plans
+* prev_len, last_len       lengths of the two plans
+* prev_opt, last_opt       optimum value at the two start times
+* prev_end                 where the second-to-last plan ends
+* first_pickup             where the reference tour collects the last batch first
+* serve_from_pickup        time to serve the last batch from that point
+* pickup_gap               distance between prev_end and first_pickup
 
 Four case distinctions are linearized with big-M rows and a binary
 each: the sign inside the gap's absolute value, which argument attains
 the start-time maximum, how the reference tour reaches the pickup, and
 whether the gap dominates the waiting slack.  Convention: binary = 1
-enforces the first inequality of its pair, binary = 0 the second.
+enforces the first inequality of its pair, binary = 0 the second.  A
+branch fixes the four binaries and relaxes each row it does not enforce
+by adding the constant ``BIG_M`` to its right-hand side; ``_check_branch``
+fails the solve if a relaxed row comes near to binding, which would mean
+BIG_M is too small for the model.
 
 Two tightening rows close the model so its optimum matches the closed
 form max{3 + 1/alpha - alpha, 1 + alpha} on alpha in [1, 2]: the last
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,62 +61,35 @@ VARIABLES = (
 )
 BINARIES = ("gap_sign", "start_by_prev_end", "reach_via_prev_end", "gap_dominates")
 
-DEFAULT_BIG_M = 1000.0
+BIG_M = 1000.0
 BOX_BOUND = 100.0
 _VALUE_TIE = 1e-7
 
 # variable indices
 _T1, _T2, _S1, _S2, _O1, _O2, _P1, _P2, _SA, _D = range(10)
 
+# the 16 binary assignments; code c reads as a 4-bit integer, first binary most significant
+_CODES = tuple(((c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1) for c in range(16))
+
 
 class FactorRevealingError(RuntimeError):
     """A branch solve violated a model sanity check."""
 
 
-@dataclass(frozen=True)
-class FrRow:
-    """One inequality coeffs @ x <= rhs + big_m * (m_const + m_coef @ b)."""
-
-    name: str
-    coeffs: tuple[float, ...]
-    rhs: float
-    m_const: float = 0.0
-    m_coef: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpInstance:
+    """The model for one alpha.
+
+    base is the program with every row enforced.  relax is a read-only
+    (16, rows) table, 1.0 where branch code c relaxes a row by BIG_M and
+    0.0 elsewhere, so every branch's b_ub is base.b_ub + BIG_M * relax[c].
+    Instances compare by identity: their fields are arrays.
+    """
+
     alpha: float
-    big_m: float
-    objective: tuple[float, ...]
-    rows: tuple[FrRow, ...]
-
-    def __post_init__(self):
-        if not (math.isfinite(self.big_m) and self.big_m > 0):
-            raise ValueError("big_m must be positive and finite")
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rhs, m_const, m_coef) as read-only arrays, built once."""
-        arrays = (
-            np.array([r.rhs for r in self.rows]),
-            np.array([r.m_const for r in self.rows]),
-            np.array([r.m_coef for r in self.rows]),
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
-
-    @cached_property
-    def _base(self) -> LinearProgram:
-        """The program with no row relaxed; each branch swaps in its b_ub.
-
-        Built once per model, so all 16 branch programs share its arrays
-        and its standard form.
-        """
-        n = len(VARIABLES)
-        return LinearProgram(objective=self.objective, a_ub=[r.coeffs for r in self.rows],
-                             b_ub=self._arrays[0], lb=np.zeros(n), ub=np.full(n, BOX_BOUND))
+    names: tuple[str, ...]
+    base: LinearProgram
+    relax: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,97 +110,89 @@ class FrSolution:
     branches: tuple[FrBranchResult, ...]
 
 
-def _row(name, rhs, m_const=0.0, m_coef=(0.0, 0.0, 0.0, 0.0), **vars_) -> FrRow:
-    coeffs = [0.0] * 10
-    for var, c in vars_.items():
-        coeffs[VARIABLES.index(var)] = float(c)
-    return FrRow(name, tuple(coeffs), float(rhs), float(m_const), tuple(float(c) for c in m_coef))
-
-
-def build_fr_milp(alpha: float, big_m: float = DEFAULT_BIG_M) -> MilpInstance:
+def build_fr_milp(alpha: float) -> MilpInstance:
     """Assemble the model for one waiting parameter, alpha in [1, 2]."""
     if not 1.0 <= alpha <= 2.0:
         raise ValueError("the model covers waiting parameters in [1, 2]")
     a = float(alpha)
+    # name, rhs, coefficients by variable index, and the (binary, value)
+    # that enforces the row, or None for a row every branch enforces
     rows = (
         # the final optimum is the unit of measurement
-        _row("opt-normalized-upper", 1.0, last_opt=1.0),
-        _row("opt-normalized-lower", -1.0, last_opt=-1.0),
+        ("opt-normalized-upper", 1.0, {_O2: 1.0}, None),
+        ("opt-normalized-lower", -1.0, {_O2: -1.0}, None),
         # pickup_gap = |prev_end - first_pickup|
-        _row("gap-above-signed", 0.0, prev_end=1.0, first_pickup=-1.0, pickup_gap=-1.0),
-        _row("gap-above-negated", 0.0, prev_end=-1.0, first_pickup=1.0, pickup_gap=-1.0),
-        _row("gap-tight-signed", 0.0, m_const=1.0, m_coef=(-1.0, 0.0, 0.0, 0.0),
-             pickup_gap=1.0, prev_end=-1.0, first_pickup=1.0),
-        _row("gap-tight-negated", 0.0, m_coef=(1.0, 0.0, 0.0, 0.0),
-             pickup_gap=1.0, prev_end=1.0, first_pickup=-1.0),
+        ("gap-above-signed", 0.0, {_P1: 1.0, _P2: -1.0, _D: -1.0}, None),
+        ("gap-above-negated", 0.0, {_P1: -1.0, _P2: 1.0, _D: -1.0}, None),
+        ("gap-tight-signed", 0.0, {_D: 1.0, _P1: -1.0, _P2: 1.0}, (0, 1)),
+        ("gap-tight-negated", 0.0, {_D: 1.0, _P1: 1.0, _P2: -1.0}, (0, 0)),
         # last_start = max{prev_start + prev_len, alpha * last_opt}
-        _row("start-after-prev-plan", 0.0, prev_start=1.0, prev_len=1.0, last_start=-1.0),
-        _row("start-after-wait", 0.0, last_opt=a, last_start=-1.0),
-        _row("start-tight-prev-plan", 0.0, m_const=1.0, m_coef=(0.0, -1.0, 0.0, 0.0),
-             last_start=1.0, prev_start=-1.0, prev_len=-1.0),
-        _row("start-tight-wait", 0.0, m_coef=(0.0, 1.0, 0.0, 0.0),
-             last_start=1.0, last_opt=-a),
+        ("start-after-prev-plan", 0.0, {_T1: 1.0, _S1: 1.0, _T2: -1.0}, None),
+        ("start-after-wait", 0.0, {_O2: a, _T2: -1.0}, None),
+        ("start-tight-prev-plan", 0.0, {_T2: 1.0, _T1: -1.0, _S1: -1.0}, (1, 1)),
+        ("start-tight-wait", 0.0, {_T2: 1.0, _O2: -a}, (1, 0)),
         # the waiting rule delays the second-to-last start
-        _row("prev-start-after-wait", 0.0, prev_opt=a, prev_start=-1.0),
+        ("prev-start-after-wait", 0.0, {_O1: a, _T1: -1.0}, None),
         # the second-to-last plan ends within reach of its optimum
-        _row("prev-end-within-opt", 0.0, prev_end=1.0, prev_opt=-1.0),
+        ("prev-end-within-opt", 0.0, {_P1: 1.0, _O1: -1.0}, None),
         # serving the last batch from prev_end detours through the pickup
-        _row("last-len-via-pickup", 0.0, last_len=1.0, pickup_gap=-1.0, serve_from_pickup=-1.0),
+        ("last-len-via-pickup", 0.0, {_S2: 1.0, _D: -1.0, _SA: -1.0}, None),
         # the reference tour collects the last batch after prev_start
-        _row("opt-serves-batch-late", 0.0, prev_start=1.0, serve_from_pickup=1.0, last_opt=-1.0),
+        ("opt-serves-batch-late", 0.0, {_T1: 1.0, _SA: 1.0, _O2: -1.0}, None),
         # the second-to-last plan is on time
-        _row("prev-plan-on-time", 0.0, prev_start=1.0, prev_len=1.0, prev_opt=-(1.0 + a)),
+        ("prev-plan-on-time", 0.0, {_T1: 1.0, _S1: 1.0, _O1: -(1.0 + a)}, None),
         # how the reference tour reaches the pickup (disjunction)
-        _row("reach-via-prev-end", 0.0, m_const=1.0, m_coef=(0.0, 0.0, -1.0, 0.0),
-             prev_end=1.0, pickup_gap=1.0, last_opt=-1.0),
-        _row("reach-after-prev-start", 0.0, m_coef=(0.0, 0.0, 1.0, 0.0),
-             prev_start=1.0, pickup_gap=1.0, last_opt=-1.0),
+        ("reach-via-prev-end", 0.0, {_P1: 1.0, _D: 1.0, _O2: -1.0}, (2, 1)),
+        ("reach-after-prev-start", 0.0, {_T1: 1.0, _D: 1.0, _O2: -1.0}, (2, 0)),
         # either the gap dominates the waiting slack ... (disjunction)
-        _row("gap-dominates-slack", 0.0, m_const=1.0, m_coef=(0.0, 0.0, 0.0, -1.0),
-             last_opt=a, prev_opt=-1.0, pickup_gap=-1.0),
+        ("gap-dominates-slack", 0.0, {_O2: a, _O1: -1.0, _D: -1.0}, (3, 1)),
         # ... or the detour out and back fits twice the remaining slack
-        _row("detour-fits-slack", 0.0, m_coef=(0.0, 0.0, 0.0, 1.0),
-             prev_len=1.0, prev_end=-1.0, last_opt=-2.0, first_pickup=2.0),
+        ("detour-fits-slack", 0.0, {_S1: 1.0, _P1: -1.0, _O2: -2.0, _P2: 2.0}, (3, 0)),
         # tightening: no plan is longer than the optimum at its start
-        _row("last-len-within-opt", 0.0, last_len=1.0, last_opt=-1.0),
+        ("last-len-within-opt", 0.0, {_S2: 1.0, _O2: -1.0}, None),
         # tightening: the pickup gap is capped by the waiting slack at 2 - alpha
-        _row("gap-capped", 0.0, pickup_gap=1.0, last_opt=-(2.0 - a)),
+        ("gap-capped", 0.0, {_D: 1.0, _O2: -(2.0 - a)}, None),
     )
-    objective = tuple(1.0 if i in (_T2, _S2) else 0.0 for i in range(10))
-    return MilpInstance(alpha=a, big_m=float(big_m), objective=objective, rows=rows)
-
-
-def _m_mult(milp: MilpInstance, binaries) -> np.ndarray:
-    """Per row, m_const + m_coef @ binaries: how many big-Ms relax it."""
-    _, m_const, m_coef = milp._arrays
-    return m_const + m_coef @ np.asarray(binaries, dtype=float)
+    n = len(VARIABLES)
+    a_ub = np.zeros((len(rows), n))
+    relax = np.zeros((len(_CODES), len(rows)))
+    for i, (_, _, coeffs, enforce) in enumerate(rows):
+        for j, c in coeffs.items():
+            a_ub[i, j] = c
+        if enforce is not None:
+            binary, value = enforce
+            relax[:, i] = [b[binary] != value for b in _CODES]
+    relax.flags.writeable = False
+    objective = np.zeros(n)
+    objective[[_T2, _S2]] = 1.0
+    base = LinearProgram(objective=objective, a_ub=a_ub, b_ub=[r[1] for r in rows],
+                         lb=np.zeros(n), ub=np.full(n, BOX_BOUND))
+    return MilpInstance(alpha=a, names=tuple(r[0] for r in rows), base=base, relax=relax)
 
 
 def substitute(milp: MilpInstance, binaries) -> LinearProgram:
     """Fix the four binaries and return the continuous program."""
-    b = tuple(int(v) for v in binaries)
-    if len(b) != 4 or any(v not in (0, 1) for v in b):
+    b = tuple(binaries)
+    if b not in _CODES:
         raise ValueError("binaries must be four 0/1 values")
-    rhs = milp._arrays[0]
-    return milp._base.with_rhs(rhs + milp.big_m * _m_mult(milp, b))
+    return milp.base.with_rhs(milp.base.b_ub + BIG_M * milp.relax[_CODES.index(b)])
 
 
 def fr_closed_form(alpha: float) -> float:
     """max{3 + 1/alpha - alpha, 1 + alpha}, the model's optimal value."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     return max(3.0 + 1.0 / alpha - alpha, 1.0 + alpha)
 
 
-def _check_branch(milp: MilpInstance, binaries, lp: LinearProgram, sol: LpSolution) -> None:
+def _check_branch(milp: MilpInstance, code: int, lp: LinearProgram, sol: LpSolution) -> None:
     """Big-M and box sanity: relaxed rows and box bounds must stay slack."""
-    relaxed = _m_mult(milp, binaries) > 0.5  # rows disabled in this branch
-    tight = np.flatnonzero(relaxed & (lp.a_ub @ sol.x > lp.b_ub - 1.0))
+    tight = np.flatnonzero((milp.relax[code] > 0.5) & (lp.a_ub @ sol.x > lp.b_ub - 1.0))
     if tight.size:
         raise FactorRevealingError(
-            f"big-M too small: relaxed row {milp.rows[tight[0]].name} nearly tight at {binaries}")
+            f"big-M too small: relaxed row {milp.names[tight[0]]} nearly tight at {_CODES[code]}")
     if np.any(sol.x > BOX_BOUND - 1.0):
-        raise FactorRevealingError(f"box bound active at {binaries}; model unbounded?")
+        raise FactorRevealingError(f"box bound active at {_CODES[code]}; model unbounded?")
 
 
 def _lex_cmp(a, b, tol: float) -> int:
@@ -236,7 +204,7 @@ def _lex_cmp(a, b, tol: float) -> int:
     return 0
 
 
-def solve_fr(alpha: float, big_m: float = DEFAULT_BIG_M) -> FrSolution:
+def solve_fr(alpha: float) -> FrSolution:
     """Maximize over all 16 binary branches.
 
     The branch LPs differ only in b_ub, so they share one program's
@@ -249,17 +217,16 @@ def solve_fr(alpha: float, big_m: float = DEFAULT_BIG_M) -> FrSolution:
     tie goes to the largest binary assignment read as a 4-bit integer
     (first binary most significant).
     """
-    milp = build_fr_milp(alpha, big_m)
+    milp = build_fr_milp(alpha)
     branches = []
     best = None  # (value, x, code)
-    for code in range(16):
-        b = ((code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1)
+    for code, b in enumerate(_CODES):
         lp = substitute(milp, b)
         sol = solve_lp(lp)
         if sol.status != "optimal":
             branches.append(FrBranchResult(b, sol.status, None, None, ()))
             continue
-        _check_branch(milp, b, lp, sol)
+        _check_branch(milp, code, lp, sol)
         x = tuple(sol.x.tolist())
         branches.append(FrBranchResult(b, "optimal", sol.value, x, sol.active_rows))
         if best is None or sol.value > best[0] + _VALUE_TIE:
@@ -271,8 +238,7 @@ def solve_fr(alpha: float, big_m: float = DEFAULT_BIG_M) -> FrSolution:
     if best is None:
         raise FactorRevealingError("every branch is infeasible")
     value, x, code = best
-    binaries = ((code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1)
-    return FrSolution(alpha=alpha, value=value, x=x, binaries=binaries,
+    return FrSolution(alpha=alpha, value=value, x=x, binaries=_CODES[code],
                       branches=tuple(branches))
 
 

@@ -68,11 +68,14 @@ class LinearProgram:
     def __post_init__(self):
         for name in ("objective", "a_ub", "b_ub", "lb", "ub"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.objective.ndim != 1:
+            raise ValueError("objective must be a vector")
         n = self.objective.shape[0]
         if self.a_ub.ndim != 2 or self.a_ub.shape[1] != n:
             raise ValueError("a_ub must have one column per variable")
-        if self.lb.shape[0] != n or self.ub.shape[0] != n:
-            raise ValueError("bounds must cover every variable")
+        for name in ("lb", "ub"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have one entry per variable")
         for name in ("objective", "a_ub", "lb"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite")

@@ -1,13 +1,14 @@
 """Branch-and-check solver for the waiting-policy worst-case model."""
 
 import math
-import warnings
 
 import pytest
 
+import openride.factor_revealing as factor_revealing
+
 from openride.factor_revealing import (
+    BIG_M,
     BINARIES,
-    DEFAULT_BIG_M,
     VARIABLES,
     FactorRevealingError,
     witness_solution,
@@ -27,14 +28,15 @@ def test_model_shape():
     assert VARIABLES[0] == "prev_start" and VARIABLES[-1] == "pickup_gap"
     assert len(BINARIES) == 4
     milp = build_fr_milp(1.2)
-    assert len(milp.rows) == 21
-    names = [r.name for r in milp.rows]
-    assert len(set(names)) == 21
-    assert milp.big_m == DEFAULT_BIG_M
+    assert len(milp.names) == 21
+    assert len(set(milp.names)) == 21
+    assert milp.base.a_ub.shape == (21, 10)
+    assert milp.relax.shape == (16, 21)
     # objective maximizes last start plus last length
-    assert milp.objective[VARIABLES.index("last_start")] == 1.0
-    assert milp.objective[VARIABLES.index("last_len")] == 1.0
-    assert sum(milp.objective) == 2.0
+    objective = milp.base.objective
+    assert objective[VARIABLES.index("last_start")] == 1.0
+    assert objective[VARIABLES.index("last_len")] == 1.0
+    assert sum(objective) == 2.0
 
 
 def test_model_domain():
@@ -45,37 +47,24 @@ def test_model_domain():
     build_fr_milp(2.0)
 
 
-def test_model_rejects_bad_big_m():
-    with pytest.raises(ValueError):
-        build_fr_milp(1.2, big_m=0.0)
-    with pytest.raises(ValueError):
-        build_fr_milp(1.2, big_m=-10.0)
-    # a non-finite big_m is named up front, before any numpy arithmetic warns
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="big_m"):
-                build_fr_milp(1.2, big_m=bad)
-            with pytest.raises(ValueError, match="big_m"):
-                solve_fr(1.2, big_m=bad)
-
-
 def test_substitute_binaries_validation():
     milp = build_fr_milp(1.2)
     with pytest.raises(ValueError):
         substitute(milp, (0, 1, 1))
     with pytest.raises(ValueError):
         substitute(milp, (0, 1, 2, 0))
+    with pytest.raises(ValueError):
+        substitute(milp, (0, 1, 0.5, 0))
 
 
 def test_substitute_relaxes_rows_by_big_m():
     milp = build_fr_milp(1.2)
-    names = [r.name for r in milp.rows]
+    names = milp.names
     i = names.index("gap-tight-signed")  # enabled when the first binary is 1
     enabled = substitute(milp, (1, 0, 0, 0))
     relaxed = substitute(milp, (0, 0, 0, 0))
     assert enabled.b_ub[i] == pytest.approx(0.0)
-    assert relaxed.b_ub[i] == pytest.approx(DEFAULT_BIG_M)
+    assert relaxed.b_ub[i] == pytest.approx(BIG_M)
     # rows without big-M terms never move
     j = names.index("opt-normalized-upper")
     assert enabled.b_ub[j] == relaxed.b_ub[j] == 1.0
@@ -89,6 +78,9 @@ def test_closed_form():
     assert fr_closed_form(ALPHA_STAR) == pytest.approx(1.0 + ALPHA_STAR, abs=1e-12)
     with pytest.raises(ValueError):
         fr_closed_form(0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            fr_closed_form(bad)
 
 
 def test_solve_at_crossover():
@@ -142,9 +134,10 @@ def test_solve_deterministic():
     assert solve_fr(1.25) == solve_fr(1.25)
 
 
-def test_small_big_m_detected():
+def test_small_big_m_detected(monkeypatch):
+    monkeypatch.setattr(factor_revealing, "BIG_M", 2.0)
     with pytest.raises(FactorRevealingError, match="big-M too small"):
-        solve_fr(1.2, big_m=2.0)
+        solve_fr(1.2)
 
 
 def test_witness_solution_domain():

@@ -98,6 +98,13 @@ def test_validation_errors():
         )
     with pytest.raises(ValueError):
         _lp([1], [[1]], [1], lb=[2.0], ub=[1.0])
+    # every array has its expected number of dimensions, named when it does not
+    with pytest.raises(ValueError, match="objective"):
+        LinearProgram(np.ones((2, 2)), np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="lb"):
+        LinearProgram(np.ones(2), np.ones((1, 2)), np.ones(1), np.zeros((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="objective"):
+        LinearProgram(1.0, np.ones((1, 1)), np.ones(1), np.zeros(1), np.ones(1))
 
 
 # ---------------------------------------------------------------------------
