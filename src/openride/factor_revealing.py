@@ -35,6 +35,14 @@ plan is never longer than the final optimum, and the pickup gap never
 exceeds (2 - alpha) times the final optimum.  Without them the model
 admits an inflated objective of 2 + 1/alpha (reachable only through
 scenarios the waiting rule would interrupt).
+
+On alpha in [1, (1 + sqrt(3))/2] the closed form's first arm is attained
+at binaries (0, 1, 1, 1) by this scenario: the second-to-last plan
+starts at 1 with length and optimum 1/alpha and ends at the origin; the
+last plan starts at (alpha + 1)/alpha with length 2 - alpha, its optimum
+is 1, and the reference tour collects the last batch first at 2 - alpha,
+a gap of 2 - alpha, and serves it from there at no extra cost.  Its
+objective is (alpha + 1)/alpha + 2 - alpha = 3 + 1/alpha - alpha.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, solve_lp
-from .numeric import OPTIMAL_ALPHA_HALF_LINE
+from .lp import LinearProgram, LpSolution, solve_lps
+from .lp import solve_lp  # noqa: F401  perfbench/tracing.py wraps the simplex here by name
 
 VARIABLES = (
     "prev_start",
@@ -175,7 +183,10 @@ def substitute(milp: MilpInstance, binaries) -> LinearProgram:
     b = tuple(binaries)
     if b not in _CODES:
         raise ValueError("binaries must be four 0/1 values")
-    return milp.base.with_rhs(milp.base.b_ub + BIG_M * milp.relax[_CODES.index(b)])
+    base = milp.base
+    return LinearProgram(objective=base.objective, a_ub=base.a_ub,
+                         b_ub=base.b_ub + BIG_M * milp.relax[_CODES.index(b)],
+                         lb=base.lb, ub=base.ub)
 
 
 def fr_closed_form(alpha: float) -> float:
@@ -185,9 +196,9 @@ def fr_closed_form(alpha: float) -> float:
     return max(3.0 + 1.0 / alpha - alpha, 1.0 + alpha)
 
 
-def _check_branch(milp: MilpInstance, code: int, lp: LinearProgram, sol: LpSolution) -> None:
+def _check_branch(milp: MilpInstance, code: int, b_ub: np.ndarray, sol: LpSolution) -> None:
     """Big-M and box sanity: relaxed rows and box bounds must stay slack."""
-    tight = np.flatnonzero((milp.relax[code] > 0.5) & (lp.a_ub @ sol.x > lp.b_ub - 1.0))
+    tight = np.flatnonzero((milp.relax[code] > 0.5) & (milp.base.a_ub @ sol.x > b_ub - 1.0))
     if tight.size:
         raise FactorRevealingError(
             f"big-M too small: relaxed row {milp.names[tight[0]]} nearly tight at {_CODES[code]}")
@@ -207,26 +218,25 @@ def _lex_cmp(a, b, tol: float) -> int:
 def solve_fr(alpha: float) -> FrSolution:
     """Maximize over all 16 binary branches.
 
-    The branch LPs differ only in b_ub, so they share one program's
-    arrays and standard form (``LinearProgram.with_rhs``), but each is
-    still solved from its own fresh tableau: no basis or pivot carries
-    over from one branch to the next.  The reported optimum is the best
-    branch.  Among branches tying on the objective the one whose
-    solution vector is lexicographically largest wins (the extreme
-    witness, with the latest start times first), and an exact solution
-    tie goes to the largest binary assignment read as a 4-bit integer
-    (first binary most significant).
+    The branch LPs differ only in b_ub, so ``solve_lps`` solves the base
+    program once per branch row base.b_ub + BIG_M * relax[c], from one
+    batch set-up; each branch still pivots from its own fresh tableau,
+    and no basis or pivot carries over from one branch to the next.
+    The reported optimum is the best branch.  Among branches tying on
+    the objective the one whose solution vector is lexicographically
+    largest wins (the extreme witness, with the latest start times
+    first), and an exact solution tie goes to the largest binary
+    assignment read as a 4-bit integer (first binary most significant).
     """
     milp = build_fr_milp(alpha)
+    rows = milp.base.b_ub + BIG_M * milp.relax
     branches = []
     best = None  # (value, x, code)
-    for code, b in enumerate(_CODES):
-        lp = substitute(milp, b)
-        sol = solve_lp(lp)
+    for code, (b, sol) in enumerate(zip(_CODES, solve_lps(milp.base, rows))):
         if sol.status != "optimal":
             branches.append(FrBranchResult(b, sol.status, None, None, ()))
             continue
-        _check_branch(milp, code, lp, sol)
+        _check_branch(milp, code, rows[code], sol)
         x = tuple(sol.x.tolist())
         branches.append(FrBranchResult(b, "optimal", sol.value, x, sol.active_rows))
         if best is None or sol.value > best[0] + _VALUE_TIE:
@@ -240,61 +250,3 @@ def solve_fr(alpha: float) -> FrSolution:
     value, x, code = best
     return FrSolution(alpha=alpha, value=value, x=x, binaries=_CODES[code],
                       branches=tuple(branches))
-
-
-def witness_solution(alpha: float) -> tuple[tuple[float, ...], tuple[int, int, int, int]]:
-    """The documented optimal witness for alpha in [1, (1+sqrt(3))/2]."""
-    if not 1.0 <= alpha <= OPTIMAL_ALPHA_HALF_LINE + 1e-12:
-        raise ValueError("witness is optimal only up to (1+sqrt(3))/2")
-    x = (
-        1.0,
-        (alpha + 1.0) / alpha,
-        1.0 / alpha,
-        2.0 - alpha,
-        1.0 / alpha,
-        1.0,
-        0.0,
-        2.0 - alpha,
-        0.0,
-        2.0 - alpha,
-    )
-    return x, (0, 1, 1, 1)
-
-
-def check_unlinearized(alpha: float, x, tol: float = 1e-7) -> list[str]:
-    """Names of the model's pre-linearization constraints violated by x.
-
-    Checks the original disjunctive system (absolute value, maximum,
-    and the two either-or constraints) rather than the big-M rows, so
-    it certifies that a branch optimum is meaningful independently of
-    the linearization.
-    """
-    t1, t2, s1, s2, o1, o2, p1, p2, sa, d = x
-    bad = []
-    if abs(o2 - 1.0) > tol:
-        bad.append("opt-normalized")
-    if abs(d - abs(p1 - p2)) > tol:
-        bad.append("gap-is-distance")
-    if abs(t2 - max(t1 + s1, alpha * o2)) > tol:
-        bad.append("start-is-max")
-    if t1 < alpha * o1 - tol:
-        bad.append("prev-start-after-wait")
-    if p1 > o1 + tol:
-        bad.append("prev-end-within-opt")
-    if s2 > d + sa + tol:
-        bad.append("last-len-via-pickup")
-    if t1 + sa > o2 + tol:
-        bad.append("opt-serves-batch-late")
-    if t1 + s1 > (1.0 + alpha) * o1 + tol:
-        bad.append("prev-plan-on-time")
-    if p1 + d > o2 + tol and t1 + d > o2 + tol:
-        bad.append("reach-disjunction")
-    if d < alpha * o2 - o1 - tol and s1 - p1 > 2.0 * (o2 - p2) + tol:
-        bad.append("slack-disjunction")
-    if s2 > o2 + tol:
-        bad.append("last-len-within-opt")
-    if d > (2.0 - alpha) * o2 + tol:
-        bad.append("gap-capped")
-    if min(x) < -tol:
-        bad.append("nonnegative")
-    return bad

@@ -13,14 +13,17 @@ these programs produce.  Everything is dense numpy; the intended scale
 is tens of variables and rows, far below where sparsity or revised
 factorizations would pay off.
 
-A program holds read-only copies of its data.  The parts of the
-standard form that do not depend on b_ub are built once per program
-and shared by every program made from it with ``with_rhs``: the
+A program holds read-only copies of its data and builds the parts of
+the standard form that do not depend on b_ub once: the
 ``[A | bound rows | I]`` block, the shift ``a_ub @ lb`` and the bound
-rows' right-hand side ``ub - lb``.  Per right-hand side, ``solve_lp`` only
-negates the rows whose shifted b_ub is negative, adds their artificial
-columns and writes the last column, so each solve still starts from
-its own fresh tableau.
+rows' right-hand side ``ub - lb``.  ``solve_lps`` solves one program
+once per row of a batch of right-hand sides.  It checks the batch
+once, finds the rows to negate and their artificial columns for every
+right-hand side together, and fills one tableau per right-hand side in
+a single array, padded to the widest.  Each tableau then pivots on its
+own: no basis or pivot carries over from one right-hand side to the
+next, and padding columns stay zero and never enter.  ``solve_lp`` is
+the one-row batch.
 
 Each pivot is one rank-1 array update of the whole tableau.  Every
 entry still gets one multiply and one subtract, as it would in a loop
@@ -48,16 +51,19 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
-def _check_rhs(b_ub: np.ndarray, rows: int) -> None:
-    if b_ub.shape != (rows,):
-        raise ValueError("b_ub length must match the number of rows")
+def _check_rhs(b_ub: np.ndarray, shape: tuple[int, ...]) -> None:
+    if b_ub.shape != shape:
+        raise ValueError(f"b_ub must have shape {shape}, one entry per row, got {b_ub.shape}")
     if not np.isfinite(b_ub).all():
         raise ValueError("b_ub entries must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective @ x  s.t.  a_ub @ x <= b_ub,  lb <= x <= ub."""
+    """maximize objective @ x  s.t.  a_ub @ x <= b_ub,  lb <= x <= ub.
+
+    Programs compare by identity: their fields are arrays.
+    """
 
     objective: np.ndarray
     a_ub: np.ndarray
@@ -79,7 +85,7 @@ class LinearProgram:
         for name in ("objective", "a_ub", "lb"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite")
-        _check_rhs(self.b_ub, self.a_ub.shape[0])
+        _check_rhs(self.b_ub, self.a_ub.shape[:1])
         if np.isnan(self.ub).any():
             raise ValueError("ub entries must be numbers or +inf")
         if (self.ub < self.lb).any():
@@ -107,21 +113,11 @@ class LinearProgram:
             a.flags.writeable = False
         return form
 
-    def with_rhs(self, b_ub) -> LinearProgram:
-        """This program with b_ub replaced; only the new b_ub is checked.
 
-        The result shares this program's read-only arrays and its
-        standard form, and owns a read-only copy of b_ub.
-        """
-        b_ub = _frozen(b_ub)
-        _check_rhs(b_ub, self.a_ub.shape[0])
-        lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, b_ub=b_ub, _form=self._form)
-        return lp
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
+    """One solve's outcome; solutions compare by identity, as x is an array."""
+
     status: str  # "optimal" | "infeasible" | "unbounded" | "numerical"
     x: np.ndarray | None
     value: float | None
@@ -180,32 +176,56 @@ def _run_simplex(T: np.ndarray, basis: list[int], enter_limit: int, tol: float):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
+    return solve_lps(lp, [lp.b_ub])[0]
+
+
+def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
+    """Solve lp once per row of b_rows, each row taking the place of b_ub.
+
+    The rows are checked as one (rows, len(b_ub)) batch and copied, and
+    each gets the solution a program of its own with that b_ub would.
+    """
+    b_rows = np.array(b_rows, dtype=float)
+    k = lp.a_ub.shape[0]
+    _check_rhs(b_rows, b_rows.shape[:1] + (k,))
     n = lp.objective.shape[0]
     if n == 0:
-        return LpSolution("optimal", np.zeros(0), 0.0, (), 0)
+        return [LpSolution("optimal", np.zeros(0), 0.0, (), 0) for _ in b_rows]
 
     # y = x - lb >= 0 with finite upper bounds as rows: A y + s = b with
     # slacks; negate rows to make b nonnegative, and give each negated
-    # row an artificial column as its basic variable
+    # row an artificial column as its basic variable, numbered in row
+    # order; rows needing fewer artificials leave the padding at zero
     a_lb, bound_rhs, block = lp._form
     m = block.shape[0]
-    b = np.concatenate([lp.b_ub - a_lb, bound_rhs])
-    art_rows = (b < 0).nonzero()[0].tolist()
+    b = np.empty((b_rows.shape[0], m))
+    np.subtract(b_rows, a_lb, out=b[:, :k])
+    b[:, k:] = bound_rhs
+    negated = b < 0
+    art = np.cumsum(negated, axis=1) - 1
+    sign = np.where(negated, -1.0, 1.0)
+    T = np.zeros((b.shape[0], m + 1, n + m + int(negated.sum(axis=1).max(initial=0)) + 1))
+    np.multiply(block, sign[:, :, None], out=T[:, :m, : n + m])
+    np.multiply(b, sign, out=T[:, :m, -1])
+    r, i = negated.nonzero()
+    T[r, i, n + m + art[r, i]] = 1.0
+    return [_two_phase(lp, T[j], b_rows[j], negated[j].nonzero()[0].tolist())
+            for j in range(b.shape[0])]
+
+
+def _two_phase(lp: LinearProgram, T: np.ndarray, b_ub: np.ndarray, art_rows: list[int]) -> LpSolution:
+    """Solve one right-hand side's tableau in place; art_rows are its negated rows."""
+    n = lp.objective.shape[0]
+    m = T.shape[0] - 1
     n_art = len(art_rows)
     ncols = n + m + n_art
-    sign = np.ones(m)
-    sign[art_rows] = -1.0
-    T = np.zeros((m + 1, ncols + 1))
-    np.multiply(block, sign[:, None], out=T[:m, : n + m])
-    np.multiply(b, sign, out=T[:m, -1])
     basis = list(range(n, n + m))
     for j, i in enumerate(art_rows):
-        T[i, n + m + j] = 1.0
         basis[i] = n + m + j
     pivots = 0
     if n_art:
         # phase one: maximize minus the sum of artificials
-        z = np.zeros(ncols + 1)
+        z = np.zeros(T.shape[1])
         z[n + m : ncols] = -1.0
         _set_costs(T, basis, z)
         status, p1 = _run_simplex(T, basis, ncols, LP_TOL)
@@ -222,7 +242,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                     pivots += 1
 
     # phase two over the real objective, artificials barred from entering
-    z = np.zeros(ncols + 1)
+    z = np.zeros(T.shape[1])
     z[:n] = lp.objective
     _set_costs(T, basis, z)
     status, p2 = _run_simplex(T, basis, n + m, LP_TOL)
@@ -230,10 +250,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status != "optimal":
         return LpSolution(status, None, None, (), pivots)
 
-    y = np.zeros(ncols)
+    y = np.zeros(T.shape[1] - 1)
     y[basis] = T[:m, -1]
     x = lp.lb + y[:n]
     value = float(lp.objective @ x)
-    resid = lp.a_ub @ x - lp.b_ub
+    resid = lp.a_ub @ x - b_ub
     active = tuple((resid >= -1e-7).nonzero()[0].tolist())
     return LpSolution("optimal", x, value, active, pivots)

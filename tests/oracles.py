@@ -1,10 +1,15 @@
-"""Structure-free oracles the exact solvers are checked against."""
+"""Structure-free oracles the exact solvers are checked against.
+
+For the factor-revealing model: its documented witness and a check of
+a point against the model's constraints before linearization.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
 from openride.model import Instance
+from openride.numeric import OPTIMAL_ALPHA_HALF_LINE
 from openride.offline import SearchCapExceeded
 
 NAIVE_CAP = 6
@@ -54,3 +59,61 @@ def opt_upto_naive(inst: Instance, t: float) -> float:
 
     go(0, 0.0, 0, 0)
     return best[0]
+
+
+def witness_solution(alpha: float) -> tuple[tuple[float, ...], tuple[int, int, int, int]]:
+    """The factor_revealing docstring's optimal witness for alpha in [1, (1+sqrt(3))/2]."""
+    if not 1.0 <= alpha <= OPTIMAL_ALPHA_HALF_LINE + 1e-12:
+        raise ValueError("witness is optimal only up to (1+sqrt(3))/2")
+    x = (
+        1.0,
+        (alpha + 1.0) / alpha,
+        1.0 / alpha,
+        2.0 - alpha,
+        1.0 / alpha,
+        1.0,
+        0.0,
+        2.0 - alpha,
+        0.0,
+        2.0 - alpha,
+    )
+    return x, (0, 1, 1, 1)
+
+
+def check_unlinearized(alpha: float, x, tol: float = 1e-7) -> list[str]:
+    """Names of the model's pre-linearization constraints violated by x.
+
+    Checks the original disjunctive system (absolute value, maximum,
+    and the two either-or constraints) rather than the big-M rows, so
+    it certifies that a branch optimum is meaningful independently of
+    the linearization.
+    """
+    t1, t2, s1, s2, o1, o2, p1, p2, sa, d = x
+    bad = []
+    if abs(o2 - 1.0) > tol:
+        bad.append("opt-normalized")
+    if abs(d - abs(p1 - p2)) > tol:
+        bad.append("gap-is-distance")
+    if abs(t2 - max(t1 + s1, alpha * o2)) > tol:
+        bad.append("start-is-max")
+    if t1 < alpha * o1 - tol:
+        bad.append("prev-start-after-wait")
+    if p1 > o1 + tol:
+        bad.append("prev-end-within-opt")
+    if s2 > d + sa + tol:
+        bad.append("last-len-via-pickup")
+    if t1 + sa > o2 + tol:
+        bad.append("opt-serves-batch-late")
+    if t1 + s1 > (1.0 + alpha) * o1 + tol:
+        bad.append("prev-plan-on-time")
+    if p1 + d > o2 + tol and t1 + d > o2 + tol:
+        bad.append("reach-disjunction")
+    if d < alpha * o2 - o1 - tol and s1 - p1 > 2.0 * (o2 - p2) + tol:
+        bad.append("slack-disjunction")
+    if s2 > o2 + tol:
+        bad.append("last-len-within-opt")
+    if d > (2.0 - alpha) * o2 + tol:
+        bad.append("gap-capped")
+    if min(x) < -tol:
+        bad.append("nonnegative")
+    return bad

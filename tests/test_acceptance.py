@@ -21,12 +21,12 @@ from openride.experiments import (
     generate_instance,
     sweep_lower_bounds,
 )
-from openride.factor_revealing import witness_solution, fr_closed_form, solve_fr
+from openride.factor_revealing import fr_closed_form, solve_fr
 from openride.metric import HALF_LINE, line
 from openride.model import make_instance
 from openride.offline import opt_upto
 
-from oracles import opt_upto_naive
+from oracles import opt_upto_naive, witness_solution
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

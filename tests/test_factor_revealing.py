@@ -11,14 +11,14 @@ from openride.factor_revealing import (
     BINARIES,
     VARIABLES,
     FactorRevealingError,
-    witness_solution,
     build_fr_milp,
-    check_unlinearized,
     fr_closed_form,
     solve_fr,
     substitute,
 )
 from openride.experiments import OPTIMAL_ALPHA_HALF_LINE
+
+from oracles import check_unlinearized, witness_solution
 
 ALPHA_STAR = OPTIMAL_ALPHA_HALF_LINE
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from openride import lp as lp_module
-from openride.lp import LinearProgram, LpSolution, solve_lp
+from openride.lp import LinearProgram, solve_lp, solve_lps
 
 
 def _lp(c, a, b, lb=None, ub=None):
@@ -245,7 +245,7 @@ def test_array_pivots_equal_the_row_loops(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# programs sharing one standard form through with_rhs
+# one program solved once per right-hand side by solve_lps
 
 
 def _random_base(rng, case):
@@ -261,50 +261,78 @@ def _random_base(rng, case):
     return c, a, lb, ub
 
 
-def test_with_rhs_equals_a_fresh_program_bit_for_bit():
-    rng = np.random.default_rng(19)
-    got, want = [], []
-    seen = {"lb": False, "inf_ub": False, "no_rows": False}
-    for case in range(300):
+def _random_batches(rng, cases):
+    """(program, batch of b_ub rows) pairs; the rows mix signs, so artificial counts differ."""
+    for case in range(cases):
         c, a, lb, ub = _random_base(rng, case)
         m = a.shape[0]
+        base = LinearProgram(c, a, rng.integers(-2, 3, size=m).astype(float), lb, ub)
+        rows = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), m)).astype(float)
+        if case % 2:
+            rows += rng.normal(size=rows.shape)
+        yield base, rows
+
+
+def test_solve_lps_equals_fresh_programs_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(19)
+    seen = {"lb": False, "inf_ub": False, "no_rows": False, "mixed_artificials": False}
+    got, want, statuses = [], [], set()
+    for base, rows in _random_batches(rng, 300):
+        c, a, lb, ub = base.objective, base.a_ub, base.lb, base.ub
         seen["lb"] |= bool((lb != 0).any())
         seen["inf_ub"] |= bool(np.isinf(ub).any())
-        seen["no_rows"] |= m == 0
-        base = LinearProgram(c, a, rng.integers(-2, 3, size=m).astype(float), lb, ub)
-        for _ in range(3):
-            b = rng.integers(-3, 4, size=m).astype(float) + (rng.normal(size=m) if case % 2 else 0.0)
-            shared = base.with_rhs(b)
-            assert shared._form is base._form
-            got.append(_exact(solve_lp(shared)))
-            want.append(_exact(solve_lp(LinearProgram(c, a, b, lb, ub))))
+        seen["no_rows"] |= a.shape[0] == 0
+        # bound rows have ub - lb >= 0, so only the b_ub rows take artificials
+        seen["mixed_artificials"] |= len(set(((rows - a @ lb) < 0).sum(axis=1).tolist())) > 1
+        batch = [_exact(s) for s in solve_lps(base, rows)]
+        assert len(batch) == len(rows)
+        got += batch
+        want += [_exact(solve_lp(LinearProgram(c, a, b, lb, ub))) for b in rows]
+        statuses |= {s[0] for s in batch}
     assert got == want
-    assert all(seen.values())
-    assert {g[0] for g in got} == {"optimal", "infeasible", "unbounded"}
+    assert all(seen.values()), seen
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    # every row still pivots through the module's loop: with the row-by-row
+    # pivots in its place, the batch gives the same results
+    monkeypatch.setattr(lp_module, "_pivot", _loop_pivot)
+    monkeypatch.setattr(lp_module, "_run_simplex", _loop_run_simplex)
+    rng = np.random.default_rng(19)
+    assert [_exact(s) for base, rows in _random_batches(rng, 300) for s in solve_lps(base, rows)] == got
 
 
 @pytest.mark.parametrize("b_ub", [
-    [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0],
+    [[1.0]], [[1.0, 2.0, 3.0]], [1.0, 2.0],
+    [[1.0, 1.0], [np.nan, 1.0]], [[1.0, 1.0], [1.0, np.inf]], [[-np.inf, 0.0]],
+    [[[1.0, 2.0]]], np.array(1.0),
 ])
-def test_with_rhs_checks_its_b_ub(b_ub):
+def test_solve_lps_checks_its_b_ub(b_ub):
+    # the batch is (rows, 2): a short or long row, a lone vector, one
+    # non-finite entry, an extra dimension or a scalar fails the whole batch
     base = _lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     with pytest.raises(ValueError, match="b_ub"):
-        base.with_rhs(np.asarray(b_ub, dtype=float))
+        solve_lps(base, b_ub)
 
 
 def test_programs_keep_their_own_read_only_data():
     data = {"objective": np.array([1.0, 1.0]), "a_ub": np.array([[1.0, 2.0], [3.0, 1.0]]),
             "b_ub": np.array([4.0, 6.0]), "lb": np.zeros(2), "ub": np.array([np.inf, 1.5])}
     lp = LinearProgram(**data)
-    b = np.array([2.0, 3.0])
-    shared = lp.with_rhs(b)
-    want = _exact(solve_lp(lp)), _exact(solve_lp(shared))
-    for arr in (*data.values(), b):
-        arr[...] = np.nan  # the caller's arrays, not the programs'
-    assert (_exact(solve_lp(lp)), _exact(solve_lp(shared))) == want
-    assert want[0][0] == want[1][0] == "optimal"
-    for prog in (lp, shared):
-        for name in ("objective", "a_ub", "b_ub", "lb", "ub"):
-            with pytest.raises(ValueError):
-                getattr(prog, name)[0] = 0.0
-    assert shared.a_ub is lp.a_ub and shared.b_ub is not lp.b_ub
+    rows = np.array([[2.0, 3.0], [-1.0, 6.0], [4.0, -2.0]])
+    sols = solve_lp(lp), *solve_lps(lp, rows)
+    want = [_exact(s) for s in sols]
+    for arr in (*data.values(), rows):
+        arr[...] = np.nan  # the caller's arrays, not the program's or the batch's
+    assert [_exact(s) for s in sols] == want
+    assert [_exact(solve_lp(lp))] + [_exact(s) for s in solve_lps(lp, [[2.0, 3.0]])] == want[:2]
+    assert [s[0] for s in want] == ["optimal", "optimal", "infeasible", "infeasible"]
+    for name in ("objective", "a_ub", "b_ub", "lb", "ub"):
+        with pytest.raises(ValueError):
+            getattr(lp, name)[0] = 0.0
+
+
+def test_programs_and_solutions_compare_by_identity():
+    lp = _lp([1.0, 1.0], [[1.0, 2.0]], [4.0])
+    twin = _lp([1.0, 1.0], [[1.0, 2.0]], [4.0])
+    sol, again = solve_lp(lp), solve_lp(lp)
+    assert lp == lp and lp != twin and sol == sol and sol != again
+    assert len({lp, twin, sol, again}) == 4
