@@ -71,7 +71,6 @@ class Simulation:
         self.pos: Position = inst.space.origin
         self.pending: set[int] = set()  # released, not yet served (loaded included)
         self.loaded: set[int] = set()
-        self.released_count = 0
         self.cmd: Command | None = None
         self.records: list[ScheduleRecord] = []
         self.events: list[TraceEvent] = []
@@ -82,8 +81,8 @@ class Simulation:
     # -- queries used by policies ------------------------------------
 
     def opt_now(self) -> float:
-        """Optimal completion over everything released so far."""
-        return self.opt_cache.value(self.released_count)
+        """OPT(t) at the current time, over the requests released by it (see OptCache)."""
+        return self.opt_cache.value(self.opt_cache.prefix_for(self.time))
 
     def _plan_from_here(self, plan):
         """Plan from the server's position, via the better end of its edge.
@@ -251,7 +250,6 @@ class Simulation:
                 for r in batch:
                     self.pending.add(r.id)
                     self.log("arrival", id=r.id)
-                self.released_count += len(batch)
                 self.policy.on_request(self)
                 if self.cmd is None:
                     self.policy.on_idle(self)

@@ -25,7 +25,7 @@ from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, ch
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
 from .model import EdgePos, Instance, Trace, make_instance, validate_schedule
 from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
-from .offline import OptCache
+from .offline import DEFAULT_SEARCH_CAP, OptCache
 
 # the half-line impossibility threshold
 HALF_LINE_LOWER_BOUND = (3.0 + math.sqrt(3.0)) / 2.0
@@ -94,6 +94,8 @@ def competitive_ratio(inst: Instance, algo: str, alpha: float | None = None,
 
 # most worker processes one fuzz run may start
 MAX_FUZZ_WORKERS = 64
+# most nodes of a generated matrix space, whose closure and check are cubic
+MAX_MATRIX_NODES = 64
 # instances per task of a run with workers, and tasks in flight per worker
 FUZZ_CHUNK = 64
 FUZZ_CHUNKS_PER_WORKER = 2
@@ -135,8 +137,8 @@ class FuzzConfig:
             bad("count", "a nonnegative integer")
         if not _is_int(self.seed):
             bad("seed", "an integer")
-        if not _is_int(self.max_requests) or self.max_requests < 1:
-            bad("max_requests", "a positive integer")
+        if not (_is_int(self.max_requests) and 1 <= self.max_requests <= DEFAULT_SEARCH_CAP):
+            bad("max_requests", f"an integer from 1 to the search cap {DEFAULT_SEARCH_CAP}")
         if self.workers is not None and not (
                 _is_int(self.workers) and 0 <= self.workers <= MAX_FUZZ_WORKERS):
             bad("workers", f"null or an integer from 0 to {MAX_FUZZ_WORKERS}")
@@ -150,8 +152,8 @@ class FuzzConfig:
             bad("capacities", "a non-empty list of positive integers or unbounded")
         nodes = self.matrix_nodes
         if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2 and all(map(_is_int, nodes))
-                and 1 <= nodes[0] <= nodes[1]):
-            bad("matrix_nodes", "two integers lo, hi with 1 <= lo <= hi")
+                and 1 <= nodes[0] <= nodes[1] <= MAX_MATRIX_NODES):
+            bad("matrix_nodes", f"two integers lo, hi with 1 <= lo <= hi <= {MAX_MATRIX_NODES}")
         if not isinstance(self.check_schedules, bool):
             bad("check_schedules", "true or false")
 

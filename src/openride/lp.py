@@ -13,12 +13,12 @@ these programs produce.  Everything is dense numpy; the intended scale
 is tens of variables and rows, far below where sparsity or revised
 factorizations would pay off.
 
-A program holds read-only copies of its data and builds the parts of
-the standard form that do not depend on b_ub once: the
-``[A | bound rows | I]`` block, the shift ``a_ub @ lb`` and the bound
-rows' right-hand side ``ub - lb``.  ``solve_lps`` solves one program
-once per row of a batch of right-hand sides.  It checks the batch
-once, finds the rows to negate and their artificial columns for every
+A program holds read-only copies of its data.  ``solve_lps`` solves
+one program once per row of a batch of right-hand sides.  It checks
+the batch and builds the parts of the standard form that do not depend
+on b_ub once per call: the ``[A | bound rows | I]`` block, the shift
+``a_ub @ lb`` and the bound rows' right-hand side ``ub - lb``.  It
+finds the rows to negate and their artificial columns for every
 right-hand side together, and fills one tableau per right-hand side in
 a single array, padded to the widest.  Each tableau then pivots on its
 own: no basis or pivot carries over from one right-hand side to the
@@ -37,7 +37,6 @@ the same bits as numpy's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,28 +89,6 @@ class LinearProgram:
             raise ValueError("ub entries must be numbers or +inf")
         if (self.ub < self.lb).any():
             raise ValueError("upper bounds must dominate lower bounds")
-
-    @cached_property
-    def _form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a_lb, bound_rhs, block), the standard form's b-independent parts.
-
-        Shifting x to y = x - lb takes a_lb = a_ub @ lb off b_ub, and
-        each finite upper bound becomes a row y_j <= bound_rhs.  block is
-        the tableau's ``[A | bound rows | I]`` over the structural and
-        slack columns, one row per constraint.
-        """
-        n = self.objective.shape[0]
-        bounded = np.isfinite(self.ub).nonzero()[0]
-        k = self.a_ub.shape[0]
-        m = k + bounded.shape[0]
-        block = np.zeros((m, n + m))
-        block[:k, :n] = self.a_ub
-        block[np.arange(k, m), bounded] = 1.0
-        block[:, n:] = np.eye(m)
-        form = (self.a_ub @ self.lb, self.ub[bounded] - self.lb[bounded], block)
-        for a in form:
-            a.flags.writeable = False
-        return form
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +173,15 @@ def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
     # slacks; negate rows to make b nonnegative, and give each negated
     # row an artificial column as its basic variable, numbered in row
     # order; rows needing fewer artificials leave the padding at zero
-    a_lb, bound_rhs, block = lp._form
-    m = block.shape[0]
+    bounded = np.isfinite(lp.ub).nonzero()[0]
+    m = k + bounded.shape[0]
+    block = np.zeros((m, n + m))  # [A | bound rows | I]
+    block[:k, :n] = lp.a_ub
+    block[np.arange(k, m), bounded] = 1.0
+    block[:, n:] = np.eye(m)
     b = np.empty((b_rows.shape[0], m))
-    np.subtract(b_rows, a_lb, out=b[:, :k])
-    b[:, k:] = bound_rhs
+    np.subtract(b_rows, lp.a_ub @ lp.lb, out=b[:, :k])
+    b[:, k:] = lp.ub[bounded] - lp.lb[bounded]
     negated = b < 0
     art = np.cumsum(negated, axis=1) - 1
     sign = np.where(negated, -1.0, 1.0)

@@ -401,7 +401,9 @@ class OptCache:
     All pairwise distances are precomputed, unchecked, since the
     Instance checked its points.  Its one release-free DP table covers
     all of its requests; above the search cap, prefixes and plans read
-    the cache of _planner instead.
+    the cache of _planner instead, and the cache compiles only the
+    points of its first DEFAULT_SEARCH_CAP requests, all that a
+    schedule of a prefix within the cap visits.
 
     A request is released by time t when its release time is at most t,
     compared exactly, with no tolerance: the rule by which the engine
@@ -417,7 +419,7 @@ class OptCache:
         self.ids = [r.id for r in reqs]
         self.index = {rid: j for j, rid in enumerate(self.ids)}  # request id -> position
         pts: list[Point] = [inst.space.origin]
-        for r in reqs:
+        for r in reqs[:DEFAULT_SEARCH_CAP]:  # no search reads a point past the cap
             pts.append(r.a)
             pts.append(r.b)
         self.points = pts

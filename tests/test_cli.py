@@ -503,17 +503,22 @@ def test_sweep_grid_at_the_cap(capsys):
     ('{"alpha": Infinity}', (), "alpha"),
     ('{"count": true}', (), "count"),
     ('{"max_requests": false}', (), "max_requests"),
+    ('{"max_requests": 11}', (), "max_requests"),
+    ('{"matrix_nodes": [2, 65], "spaces": ["matrix"]}', ("--count", "1"), "matrix_nodes"),
     ('{"spaces": ["line", "moon"]}', (), "spaces"),
     ('{"spaces": "line"}', (), "spaces"),
     ('{"capacities": [0]}', (), "capacities"),
     ('{"workers": 65}', ("--count", "1"), "workers"),
     (None, ("--count", "-1"), "count"),
     (None, ("--count", "1", "--workers", "65"), "workers"),
+    (None, ("--count", "40", "--seed", "1", "--max-requests", "12"), "max_requests"),
+    (None, ("--count", "1", "--max-requests", "20000000"), "max_requests"),
     ('[1, 2]', (), "fuzz config"),
     ('{"count": ', (), "fuzz config"),
-], ids=["alpha-nan", "alpha-inf", "bool-count", "bool-max-requests", "unknown-space",
-        "spaces-not-a-list", "zero-capacity", "workers-over-cap", "negative-count-flag",
-        "workers-over-cap-flag", "not-an-object", "bad-json"])
+], ids=["alpha-nan", "alpha-inf", "bool-count", "bool-max-requests", "max-requests-over-cap",
+        "matrix-nodes-over-bound", "unknown-space", "spaces-not-a-list", "zero-capacity",
+        "workers-over-cap", "negative-count-flag", "workers-over-cap-flag",
+        "max-requests-over-cap-flag", "huge-max-requests-flag", "not-an-object", "bad-json"])
 def test_bad_fuzz_config_fails_fast(tmp_path, config, argv, field):
     # the config is checked before any instance runs or any worker starts
     args = ["fuzz", "--algo", "replan", *argv]

@@ -9,6 +9,7 @@ from openride import experiments
 from openride.experiments import (
     HALF_LINE_LOWER_BOUND,
     MAX_FUZZ_WORKERS,
+    MAX_MATRIX_NODES,
     OPTIMAL_ALPHA_GENERAL,
     OPTIMAL_ALPHA_HALF_LINE,
     FuzzConfig,
@@ -24,7 +25,7 @@ from openride.experiments import (
 from openride.engine import IgnorePolicy, LazyPolicy, ReplanPolicy
 from openride.metric import HALF_LINE, LINE, MATRIX, half_line, line, matrix_space
 from openride.model import EdgePos, ScheduleRecord, Trace, instance_from_dict, instance_to_dict, make_instance
-from openride.offline import OptCache
+from openride.offline import DEFAULT_SEARCH_CAP, OptCache
 
 
 def test_constants():
@@ -312,6 +313,8 @@ def test_fuzz_empty_config():
     ("capacities", (0,)), ("capacities", (True,)), ("capacities", ("2",)), ("capacities", 2),
     ("matrix_nodes", (3, 2)), ("matrix_nodes", (2,)),
     ("check_schedules", "yes"),
+    ("max_requests", DEFAULT_SEARCH_CAP + 1), ("max_requests", 20_000_000),
+    ("matrix_nodes", (2, MAX_MATRIX_NODES + 1)),
 ])
 def test_fuzz_config_rejects_bad_fields(field, value):
     # the check runs when the config is built, so no pool is ever started
@@ -321,6 +324,8 @@ def test_fuzz_config_rejects_bad_fields(field, value):
 
 def test_fuzz_config_accepts_the_worker_cap():
     assert FuzzConfig(workers=MAX_FUZZ_WORKERS).workers == MAX_FUZZ_WORKERS
+    cfg = FuzzConfig(max_requests=DEFAULT_SEARCH_CAP, matrix_nodes=(MAX_MATRIX_NODES, MAX_MATRIX_NODES))
+    assert cfg.max_requests == DEFAULT_SEARCH_CAP and cfg.matrix_nodes[1] == MAX_MATRIX_NODES
     assert FuzzConfig(workers=0, alpha=1, count=0).alpha == 1
 
 

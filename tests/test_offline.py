@@ -337,9 +337,13 @@ def test_shortest_schedule_shares_the_instance_cache():
 # the release-free DP table
 
 
-def recursive_rest(cache, memo):
-    """Top-down, dict-memoised release-free DP: the oracle for the table."""
-    dist, cap, m = cache.dist, cache.cap, cache.m
+def recursive_rest(cache, memo, dist=None):
+    """Top-down, dict-memoised release-free DP: the oracle for the table.
+
+    dist defaults to the cache's own distance table.
+    """
+    dist = cache.dist if dist is None else dist
+    cap, m = cache.cap, cache.m
     full = (1 << m) - 1
 
     def rest(pos, loaded, done):
@@ -442,7 +446,8 @@ def test_dp_table_above_the_cap_covers_only_the_scope(monkeypatch):
     inst = make_instance(line(), 2, [(rng.uniform(-4, 4), rng.uniform(-4, 4), 0.0)
                                      for _ in range(14)])
     cache = OptCache(inst)
-    oracle = recursive_rest(cache, {})
+    points = [inst.space.origin] + [p for r in inst.requests for p in (r.a, r.b)]
+    oracle = recursive_rest(cache, {}, inst.space.table(points, points))
     full = (1 << 14) - 1
     # the branch and bound reads a cache over its prefix, and only the last is kept
     sub = cache._planner(inst.requests[:5])
@@ -502,6 +507,26 @@ def reconstruct_two_pass(cache, lookup, row, loaded, done, order):
         seq.append((j, pos == 2 + 2 * j))
         row = cache.dist[pos]
     return seq, tied
+
+
+def test_cache_above_the_cap_compiles_only_the_points_a_search_reads():
+    # 30 requests released 10 apart: the cache's distances cover only the
+    # origin and the first DEFAULT_SEARCH_CAP requests' pickups and dropoffs,
+    # which are all that a prefix within the cap visits
+    rng = random.Random(0)
+    inst = make_instance(line(), 1, [(rng.uniform(0, 10), rng.uniform(0, 10), 10.0 * i)
+                                     for i in range(30)])
+    cache = OptCache(inst)
+    width = 2 * DEFAULT_SEARCH_CAP + 1
+    assert len(cache.points) == width
+    assert np.shape(cache.dist) == (width, width)
+    assert len(cache.rel) == len(cache.ids) == len(cache.index) == 30
+    for t in (0.0, 35.0, 10.0 * (DEFAULT_SEARCH_CAP - 1)):
+        k = cache.prefix_for(t)
+        prefix = Instance(inst.space, inst.capacity, inst.requests[:k])
+        assert opt_upto(inst, t, cache) == opt_upto(prefix, t)
+    with pytest.raises(SearchCapExceeded):
+        opt_upto(inst, 10.0 * DEFAULT_SEARCH_CAP, cache)
 
 
 def test_reconstruction_takes_the_last_move_when_none_is_within_its_target():
