@@ -264,6 +264,33 @@ def test_fuzz_config_file_with_flag_override(capsys, tmp_path):
     assert obj["worst_instance"]["metric"]["type"] == "halfline"
 
 
+def test_fuzz_space_and_capacity_flags(capsys):
+    code, out, _ = run(
+        capsys, "fuzz", "--algo", "ignore", "--count", "12", "--seed", "4",
+        "--spaces", "halfline", "--capacities", "1,inf",
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count"] == 12 and obj["violations"] == 0
+    assert obj["worst_instance"]["metric"]["type"] == "halfline"
+    assert obj["worst_instance"]["capacity"] in (1, "inf")
+
+
+def test_fuzz_bad_capacities_flag(capsys):
+    code, out, err = run(capsys, "fuzz", "--algo", "ignore", "--count", "1", "--capacities", "x")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--capacities" in err
+
+
+def test_emitted_instance_has_no_csv_form(capsys):
+    code, out, err = run(capsys, "lower-bound", "--alpha", "1.2", "--emit-instance",
+                         "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "no CSV form" in err
+
+
 def test_fuzz_bad_config_key(capsys, tmp_path):
     cfgfile = tmp_path / "fuzz.json"
     cfgfile.write_text(json.dumps({"countt": 10}))

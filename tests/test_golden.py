@@ -2,7 +2,8 @@
 
 tests/golden/cli.json holds the exact stdout of ``openride lower-bound``,
 ``ratio``, ``opt`` and ``simulate`` on the half-line lower-bound family,
-of one ``sweep`` grid and of one checked ``fuzz`` run.
+of ``sweep`` and ``factor-reveal`` grids, of one ``factor-reveal`` value
+and of ``fuzz`` runs, in JSON and in CSV.
 tests/golden/fuzz.jsonl holds one line per (policy, index) over the
 first instances of FuzzConfig(seed=0): the ratio, a sha256 of the full
 trace, each planned schedule, and OPT's schedule.
@@ -34,6 +35,7 @@ FUZZ_FILE = GOLDEN / "fuzz.jsonl"
 
 ALPHAS = ("1.0", "1.1", "1.2", "1.3")
 EPSILON = "0.01"
+CSV = ["--format", "csv"]
 FUZZ_COUNT = 200
 POLICIES = (("lazy", OPTIMAL_ALPHA_GENERAL), ("replan", None), ("ignore", None))
 
@@ -57,20 +59,32 @@ def cli_outputs() -> dict[str, str]:
     for alpha in ALPHAS:
         lb = ["lower-bound", "--alpha", alpha, "--epsilon", EPSILON]
         out[" ".join(lb)] = _cli(lb)
+        out[" ".join(lb + CSV)] = _cli(lb + CSV)
         inst = _cli(lb + ["--emit-instance"])
         for algo in ("lazy", "replan", "ignore"):
             ratio = ["ratio", "--instance", "-", "--algo", algo]
             if algo == "lazy":
                 ratio += ["--alpha", alpha]
             out[" ".join(ratio) + " < " + " ".join(lb + ["--emit-instance"])] = _cli(ratio, inst)
-        for cmd in (["opt"], ["opt", "--upto", "4.0"],
+        for cmd in (["opt"], ["opt", "--upto", "4.0"], ["opt"] + CSV, ["opt", "--upto", "4.0"] + CSV,
+                    ["ratio", "--algo", "lazy", "--alpha", alpha] + CSV,
                     ["simulate", "--algo", "lazy", "--alpha", alpha],
                     ["simulate", "--algo", "replan", "--format", "csv"]):
             argv = cmd[:1] + ["--instance", "-"] + cmd[1:]
             out[" ".join(argv) + " < " + " ".join(lb + ["--emit-instance"])] = _cli(argv, inst)
     for argv in (["sweep", "--grid", "0:3:0.25"],
                  ["fuzz", "--algo", "lazy", "--alpha", "1.4574271077563381", "--count", "50",
-                  "--check-schedules"]):
+                  "--check-schedules"],
+                 ["sweep", "--grid", "0:3:0.25"] + CSV,
+                 ["factor-reveal", "--alpha", "1.3660254"],
+                 ["factor-reveal", "--alpha", "1.3660254"] + CSV,
+                 ["factor-reveal", "--grid", "1:2:0.25"],
+                 ["factor-reveal", "--grid", "1:2:0.25"] + CSV,
+                 ["fuzz", "--algo", "ignore", "--count", "0"] + CSV,
+                 ["fuzz", "--algo", "lazy", "--alpha", "1.4574271077563381", "--count", "50",
+                  "--check-schedules"] + CSV,
+                 ["fuzz", "--algo", "replan", "--count", "30", "--seed", "2", "--spaces",
+                  "halfline,matrix", "--capacities", "1,inf", "--check-schedules"] + CSV):
         out[" ".join(argv)] = _cli(argv)
     return out
 
