@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -23,8 +22,8 @@ from .experiments import (FuzzConfig, competitive_ratio, fuzz, gen_halfline_lb,
                           make_policy, measure_ratio, sweep_lower_bounds)
 from .factor_revealing import (FactorRevealingError, fr_closed_form, solve_fr)
 from .metric import LINE, HALF_LINE, MATRIX
-from .model import (InstanceError, canonical_json, instance_to_dict,
-                    parse_instance, schedule_to_obj, trace_to_dict)
+from .model import (canonical_json, instance_to_dict, parse_instance,
+                    schedule_to_obj, trace_to_dict)
 from .offline import SearchCapExceeded, opt_upto
 
 ALGOS = ("lazy", "replan", "ignore")
@@ -54,17 +53,18 @@ def _round(obj, digits: int):
     return obj
 
 
-def _emit(args, obj, table=None) -> None:
+def _emit(args, obj, columns=None, rows=None) -> None:
+    """Write obj as JSON, or as CSV: the header columns, then rows, or by
+    default one row per record (obj itself, or each dict of a list)."""
     if args.format == "csv":
-        if table is None:
+        if columns is None:
             raise CliError("this subcommand has no CSV form; use --format json")
-        header, rows = table
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(_round(list(row), args.precision))
-        sys.stdout.write(buf.getvalue())
+        if rows is None:
+            records = obj if isinstance(obj, list) else [obj]
+            rows = [[rec[c] for c in columns] for rec in records]
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(_round(list(row), args.precision) for row in rows)
     else:
         sys.stdout.write(canonical_json(_round(obj, args.precision)) + "\n")
 
@@ -86,23 +86,23 @@ def _check_numbers(args) -> None:
         raise CliError("--upto must be a number, got nan")
 
 
-def _require_alpha(args, parser: argparse.ArgumentParser) -> float | None:
-    if args.algo == "lazy" and args.alpha is None:
+def _require_alpha(algo: str, alpha: float | None, parser) -> float | None:
+    if algo == "lazy" and alpha is None:
         parser.error("--alpha is required with --algo lazy")
-    return args.alpha
+    return alpha
 
 
 # subcommands
 
 
 def _cmd_simulate(args, parser) -> int:
-    alpha = _require_alpha(args, parser)
+    alpha = _require_alpha(args.algo, args.alpha, parser)
     inst = _read_instance(args.instance)
     trace = simulate(inst, make_policy(args.algo, alpha))
     obj = trace_to_dict(trace)
     rows = [(r.index, r.start_time, r.length, r.interrupted, len(r.request_ids))
             for r in trace.schedules]
-    _emit(args, obj, (("index", "start", "length", "interrupted", "requests"), rows))
+    _emit(args, obj, ("index", "start", "length", "interrupted", "requests"), rows)
     return 0
 
 
@@ -111,18 +111,17 @@ def _cmd_opt(args, parser) -> int:
     upto = math.inf if args.upto is None else args.upto
     sched, value = opt_upto(inst, upto)
     obj = {"value": value, "schedule": schedule_to_obj(sched)}
-    _emit(args, obj, (("value", "actions"), [(value, len(sched.actions))]))
+    _emit(args, obj, ("value", "actions"), [(value, len(sched.actions))])
     return 0
 
 
 def _cmd_ratio(args, parser) -> int:
-    alpha = _require_alpha(args, parser)
+    alpha = _require_alpha(args.algo, args.alpha, parser)
     inst = _read_instance(args.instance)
     trace, opt, ratio = measure_ratio(inst, args.algo, alpha)
     obj = {"algo": args.algo, "alpha": alpha, "completion": trace.completion,
            "opt": opt, "ratio": ratio}
-    _emit(args, obj, (("algo", "alpha", "completion", "opt", "ratio"),
-                      [(args.algo, alpha, trace.completion, opt, ratio)]))
+    _emit(args, obj, list(obj))
     return 0
 
 
@@ -135,17 +134,21 @@ def _cmd_lower_bound(args, parser) -> int:
     a, e = args.alpha, args.epsilon
     predicted = (8 * a + 2 - (2 * a + 2) * e) / (4 * a)
     obj = {"alpha": a, "epsilon": e, "ratio": ratio, "predicted": predicted}
-    _emit(args, obj, (("alpha", "epsilon", "ratio", "predicted"),
-                      [(a, e, ratio, predicted)]))
+    _emit(args, obj, list(obj))
     return 0
+
+
+def _capacity(value):
+    """One capacity, with the unbounded spellings "inf", "none" and null as None."""
+    return None if value in ("inf", "none", None) else value
 
 
 def _parse_capacities(text: str):
     out = []
     for part in text.split(","):
-        part = part.strip()
+        cap = _capacity(part.strip())
         try:
-            out.append(None if part in ("inf", "none") else int(part))
+            out.append(cap if cap is None else int(cap))
         except ValueError as e:
             raise CliError(f"bad --capacities {text!r}; expected integers or inf") from e
     return tuple(out)
@@ -164,19 +167,12 @@ def _cmd_fuzz(args, parser) -> int:
             raise CliError(f"bad fuzz config: {e}") from e
         if not isinstance(base, dict):
             raise CliError("bad fuzz config: expected a JSON object")
-        for key in ("spaces", "capacities", "matrix_nodes"):
-            if key in base:
-                if not isinstance(base[key], list):
-                    raise CliError(f"bad fuzz config: {key} must be a list")
-                base[key] = tuple(base[key])
-        if "capacities" in base:
-            base["capacities"] = tuple(None if c in ("inf", "none", None) else c
-                                       for c in base["capacities"])
-    for key, value in (("count", args.count), ("seed", args.seed),
-                       ("alpha", args.alpha), ("workers", args.workers),
-                       ("max_requests", args.max_requests)):
-        if value is not None:
-            base[key] = value
+        # FuzzConfig checks the shape of every field
+        if isinstance(base.get("capacities"), list):
+            base["capacities"] = [_capacity(c) for c in base["capacities"]]
+    for key in ("count", "seed", "alpha", "workers", "max_requests"):
+        if getattr(args, key) is not None:
+            base[key] = getattr(args, key)
     if args.spaces:
         base["spaces"] = tuple(args.spaces.split(","))
     if args.capacities:
@@ -187,23 +183,20 @@ def _cmd_fuzz(args, parser) -> int:
         cfg = FuzzConfig(**base)
     except TypeError as e:
         raise CliError(f"bad fuzz config: {e}") from e
-    if args.algo == "lazy" and cfg.alpha is None:
-        parser.error("--alpha is required with --algo lazy")
+    _require_alpha(args.algo, cfg.alpha, parser)
     report = fuzz(cfg, args.algo)
     obj = {"algo": report.algo, "alpha": report.alpha, "count": report.count,
            "seed": cfg.seed, "worst": report.worst, "worst_index": report.worst_index,
            "mean": report.mean, "violations": report.violations}
+    columns = list(obj)  # the worst instance is in the JSON form only
     if report.worst_instance is not None:
         obj["worst_instance"] = instance_to_dict(report.worst_instance)
-    _emit(args, obj, (("algo", "alpha", "count", "seed", "worst", "worst_index",
-                       "mean", "violations"),
-                      [(report.algo, report.alpha, report.count, cfg.seed,
-                        report.worst, report.worst_index, report.mean,
-                        report.violations)]))
+    _emit(args, obj, columns)
     return 1 if report.violations else 0
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str, lo: float, hi: float = math.inf):
+    """Parse --grid a:b:step into its points, each within [lo, hi]."""
     try:
         a, b, step = (float(v) for v in text.split(":"))
     except ValueError as e:
@@ -223,15 +216,15 @@ def _parse_grid(text: str):
             break
         out.append(min(v, b))
         k += 1
+    if out[0] < lo or out[-1] > hi:
+        raise CliError(f"bad --grid {text!r}; values must lie in [{lo:g}, {hi:g}]")
     return out
 
 
 def _cmd_sweep(args, parser) -> int:
-    alphas = _parse_grid(args.grid)
-    rows = sweep_lower_bounds(alphas)
+    rows = sweep_lower_bounds(_parse_grid(args.grid, 0.0))
     obj = [{"alpha": r.alpha, "bound": r.bound, "source": r.source} for r in rows]
-    _emit(args, obj, (("alpha", "bound", "source"),
-                      [(r.alpha, r.bound, r.source) for r in rows]))
+    _emit(args, obj, list(obj[0]))
     return 0
 
 
@@ -240,20 +233,18 @@ def _cmd_factor_reveal(args, parser) -> int:
         parser.error("exactly one of --alpha or --grid is required")
     if args.alpha is not None:
         sol = solve_fr(args.alpha)
-        obj = {"alpha": sol.alpha, "value": sol.value,
-               "closed_form": fr_closed_form(sol.alpha),
+        closed_form = fr_closed_form(sol.alpha)
+        obj = {"alpha": sol.alpha, "value": sol.value, "closed_form": closed_form,
                "assignment": list(sol.x), "binaries": list(sol.binaries)}
-        _emit(args, obj, (("alpha", "value", "closed_form", "binaries"),
-                          [(sol.alpha, sol.value, fr_closed_form(sol.alpha),
-                            "".join(map(str, sol.binaries)))]))
+        _emit(args, obj, ("alpha", "value", "closed_form", "binaries"),
+              [(sol.alpha, sol.value, closed_form, "".join(map(str, sol.binaries)))])
         return 0
-    rows = []
-    for a in _parse_grid(args.grid):
+    obj = []
+    for a in _parse_grid(args.grid, 1.0, 2.0):
         sol = solve_fr(a)
-        rows.append((a, sol.value, fr_closed_form(a), "".join(map(str, sol.binaries))))
-    obj = [{"alpha": a, "value": v, "closed_form": c, "binaries": b}
-           for a, v, c, b in rows]
-    _emit(args, obj, (("alpha", "value", "closed_form", "binaries"), rows))
+        obj.append({"alpha": a, "value": sol.value, "closed_form": fr_closed_form(a),
+                    "binaries": "".join(map(str, sol.binaries))})
+    _emit(args, obj, list(obj[0]))
     return 0
 
 
@@ -332,8 +323,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except BrokenPipeError:
         return 0
-    except (CliError, InstanceError, EngineError, SearchCapExceeded,
-            FactorRevealingError, ValueError) as e:
+    except (CliError, EngineError, SearchCapExceeded, FactorRevealingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

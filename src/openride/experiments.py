@@ -72,12 +72,14 @@ def measure_ratio(inst: Instance, algo: str, alpha: float | None = None,
                   opt_cache: OptCache | None = None) -> tuple[Trace, float, float]:
     """Run algo once; return its trace, the offline optimum and their ratio.
 
+    OPT is solved first, so an instance above the search cap fails
+    before the run.
     A zero optimum gives ratio 1 when the run also finishes at time 0,
     and infinity otherwise.
     """
     cache = opt_cache if opt_cache is not None else OptCache(inst)
-    trace = simulate(inst, make_policy(algo, alpha), cache)
     opt = cache.value(len(inst.requests))
+    trace = simulate(inst, make_policy(algo, alpha), cache)
     if opt <= TOLERANCE:
         return trace, opt, 1.0 if trace.completion <= TOLERANCE else math.inf
     return trace, opt, trace.completion / opt
@@ -142,8 +144,8 @@ class FuzzConfig:
         if self.workers is not None and not (
                 _is_int(self.workers) and 0 <= self.workers <= MAX_FUZZ_WORKERS):
             bad("workers", f"null or an integer from 0 to {MAX_FUZZ_WORKERS}")
-        if self.alpha is not None and not _is_real(self.alpha):
-            bad("alpha", "a finite number or null")
+        if self.alpha is not None and not (_is_real(self.alpha) and self.alpha >= 0):
+            bad("alpha", "a finite nonnegative number or null")
         if (not isinstance(self.spaces, (tuple, list)) or not self.spaces
                 or any(k not in (LINE, HALF_LINE, MATRIX) for k in self.spaces)):
             bad("spaces", f"a non-empty list of {LINE}, {HALF_LINE}, {MATRIX}")

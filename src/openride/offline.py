@@ -528,10 +528,6 @@ class OptCache:
         best: list = [val0, list(seq0), None]
 
         def dfs(pos: int, t: float, loaded: int, done: int, seq: list) -> None:
-            if done == full:
-                if t < best[0]:
-                    best[0], best[1], best[2] = t, list(seq), None
-                return
             # event times are monotone in t, so an earlier visit of the same
             # state already reached every completion this one could reach
             key = (pos << k | loaded) << k | done
@@ -564,7 +560,9 @@ class OptCache:
                 if tj > bound:
                     bound = tj
             # once every remaining pickup is released, the relaxation is
-            # the rest: the search stops here and the table's tail follows
+            # the rest: the search stops here and the table's tail follows.
+            # A state with every remaining request on board stops here, so
+            # no state with every request done is ever entered
             if pending_rel <= t:
                 if not pos:
                     free = t + _step(self, lookup, row, loaded, done | hidden, range(k))

@@ -510,7 +510,11 @@ def test_huge_matrix_point_message_is_short():
     ("sweep", "--grid", "0:1:1e-320"),
     ("sweep", "--grid", "0:inf:1"),
     ("factor-reveal", "--grid", "1:2:nan"),
-], ids=["too-many-points", "subnormal-step", "infinite-end", "nan-step"])
+    ("factor-reveal", "--grid", "1.5:2.5:0.5"),
+    ("factor-reveal", "--grid", "0.5:1:0.5"),
+    ("sweep", "--grid=-1:0:1"),
+], ids=["too-many-points", "subnormal-step", "infinite-end", "nan-step", "above-the-model",
+        "below-the-model", "negative-alpha"])
 def test_oversized_or_non_finite_grid_fails_fast(argv):
     code, out, err = run_guarded(*argv)
     assert code == 1
@@ -542,10 +546,13 @@ def test_sweep_grid_at_the_cap(capsys):
     (None, ("--count", "1", "--max-requests", "20000000"), "max_requests"),
     ('[1, 2]', (), "fuzz config"),
     ('{"count": ', (), "fuzz config"),
+    (None, ("--alpha=-1", "--count", "2"), "alpha"),
+    ('{"alpha": -0.5}', ("--count", "2"), "alpha"),
 ], ids=["alpha-nan", "alpha-inf", "bool-count", "bool-max-requests", "max-requests-over-cap",
         "matrix-nodes-over-bound", "unknown-space", "spaces-not-a-list", "zero-capacity",
         "workers-over-cap", "negative-count-flag", "workers-over-cap-flag",
-        "max-requests-over-cap-flag", "huge-max-requests-flag", "not-an-object", "bad-json"])
+        "max-requests-over-cap-flag", "huge-max-requests-flag", "not-an-object", "bad-json",
+        "negative-alpha-flag", "negative-alpha"])
 def test_bad_fuzz_config_fails_fast(tmp_path, config, argv, field):
     # the config is checked before any instance runs or any worker starts
     args = ["fuzz", "--algo", "replan", *argv]

@@ -25,7 +25,7 @@ from openride.experiments import (
 from openride.engine import IgnorePolicy, LazyPolicy, ReplanPolicy
 from openride.metric import HALF_LINE, LINE, MATRIX, half_line, line, matrix_space
 from openride.model import EdgePos, ScheduleRecord, Trace, instance_from_dict, instance_to_dict, make_instance
-from openride.offline import DEFAULT_SEARCH_CAP, OptCache
+from openride.offline import DEFAULT_SEARCH_CAP, OptCache, SearchCapExceeded
 
 
 def test_constants():
@@ -245,6 +245,18 @@ def test_competitive_ratio_zero_opt():
     assert competitive_ratio(inst, "lazy", 1.5) == 1.0
 
 
+def test_measure_ratio_solves_opt_before_the_run(monkeypatch):
+    # an instance above the search cap fails before any simulation step
+    def no_run(*args):
+        raise AssertionError("simulate ran before OPT was solved")
+
+    monkeypatch.setattr(experiments, "simulate", no_run)
+    inst = make_instance(line(), 1, [(float(i % 3), 1.0, float(i)) for i in range(11)])
+    for algo, alpha in (("replan", None), ("lazy", 1.5)):
+        with pytest.raises(SearchCapExceeded, match="^11 released requests exceed"):
+            measure_ratio(inst, algo, alpha)
+
+
 def test_generate_instance_deterministic():
     cfg = FuzzConfig(seed=42)
     a = generate_instance(cfg, 7)
@@ -315,6 +327,7 @@ def test_fuzz_empty_config():
     ("check_schedules", "yes"),
     ("max_requests", DEFAULT_SEARCH_CAP + 1), ("max_requests", 20_000_000),
     ("matrix_nodes", (2, MAX_MATRIX_NODES + 1)),
+    ("alpha", -1.0),
 ])
 def test_fuzz_config_rejects_bad_fields(field, value):
     # the check runs when the config is built, so no pool is ever started
