@@ -72,10 +72,9 @@ def measure_ratio(inst: Instance, algo: str, alpha: float | None = None,
                   opt_cache: OptCache | None = None) -> tuple[Trace, float, float]:
     """Run algo once; return its trace, the offline optimum and their ratio.
 
-    OPT is solved first, so an instance above the search cap fails
-    before the run.
     A zero optimum gives ratio 1 when the run also finishes at time 0,
-    and infinity otherwise.
+    and infinity otherwise.  OPT is solved before the run, so an
+    instance above the search cap fails before it is simulated.
     """
     cache = opt_cache if opt_cache is not None else OptCache(inst)
     opt = cache.value(len(inst.requests))

@@ -60,6 +60,14 @@ def test_lower_bound_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_emitted_instance_has_no_csv_form(capsys):
+    code, out, err = run(capsys, "lower-bound", "--alpha", "1.2", "--emit-instance",
+                         "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "no CSV form" in err
+
+
 def test_ratio_json(capsys, lb_instance):
     code, out, _ = run(
         capsys, "ratio", "--instance", lb_instance, "--algo", "lazy", "--alpha", "1.2"
@@ -262,33 +270,6 @@ def test_fuzz_config_file_with_flag_override(capsys, tmp_path):
     assert obj["count"] == 10
     assert obj["seed"] == 5  # the flag wins over the file
     assert obj["worst_instance"]["metric"]["type"] == "halfline"
-
-
-def test_fuzz_space_and_capacity_flags(capsys):
-    code, out, _ = run(
-        capsys, "fuzz", "--algo", "ignore", "--count", "12", "--seed", "4",
-        "--spaces", "halfline", "--capacities", "1,inf",
-    )
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["count"] == 12 and obj["violations"] == 0
-    assert obj["worst_instance"]["metric"]["type"] == "halfline"
-    assert obj["worst_instance"]["capacity"] in (1, "inf")
-
-
-def test_fuzz_bad_capacities_flag(capsys):
-    code, out, err = run(capsys, "fuzz", "--algo", "ignore", "--count", "1", "--capacities", "x")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "--capacities" in err
-
-
-def test_emitted_instance_has_no_csv_form(capsys):
-    code, out, err = run(capsys, "lower-bound", "--alpha", "1.2", "--emit-instance",
-                         "--format", "csv")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "no CSV form" in err
 
 
 def test_fuzz_bad_config_key(capsys, tmp_path):
@@ -548,11 +529,12 @@ def test_sweep_grid_at_the_cap(capsys):
     ('{"count": ', (), "fuzz config"),
     (None, ("--alpha=-1", "--count", "2"), "alpha"),
     ('{"alpha": -0.5}', ("--count", "2"), "alpha"),
+    (None, ("--count", "1", "--capacities", "x"), "--capacities"),
 ], ids=["alpha-nan", "alpha-inf", "bool-count", "bool-max-requests", "max-requests-over-cap",
         "matrix-nodes-over-bound", "unknown-space", "spaces-not-a-list", "zero-capacity",
         "workers-over-cap", "negative-count-flag", "workers-over-cap-flag",
         "max-requests-over-cap-flag", "huge-max-requests-flag", "not-an-object", "bad-json",
-        "negative-alpha-flag", "negative-alpha"])
+        "negative-alpha-flag", "negative-alpha", "bad-capacities-flag"])
 def test_bad_fuzz_config_fails_fast(tmp_path, config, argv, field):
     # the config is checked before any instance runs or any worker starts
     args = ["fuzz", "--algo", "replan", *argv]
