@@ -7,6 +7,11 @@ and of ``fuzz`` runs, in JSON and in CSV.
 tests/golden/fuzz.jsonl holds one line per (policy, index) over the
 first instances of FuzzConfig(seed=0): the ratio, a sha256 of the full
 trace, each planned schedule, and OPT's schedule.
+tests/golden/exact.jsonl holds one line per (index, policy) over the
+first exact-large benchmark inputs (8 requests, perfbench's
+exact_instance on seed 0), lazy and then replan on one OptCache as the
+benchmark runs them: the ratio, a sha256 of the full trace, where each
+planned schedule starts, and each planned schedule.
 
 A difference is a behaviour change.  To re-record after an intended
 change, run ``python tests/test_golden.py`` with ``src`` on PYTHONPATH.
@@ -25,18 +30,20 @@ from pathlib import Path
 from openride.cli import main
 from openride.engine import simulate
 from openride.experiments import (OPTIMAL_ALPHA_GENERAL, FuzzConfig, competitive_ratio,
-                                  generate_instance, make_policy)
+                                  generate_instance, make_policy, measure_ratio)
 from openride.model import canonical_json, schedule_to_obj, trace_to_dict
 from openride.offline import OptCache, opt_upto
 
 GOLDEN = Path(__file__).with_name("golden")
 CLI_FILE = GOLDEN / "cli.json"
 FUZZ_FILE = GOLDEN / "fuzz.jsonl"
+EXACT_FILE = GOLDEN / "exact.jsonl"
 
 ALPHAS = ("1.0", "1.1", "1.2", "1.3")
 EPSILON = "0.01"
 CSV = ["--format", "csv"]
 FUZZ_COUNT = 200
+EXACT_COUNT = 48
 POLICIES = (("lazy", OPTIMAL_ALPHA_GENERAL), ("replan", None), ("ignore", None))
 
 
@@ -111,6 +118,28 @@ def fuzz_lines() -> list[str]:
     return lines
 
 
+def exact_lines() -> list[str]:
+    """One canonical JSON line per (index, policy) of the seed-0 exact-large inputs."""
+    from perfbench.workloads import exact_instance
+
+    lines = []
+    for index in range(EXACT_COUNT):
+        inst = exact_instance(0, index)
+        cache = OptCache(inst)
+        for algo, alpha in POLICIES[:2]:
+            trace, _, ratio = measure_ratio(inst, algo, alpha, cache)
+            full = trace_to_dict(trace)
+            lines.append(canonical_json({
+                "policy": algo,
+                "index": index,
+                "ratio": ratio,
+                "trace_sha256": hashlib.sha256(canonical_json(full).encode()).hexdigest(),
+                "starts": [rec["p"] for rec in full["schedules"]],
+                "schedules": [schedule_to_obj(rec.schedule) for rec in trace.schedules],
+            }))
+    return lines
+
+
 def test_cli_output_matches_golden():
     want = json.loads(CLI_FILE.read_text())
     got = cli_outputs()
@@ -127,11 +156,29 @@ def test_fuzz_stream_matches_golden():
         assert g == w, f"line {i + 1} of {FUZZ_FILE.name} differs"
 
 
+def test_exact_stream_matches_golden():
+    want = EXACT_FILE.read_text().splitlines()
+    got = exact_lines()
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {i + 1} of {EXACT_FILE.name} differs"
+
+
+def test_exact_golden_has_a_mid_edge_replan():
+    # replan is the one policy that plans from inside a matrix edge; the
+    # corpus pins at least one such plan
+    lines = [json.loads(line) for line in EXACT_FILE.read_text().splitlines()]
+    assert any(isinstance(p, dict) and "edge" in p
+               for line in lines if line["policy"] == "replan" for p in line["starts"])
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     CLI_FILE.write_text(json.dumps(cli_outputs(), indent=1) + "\n")
     FUZZ_FILE.write_text("\n".join(fuzz_lines()) + "\n")
+    EXACT_FILE.write_text("\n".join(exact_lines()) + "\n")
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the root, for perfbench, as pytest adds it
     record()
