@@ -40,7 +40,6 @@ from .model import (
     TraceEvent,
     Unload,
     Wait,
-    schedule_length,
 )
 from .numeric import CHECK_TOL, TIE_EPS, TOLERANCE
 from .offline import OptCache, fastest_delivery_and_return, shortest_schedule
@@ -153,11 +152,15 @@ class Simulation:
 
         def plan(p):
             sched = shortest_schedule(reqs, p, self.opt_cache, loaded, self.time)
-            return schedule_length(sched), sched
+            length = 0  # summed in action order from int 0, as schedule_length sums
+            for act in sched.actions:
+                if isinstance(act, Move):
+                    length += act.distance
+                elif isinstance(act, Wait):
+                    raise EngineError("planned schedules never wait")
+            return length, sched
 
         total, lead, sched = self._plan_from_here(plan)
-        if any(isinstance(act, Wait) for act in sched.actions):
-            raise EngineError("planned schedules never wait")
         self._follow(sched, total, self.pos, lead + list(sched.actions))
 
     def _follow(self, sched: Schedule, length: float, pos: Position, steps: list) -> None:
@@ -176,14 +179,6 @@ class Simulation:
         self.log("schedule", i=rec.index, length=length)
 
     # -- event loop ---------------------------------------------------
-
-    def _boundary(self) -> float:
-        step = self.cmd.steps[self.cmd.idx]
-        if isinstance(step, Move):
-            return self.time + (step.distance - self.cmd.moved)
-        if isinstance(step, Wait):
-            return max(self.time, step.until)
-        return self.time
 
     def _interpolate(self, step: Move, moved: float) -> Position:
         if moved >= step.distance - TIE_EPS:
@@ -208,12 +203,10 @@ class Simulation:
         self.time = t
 
     def _finish_step(self) -> None:
+        """Finish the current Load, Unload or Wait step; run() finishes a Move itself."""
         cmd = self.cmd
         step = cmd.steps[cmd.idx]
-        if isinstance(step, Move):
-            self.pos = step.end
-            cmd.moved = 0.0
-        elif isinstance(step, Load):
+        if isinstance(step, Load):
             rid = step.request_id
             if rid not in self.pending or rid in self.loaded:
                 raise EngineError(f"load of request {rid} out of order")
@@ -239,12 +232,25 @@ class Simulation:
         # release batches of equal release time, the next one last
         batches = [list(g) for _, g in groupby(self.inst.requests, key=lambda r: r.release)][::-1]
         for _ in range(200 * (len(self.inst.requests) + 1) + 1000):
+            # one turn: end a finished command, take the next release batch
+            # if it comes no later than the current step ends, or finish the step
             cmd = self.cmd
-            if cmd is not None and cmd.idx >= len(cmd.steps):
+            if cmd is None:
+                end = math.inf
+            elif cmd.idx < len(cmd.steps):
+                step = cmd.steps[cmd.idx]
+                if isinstance(step, Move):
+                    end = self.time + (step.distance - cmd.moved)
+                elif isinstance(step, Wait):
+                    end = max(self.time, step.until)
+                else:
+                    end = self.time
+            else:
                 self.cmd = None
                 self.log(f"{cmd.kind}-end")
                 self.policy.on_idle(self)
-            elif batches and (cmd is None or batches[-1][0].release <= self._boundary()):
+                continue
+            if batches and batches[-1][0].release <= end:
                 batch = batches.pop()
                 self._advance_to(batch[0].release)
                 for r in batch:
@@ -256,8 +262,13 @@ class Simulation:
             elif cmd is None:
                 break
             else:
-                self._advance_to(self._boundary())
-                self._finish_step()
+                self.time = end
+                if isinstance(step, Move):
+                    self.pos = step.end
+                    cmd.moved = 0.0
+                    cmd.idx += 1
+                else:
+                    self._finish_step()
         else:
             raise EngineError("simulation failed to make progress")
         if self.pending:

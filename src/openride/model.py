@@ -143,26 +143,48 @@ def make_instance(space: MetricSpace, capacity: int | None, triples) -> Instance
 # schedules
 
 
+# The records a run builds by the hundred (actions, schedules, trace events)
+# are frozen dataclasses whose __init__ is written by hand: it fills
+# __dict__ directly, where the generated one calls object.__setattr__ once
+# per field.  Each takes its fields in order, as the generated one would;
+# test_model checks that against dataclasses.fields.
+
+
 @dataclass(frozen=True)
 class Move:
     start: Point
     end: Point
     distance: float
 
+    def __init__(self, start: Point, end: Point, distance: float):
+        d = self.__dict__
+        d["start"] = start
+        d["end"] = end
+        d["distance"] = distance
+
 
 @dataclass(frozen=True)
 class Load:
     request_id: int
+
+    def __init__(self, request_id: int):
+        self.__dict__["request_id"] = request_id
 
 
 @dataclass(frozen=True)
 class Unload:
     request_id: int
 
+    def __init__(self, request_id: int):
+        self.__dict__["request_id"] = request_id
+
 
 @dataclass(frozen=True)
 class Wait:
     until: float  # absolute time
+
+    def __init__(self, until: float):
+        self.__dict__["until"] = until
 
 
 Action = Move | Load | Unload | Wait
@@ -172,6 +194,11 @@ Action = Move | Load | Unload | Wait
 class Schedule:
     start_pos: Point
     actions: tuple[Action, ...]
+
+    def __init__(self, start_pos: Point, actions: tuple[Action, ...]):
+        d = self.__dict__
+        d["start_pos"] = start_pos
+        d["actions"] = actions
 
 
 def schedule_length(sched: Schedule) -> float:
@@ -287,11 +314,20 @@ class ScheduleRecord:
     loaded: tuple[int, ...] = ()  # ids on board at the start; replay-only, like schedule
 
 
+_FRESH = object()  # TraceEvent's data default: a new empty dict per event
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     time: float
     kind: str
     data: dict = field(default_factory=dict)
+
+    def __init__(self, time: float, kind: str, data: dict = _FRESH):
+        d = self.__dict__
+        d["time"] = time
+        d["kind"] = kind
+        d["data"] = {} if data is _FRESH else data
 
 
 @dataclass

@@ -261,19 +261,20 @@ def test_a_policy_that_never_serves_ends_with_unserved_requests():
 
 def test_step_guard_leaves_a_wide_margin(monkeypatch):
     # run()'s loop takes one iteration per finished step, ended command and
-    # release batch, and one more to stop.  Over the instances of the golden
+    # release batch, and one more to stop.  The steps of the commands a run
+    # starts bound the steps it finishes.  Over the instances of the golden
     # fuzz stream and the plan corpus that stays far below the guard
     from test_golden import FUZZ_COUNT, POLICIES
     from test_golden_plan import COUNT, make_case
 
     steps = [0]
-    finish = engine.Simulation._finish_step
+    command = engine.Command
 
-    def counted(sim):
-        steps[0] += 1
-        finish(sim)
+    def counted(kind, cmd_steps):
+        steps[0] += len(cmd_steps)
+        return command(kind, cmd_steps)
 
-    monkeypatch.setattr(engine.Simulation, "_finish_step", counted)
+    monkeypatch.setattr(engine, "Command", counted)
     insts = [generate_instance(FuzzConfig(seed=0), i) for i in range(FUZZ_COUNT)]
     insts += [make_case(i)[0] for i in range(COUNT)]
     worst = 0.0

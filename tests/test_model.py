@@ -1,6 +1,9 @@
 """Instance model, schedule validation, and JSON round trips."""
 
+import dataclasses
+import inspect
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +19,7 @@ from openride.model import (
     Schedule,
     ScheduleViolation,
     SemanticError,
+    TraceEvent,
     Unload,
     Wait,
     canonical_json,
@@ -399,3 +403,61 @@ def test_schedule_to_obj():
         "start": 0.0,
         "actions": [["move", 0.0, 1.0], ["load", 0], ["unload", 0], ["wait", 3.0]],
     }
+
+
+# one value per field of each record with a hand-written __init__, and a
+# second value for its first field
+RECORDS = {
+    Move: ((0.0, 2.5, 2.5), 1.0),
+    Load: ((3,), 4),
+    Unload: ((3,), 4),
+    Wait: ((7.5,), 8.0),
+    Schedule: ((0.0, (Move(0.0, 1.0, 1.0), Load(0))), 1.0),
+    TraceEvent: ((1.5, "load", {"id": 2}), 2.0),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_hand_written_records_match_generated_dataclasses(cls):
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == [f.name for f in fields]
+    for p, f in zip(params, fields):
+        if f.default is not dataclasses.MISSING:
+            assert p.default == f.default, f.name
+        else:  # a factory default is some marker; a required field has none
+            assert (p.default is p.empty) == (f.default_factory is dataclasses.MISSING), f.name
+    # the dataclass generated from the same fields, as a reference
+    twin = dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory))
+        for f in fields], frozen=True)
+    args, other = RECORDS[cls]
+    obj, ref = cls(*args), twin(*args)
+    assert obj == cls(**{f.name: a for f, a in zip(fields, args)})
+    assert repr(obj) == repr(ref)
+    try:
+        want = hash(ref)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == want
+    first = fields[0].name
+    moved = replace(obj, **{first: other})
+    assert repr(moved) == repr(replace(ref, **{first: other}))
+    assert (moved == obj) == (replace(ref, **{first: other}) == ref)
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is cls and back == obj and repr(back) == repr(obj)
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, other)
+    # defaulted fields left out are filled as the generated __init__ fills
+    # them, a factory's value new for each record; an explicit None is kept
+    required = args[:sum(p.default is p.empty for p in params)]
+    if len(required) < len(args):
+        short = cls(*required)
+        assert repr(short) == repr(twin(*required))
+        for f in fields[len(required):]:
+            if f.default_factory is not dataclasses.MISSING:
+                assert getattr(short, f.name) is not getattr(cls(*required), f.name)
+            assert getattr(cls(*required, **{f.name: None}), f.name) is None
