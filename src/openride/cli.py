@@ -173,9 +173,9 @@ def _cmd_fuzz(args, parser) -> int:
     for key in ("count", "seed", "alpha", "workers", "max_requests"):
         if getattr(args, key) is not None:
             base[key] = getattr(args, key)
-    if args.spaces:
+    if args.spaces is not None:
         base["spaces"] = tuple(args.spaces.split(","))
-    if args.capacities:
+    if args.capacities is not None:
         base["capacities"] = _parse_capacities(args.capacities)
     if args.check_schedules:
         base["check_schedules"] = True

@@ -530,11 +530,14 @@ def test_sweep_grid_at_the_cap(capsys):
     (None, ("--alpha=-1", "--count", "2"), "alpha"),
     ('{"alpha": -0.5}', ("--count", "2"), "alpha"),
     (None, ("--count", "1", "--capacities", "x"), "--capacities"),
+    (None, ("--count", "3", "--spaces", ""), "spaces"),
+    (None, ("--count", "3", "--capacities", ""), "--capacities"),
 ], ids=["alpha-nan", "alpha-inf", "bool-count", "bool-max-requests", "max-requests-over-cap",
         "matrix-nodes-over-bound", "unknown-space", "spaces-not-a-list", "zero-capacity",
         "workers-over-cap", "negative-count-flag", "workers-over-cap-flag",
         "max-requests-over-cap-flag", "huge-max-requests-flag", "not-an-object", "bad-json",
-        "negative-alpha-flag", "negative-alpha", "bad-capacities-flag"])
+        "negative-alpha-flag", "negative-alpha", "bad-capacities-flag", "empty-spaces-flag",
+        "empty-capacities-flag"])
 def test_bad_fuzz_config_fails_fast(tmp_path, config, argv, field):
     # the config is checked before any instance runs or any worker starts
     args = ["fuzz", "--algo", "replan", *argv]
