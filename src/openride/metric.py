@@ -16,6 +16,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numeric import TOLERANCE
 
 LINE = "line"
@@ -25,6 +27,10 @@ MATRIX = "matrix"
 KINDS = (LINE, HALF_LINE, MATRIX)
 
 Point = float | int
+
+# most (i, j, k) triples the triangle check tests in one numpy pass (512 KiB
+# of float64); a row of a larger matrix is one pass
+TRIANGLE_BLOCK = 1 << 16
 
 
 class InvalidPointError(ValueError):
@@ -121,6 +127,10 @@ def _metric_fault(d) -> str | None:
 
     The checks run in order: shape, finite entries, zero diagonal,
     symmetry, nonnegativity, triangle inequality (all up to TOLERANCE).
+    The triangle check tests every (j, k) of a block of rows i in one
+    numpy pass, each block of at most TRIANGLE_BLOCK entries (at least
+    one row), so a large matrix takes one n x n pass per row and a small
+    one a single pass, where a Python loop would take n^3 steps.
     """
     n = len(d)
     if n == 0:
@@ -143,12 +153,18 @@ def _metric_fault(d) -> str | None:
         for j in range(n):
             if d[i][j] < -TOLERANCE:
                 return f"negative: d[{i}][{j}] = {d[i][j]} < 0"
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][k] > d[i][j] + d[j][k] + TOLERANCE:
-                    return (f"triangle: d[{i}][{k}] = {d[i][k]} > "
-                            f"d[{i}][{j}] + d[{j}][{k}] = {d[i][j] + d[j][k]}")
+    a = np.array(d, dtype=float)
+    rows = max(1, TRIANGLE_BLOCK // (n * n))
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf, as in Python
+        for lo in range(0, n, rows):
+            ai = a[lo:lo + rows]
+            # bad[i, j, k] is d[i][k] > d[i][j] + d[j][k] + TOLERANCE, summed in that order
+            bad = ai[:, None, :] > ai[:, :, None] + a + TOLERANCE
+            if np.count_nonzero(bad):  # cheaper than bad.any() on a small block
+                i, j, k = (int(x) for x in np.unravel_index(bad.argmax(), bad.shape))  # first in (i, j, k) order
+                i += lo
+                return (f"triangle: d[{i}][{k}] = {d[i][k]} > "
+                        f"d[{i}][{j}] + d[{j}][{k}] = {d[i][j] + d[j][k]}")
     return None
 
 

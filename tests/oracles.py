@@ -1,7 +1,8 @@
 """Structure-free oracles the exact solvers are checked against.
 
 For the factor-revealing model: its documented witness and a check of
-a point against the model's constraints before linearization.
+a point against the model's constraints before linearization.  For
+matrix validation: the triangle check as a plain Python loop.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from openride.model import Instance
-from openride.numeric import OPTIMAL_ALPHA_HALF_LINE
+from openride.numeric import OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from openride.offline import SearchCapExceeded
 
 NAIVE_CAP = 6
@@ -59,6 +60,22 @@ def opt_upto_naive(inst: Instance, t: float) -> float:
 
     go(0, 0.0, 0, 0)
     return best[0]
+
+
+def triangle_fault_naive(d) -> str | None:
+    """metric._metric_fault's triangle message for the first (i, j, k) in loop order, else None.
+
+    Tests every triple in Python, n^3 steps; the library tests a block of
+    rows i per numpy pass and must name the same triple in the same words.
+    """
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k] + TOLERANCE:
+                    return (f"triangle: d[{i}][{k}] = {d[i][k]} > "
+                            f"d[{i}][{j}] + d[{j}][{k}] = {d[i][j] + d[j][k]}")
+    return None
 
 
 def witness_solution(alpha: float) -> tuple[tuple[float, ...], tuple[int, int, int, int]]:

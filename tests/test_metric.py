@@ -1,6 +1,9 @@
 """Metric space kinds, distances, and matrix validation."""
 
+import random
+
 import pytest
+from oracles import triangle_fault_naive
 
 from openride import metric
 from openride.metric import (
@@ -165,6 +168,40 @@ def test_validate_triangle():
     # d[0][1] = 10 > d[0][2] + d[2][1] = 4
     _assert_invalid(lambda: matrix_space([[0, 10, 2], [10, 0, 2], [2, 2, 0]]), "triangle",
             "d[0][1] = 10.0 > d[0][2] + d[2][1] = 4.0")
+
+
+def _closure(rng: random.Random, n: int) -> list[list[float]]:
+    """A random n-node metric: symmetric entries in [1, 9], closed under shortest paths."""
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.choice((float(rng.randint(1, 9)), rng.uniform(1.0, 9.0)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_triangle_check_names_the_loops_first_triple(n, monkeypatch):
+    # metrics, metrics with one or two pairs stretched, and stretches within
+    # a few TOLERANCE of the bound, where the order of the sum decides; each
+    # in one block of rows and in blocks of two rows
+    rng = random.Random(n)
+    for case in range(6):
+        d = _closure(rng, n)
+        for _ in range(case % 3):
+            i, k = rng.sample(range(n), 2)
+            grow = rng.uniform(0.0, 3.0) if case < 3 else rng.uniform(0.0, 3.0) * TOLERANCE
+            d[i][k] = d[k][i] = d[i][k] + grow
+        rows = tuple(tuple(row) for row in d)
+        want = triangle_fault_naive(rows)
+        for block in (metric.TRIANGLE_BLOCK, 2 * n * n):
+            monkeypatch.setattr(metric, "TRIANGLE_BLOCK", block)
+            assert metric._metric_fault(rows) == want
+        if want is not None:
+            _assert_invalid(lambda: matrix_space(d), "triangle", want.split(": ", 1)[1])
 
 
 def test_validate_order_shape_before_triangle():
