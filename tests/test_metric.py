@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from oracles import triangle_fault_naive
 
 from openride import metric
 from openride.metric import (
@@ -18,6 +17,8 @@ from openride.metric import (
 )
 from openride.model import SemanticError, instance_from_dict, make_instance
 from openride.numeric import TOLERANCE
+
+from oracles import triangle_fault_naive
 
 
 def test_kind_constructors():
