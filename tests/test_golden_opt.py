@@ -5,9 +5,12 @@ instances of 6-8 requests: line, half-line and 6-8-node matrices, each
 with capacity 1, 2 and unbounded.  Half of them draw points, matrix
 weights and releases from coarse grids, so points coincide and many
 event orders tie; the other half draw them uniformly, so forward sums
-round differently from the DP's sums.  Each line gives the instance
-index, the prefix size, ``repr`` of ``opt_upto``'s value and
-``schedule_to_obj`` of its schedule.  The comparison is exact: a changed
+round differently from the DP's sums.  Then come 30 release-dominated
+instances of 7-9 requests, numbered on from 99, whose releases span
+10-100 times their distances: there the release-free DP bounds little
+and the search's per-request completion bound does the pruning.  Each
+line gives the instance index, the prefix size, ``repr`` of
+``opt_upto``'s value and ``schedule_to_obj`` of its schedule.  The comparison is exact: a changed
 bit in a value or another optimal order is a behaviour change.
 
 To re-record after an intended change, run ``python tests/test_golden_opt.py``
@@ -31,6 +34,21 @@ KINDS = tuple((space, cap) for space in ("line", "halfline", "matrix") for cap i
 COUNT = 99
 GRID_WEIGHTS = (0.5, 1.0, 1.5, 2.0, 3.0)
 GRID_RELEASES = (0.0, 0.5, 1.0, 2.5, 4.0)
+RELEASE_COUNT = 30
+RELEASE_HORIZONS = (10.0, 30.0, 100.0)
+
+
+def _closed_matrix(size: int, weight):
+    """A matrix space on size nodes: weight() per node pair, then shortest paths."""
+    d = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            d[i][j] = d[j][i] = weight()
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return matrix_space(d)
 
 
 def make_case(index: int):
@@ -41,16 +59,8 @@ def make_case(index: int):
     n = rng.randint(6, 8)
     if kind == "matrix":
         size = rng.randint(6, 8)
-        d = [[0.0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                d[i][j] = d[j][i] = (rng.choice(GRID_WEIGHTS) if coarse
-                                     else rng.uniform(0.5, 3.0))
-        for k in range(size):
-            for i in range(size):
-                for j in range(size):
-                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
-        space = matrix_space(d)
+        space = _closed_matrix(size, lambda: rng.choice(GRID_WEIGHTS) if coarse
+                               else rng.uniform(0.5, 3.0))
 
         def point():
             return rng.randrange(size)
@@ -65,11 +75,33 @@ def make_case(index: int):
     return make_instance(space, capacity, triples)
 
 
+def make_release_case(index: int):
+    """Release-dominated instance number index: points about 1 apart, releases up to 10-100."""
+    rng = random.Random(f"release-{index}")
+    kind, capacity = KINDS[index % len(KINDS)]
+    horizon = RELEASE_HORIZONS[index // len(KINDS) % len(RELEASE_HORIZONS)]
+    n = rng.randint(7, 9)
+    if kind == "matrix":
+        size = rng.randint(5, 7)
+        space = _closed_matrix(size, lambda: rng.uniform(0.2, 1.0))
+
+        def point():
+            return rng.randrange(size)
+    else:
+        space = line() if kind == "line" else half_line()
+        low = -1.0 if kind == "line" else 0.0
+
+        def point():
+            return rng.uniform(low, 1.0)
+    triples = [(point(), point(), rng.uniform(0.0, horizon)) for _ in range(n)]
+    return make_instance(space, capacity, triples)
+
+
 def opt_lines() -> list[str]:
     """One line per (instance, release prefix), prefixes in release order."""
+    insts = [make_case(i) for i in range(COUNT)] + [make_release_case(i) for i in range(RELEASE_COUNT)]
     lines = []
-    for index in range(COUNT):
-        inst = make_case(index)
+    for index, inst in enumerate(insts):
         cache = OptCache(inst)
         prefixes = {cache.prefix_for(t): t for t in sorted({0.0} | {r.release for r in inst.requests})}
         for k, t in prefixes.items():
