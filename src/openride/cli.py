@@ -228,23 +228,21 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
+def _fr_record(sol) -> dict:
+    """One factor-revealing solution as an output record, binaries joined."""
+    return {"alpha": sol.alpha, "value": sol.value, "closed_form": fr_closed_form(sol.alpha),
+            "binaries": "".join(map(str, sol.binaries))}
+
+
 def _cmd_factor_reveal(args, parser) -> int:
     if (args.alpha is None) == (args.grid is None):
         parser.error("exactly one of --alpha or --grid is required")
     if args.alpha is not None:
         sol = solve_fr(args.alpha)
-        closed_form = fr_closed_form(sol.alpha)
-        obj = {"alpha": sol.alpha, "value": sol.value, "closed_form": closed_form,
-               "assignment": list(sol.x), "binaries": list(sol.binaries)}
-        _emit(args, obj, ("alpha", "value", "closed_form", "binaries"),
-              [(sol.alpha, sol.value, closed_form, "".join(map(str, sol.binaries)))])
-        return 0
-    obj = []
-    for a in _parse_grid(args.grid, 1.0, 2.0):
-        sol = solve_fr(a)
-        obj.append({"alpha": a, "value": sol.value, "closed_form": fr_closed_form(a),
-                    "binaries": "".join(map(str, sol.binaries))})
-    _emit(args, obj, list(obj[0]))
+        obj = {**_fr_record(sol), "assignment": list(sol.x)}
+    else:
+        obj = [_fr_record(solve_fr(a)) for a in _parse_grid(args.grid, 1.0, 2.0)]
+    _emit(args, obj, ("alpha", "value", "closed_form", "binaries"))
     return 0
 
 

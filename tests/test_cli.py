@@ -204,7 +204,7 @@ def test_factor_reveal_single(capsys):
     obj = json.loads(out)
     assert obj["value"] == 2.366025
     assert obj["closed_form"] == 2.366025
-    assert obj["binaries"] == [0, 1, 1, 1]
+    assert obj["binaries"] == "0111"
     assert obj["assignment"] == [
         1.0, 1.732051, 0.732051, 0.633975, 0.732051, 1.0, 0.0, 0.633975, 0.0, 0.633975,
     ]
