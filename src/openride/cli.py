@@ -36,7 +36,11 @@ class CliError(Exception):
 
 def _read_instance(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except OSError as e:
         raise CliError(f"cannot read instance: {e}") from e
     return parse_instance(text)
@@ -158,7 +162,8 @@ def _cmd_fuzz(args, parser) -> int:
     base = {}
     if args.config:
         try:
-            raw = open(args.config, encoding="utf-8").read()
+            with open(args.config, encoding="utf-8") as f:
+                raw = f.read()
         except OSError as e:
             raise CliError(f"cannot read config: {e}") from e
         try:

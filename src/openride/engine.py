@@ -34,7 +34,6 @@ from .model import (
     Load,
     Move,
     Position,
-    Schedule,
     ScheduleRecord,
     Trace,
     TraceEvent,
@@ -115,25 +114,23 @@ class Simulation:
     def log(self, kind: str, **data) -> None:
         self.events.append(TraceEvent(self.time, kind, data))
 
-    def start_wait(self, until: float) -> None:
-        self.cmd = Command("wait", [Wait(until)])
-        self.log("wait", until=until)
-
-    def note_idle(self) -> None:
-        self.cmd = None
-        self.log("idle")
-
-    def _interrupt(self) -> None:
-        """Mark a running schedule as interrupted."""
+    def _start(self, kind: str, steps: list | None, **data) -> None:
+        """Start a command, or go idle when steps is None; either ends a running schedule."""
         if self.cmd is not None and self.cmd.kind == "schedule":
             rec = self.records[-1]
             rec.interrupted = True
             self.log("interrupt", schedule=rec.index)
+        self.cmd = None if steps is None else Command(kind, steps)
+        self.log(kind, **data)
+
+    def start_wait(self, until: float) -> None:
+        self._start("wait", [Wait(until)], until=until)
+
+    def note_idle(self) -> None:
+        self._start("idle", None)
 
     def start_return(self, steps: list) -> None:
-        self._interrupt()
-        self.cmd = Command("return", steps)
-        self.log("return")
+        self._start("return", steps)
 
     def serve_pending(self) -> None:
         """Every policy's idle rule: a shortest schedule over the pending set, or idle."""
@@ -146,7 +143,6 @@ class Simulation:
 
     def start_replan_schedule(self) -> None:
         """Re-plan over all unserved requests, keeping what is on board."""
-        self._interrupt()
         reqs = [self.inst.request(rid) for rid in sorted(self.pending)]
         loaded = sorted(self.loaded)
 
@@ -161,22 +157,18 @@ class Simulation:
             return length, sched
 
         total, lead, sched = self._plan_from_here(plan)
-        self._follow(sched, total, self.pos, lead + list(sched.actions))
-
-    def _follow(self, sched: Schedule, length: float, pos: Position, steps: list) -> None:
-        rec = ScheduleRecord(
-            index=len(self.records) + 1,
+        index = len(self.records) + 1  # appended after _start, which ends records[-1]
+        self._start("schedule", lead + list(sched.actions), i=index, length=total)
+        self.records.append(ScheduleRecord(
+            index=index,
             start_time=self.time,
-            start_pos=pos,
+            start_pos=self.pos,
             request_ids=tuple(sorted(self.pending)),
-            loaded=tuple(sorted(self.loaded)),
-            length=length,
+            loaded=tuple(loaded),
+            length=total,
             interrupted=False,
             schedule=sched,
-        )
-        self.records.append(rec)
-        self.cmd = Command("schedule", steps)
-        self.log("schedule", i=rec.index, length=length)
+        ))
 
     # -- event loop ---------------------------------------------------
 

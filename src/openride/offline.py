@@ -569,6 +569,7 @@ class OptCache:
                 if free < best[0]:
                     best[0], best[1], best[2] = free, list(seq), (pos, loaded, done)
                 return
+            # the DP ignores releases, so where releases dominate this bound prunes
             if bound >= best[0]:
                 return
             room = loaded.bit_count() < cap

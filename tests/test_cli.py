@@ -37,7 +37,7 @@ def lb_instance(tmp_path, capsys):
 
 
 def test_lower_bound_emit_instance_shape(lb_instance):
-    obj = json.loads(open(lb_instance).read())
+    obj = json.loads(Path(lb_instance).read_text())
     assert obj["metric"] == {"type": "halfline"}
     assert obj["capacity"] == 1
     assert len(obj["requests"]) == 4
@@ -121,7 +121,7 @@ def test_simulate_json_and_csv(capsys, lb_instance):
 
 
 def test_simulate_reads_stdin(capsys, monkeypatch, lb_instance):
-    monkeypatch.setattr("sys.stdin", io.StringIO(open(lb_instance).read()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(lb_instance).read_text()))
     code, out, _ = run(
         capsys, "simulate", "--instance", "-", "--algo", "replan"
     )

@@ -247,6 +247,39 @@ class _AlwaysIdle:
         sim.note_idle()
 
 
+class _DropOnRelease:
+    """Serves when idle; a release that finds a command running drops it with `drop`."""
+
+    name = "drop"
+
+    def __init__(self, drop):
+        self.drop = drop
+
+    def on_request(self, sim):
+        if sim.cmd is not None:
+            self.drop(sim)
+
+    def on_idle(self, sim):
+        sim.serve_pending()
+
+
+@pytest.mark.parametrize("kind, drop", [
+    ("idle", lambda sim: sim.note_idle()),
+    ("wait", lambda sim: sim.start_wait(sim.time)),
+], ids=["idle", "wait"])
+def test_an_idle_note_or_a_wait_interrupts_a_running_schedule(kind, drop):
+    # the second release finds the server at 1, on its way to pick up at 2
+    inst = make_instance(line(), 1, [(2.0, 3.0, 0.0), (-1.0, -1.0, 1.0)])
+    trace = simulate(inst, _DropOnRelease(drop))
+    first, second = trace.schedules
+    assert first.interrupted and not second.interrupted
+    assert second.start_time == 1.0 and second.request_ids == (0, 1)
+    kinds = [ev.kind for ev in trace.events]
+    at = kinds.index("interrupt")
+    assert trace.events[at].data == {"schedule": 1}
+    assert trace.events[at].time == 1.0 and kinds[at + 1] == kind
+
+
 def test_a_policy_that_never_advances_hits_the_step_guard():
     inst = make_instance(line(), 1, [(0.0, 1.0, 0.0)])
     with pytest.raises(EngineError, match="simulation failed to make progress"):

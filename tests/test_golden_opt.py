@@ -10,8 +10,9 @@ instances of 7-9 requests, numbered on from 99, whose releases span
 10-100 times their distances: there the release-free DP bounds little
 and the search's per-request completion bound does the pruning.  Each
 line gives the instance index, the prefix size, ``repr`` of
-``opt_upto``'s value and ``schedule_to_obj`` of its schedule.  The comparison is exact: a changed
-bit in a value or another optimal order is a behaviour change.
+``opt_upto``'s value and ``schedule_to_obj`` of its schedule.  The
+comparison is exact: a changed bit in a value or another optimal order
+is a behaviour change.
 
 To re-record after an intended change, run ``python tests/test_golden_opt.py``
 with ``src`` on PYTHONPATH.
