@@ -178,17 +178,6 @@ def build_fr_milp(alpha: float) -> MilpInstance:
     return MilpInstance(alpha=a, names=tuple(r[0] for r in rows), base=base, relax=relax)
 
 
-def substitute(milp: MilpInstance, binaries) -> LinearProgram:
-    """Fix the four binaries and return the continuous program."""
-    b = tuple(binaries)
-    if b not in _CODES:
-        raise ValueError("binaries must be four 0/1 values")
-    base = milp.base
-    return LinearProgram(objective=base.objective, a_ub=base.a_ub,
-                         b_ub=base.b_ub + BIG_M * milp.relax[_CODES.index(b)],
-                         lb=base.lb, ub=base.ub)
-
-
 def fr_closed_form(alpha: float) -> float:
     """max{3 + 1/alpha - alpha, 1 + alpha}, the model's optimal value."""
     if not (math.isfinite(alpha) and alpha > 0):

@@ -19,16 +19,19 @@ OptCache compiles an instance once: its points, checked once, and its
 distance table.  It fills the release-free (position, loaded, done) DP
 bottom-up with numpy, one progress layer at a time and one min per move
 rank, so no temporary is longer than a layer.  A state is coded in
-ternary per request: untouched, on board or done.  The table holds only
-the cells: states with the pickup of a request on board or the dropoff
-of a request done, where some event of the state left the server.
-Every move ends on a cell, read through one lookup(pos, loaded, done).
-The table is allocated uninitialized, since a fill writes every cell
-before any move reads it.  A fill's index arrays and lookup's offsets
-are built once per shape (request count, capacity) and cached up to
-CELL_CACHE_BYTES.  They are intp, so no take converts an index, for
-every shape that fits the cache in intp: up to 9 requests, and 10 up to
-capacity 4.  The larger 10-request shapes are int32.
+ternary per request: untouched, on board or done.  The table is as long
+as its cells, states with the pickup of a request on board or the
+dropoff of a request done, where some event of the state left the
+server.  It stores them in fill order: the all-done row, then one
+contiguous slice per progress layer.  Every move ends on a cell, read
+through one lookup(pos, loaded, done), which maps the state's flat code
+to the cell's place through a per-shape rank array; a state that is no
+cell maps past the table's end, so reading it raises IndexError.  A
+fill's index arrays, rank and lookup's offsets are built once per shape
+(request count, capacity) and cached up to CELL_CACHE_BYTES.  They are
+intp, so no take converts an index, for every shape that fits the cache
+in intp: up to 9 requests, and 10 up to capacity 4.  The larger
+10-request shapes are int32.
 A root off the cells, such as the origin, takes one explicit DP step
 (_step).  A reconstruction takes it at its start, then reads each target
 from the table.
@@ -59,7 +62,7 @@ DEFAULT_SEARCH_CAP = 10
 CELL_CACHE_BYTES = 32 << 20  # index arrays _cells keeps between tables
 
 _INF = float("inf")
-_cell_cache: dict = {}  # (k, cap) -> (layers, bytes), least recently used first
+_cell_cache: dict = {}  # (k, cap) -> (shape, bytes), least recently used first
 
 
 class SearchCapExceeded(RuntimeError):
@@ -115,28 +118,32 @@ def _cells(k: int, cap: int):
     j's last event left the server: its pickup while j is on board, its
     dropoff once j is done.  Every move ends on a cell of the state it
     leads to, so the DP reads cells only and only cells are computed.
-    Cell (code, j) is entry code * k + j of a flat table.
 
-    Returns one (cells, ranks) pair per layer, last layer first.  Each
-    cell pairs with every move of its state, and a pair costs entry d_idx
-    of the flattened (2k+1)-square distance table plus flat entry v_idx,
-    the cell the move reaches.  The cells are sorted by their move
-    count, largest first (stable), and the pairs are grouped by move
-    rank: ranks[r] = (d_idx, v_idx) holds the r-th move of every cell
-    that has more than r moves, which are the first len(d_idx) cells.
-    So a fill needs no float array longer than the layer's cells.
+    The table holds the cells alone, in fill order: the all-done row at
+    positions 0 to k-1, then one slice per progress layer, last layer
+    first.  Returns (size, layers, offsets, rank), size the table's
+    length and one (lo, ranks) per layer, its slice starting at lo.
+    Each cell pairs with every move of its state, and a pair costs entry
+    d_idx of the flattened (2k+1)-square distance table plus table entry
+    v_idx, the cell the move reaches.  A layer's cells are sorted by
+    their move count, largest first (stable), and the pairs are grouped
+    by move rank: ranks[r] = (d_idx, v_idx) holds the r-th move of every
+    cell that has more than r moves, which are the first len(d_idx)
+    cells of the slice.  So a fill needs no float array longer than a
+    layer, and writes its first rank straight into the slice.
 
-    Returns (layers, offsets): offsets[mask] is the flat offset k times
-    the ternary code of a bitmask over the k requests, which lookup
-    reads.  The index arrays are intp, so a fill's take converts none,
-    when the shape's arrays and offsets fit CELL_CACHE_BYTES in intp:
-    every shape up to k = 9, and k = 10 up to capacity 4 (26.0 MiB).
-    The larger k = 10 shapes are int32 (21.1 MiB at unbounded capacity,
-    42.1 MiB it would take in intp).  Shapes are kept per (k, cap),
-    least recently used first, until they hold more than
-    CELL_CACHE_BYTES; the newest shape is always kept, and none takes
-    more than CELL_CACHE_BYTES (all ten k = 10 shapes, capacities 1 to
-    10, take 169 MiB together).
+    rank maps the flat code code * k + j of cell (code, j) to its
+    position in the table; every flat code that is no cell maps past the
+    table's end, so reading it raises IndexError.  offsets[mask] is k
+    times the ternary code of a bitmask over the k requests, which lookup
+    reads.  The index arrays are intp, so a fill's take converts none, when the shape's
+    arrays and offsets fit CELL_CACHE_BYTES in intp: every shape up to
+    k = 9, and k = 10 up to capacity 4 (28.3 MiB).  The larger k = 10
+    shapes are int32 (21.8 MiB at unbounded capacity, 43.6 MiB it would
+    take in intp).  Shapes are kept per (k, cap), least recently used
+    first, until they hold more than CELL_CACHE_BYTES; the newest shape
+    is always kept, and none takes more than CELL_CACHE_BYTES (all ten
+    k = 10 shapes, capacities 1 to 10, take 187 MiB together).
     """
     key = (k, cap)
     got = _cell_cache.pop(key, None)
@@ -148,8 +155,8 @@ def _cells(k: int, cap: int):
         offsets += [c + k * 3 ** j for c in offsets]
     offsets_bytes = sys.getsizeof(offsets) + sum(map(sys.getsizeof, offsets))
     # int32 holds every index, argsort's permutation of the cells aside: a
-    # code times k stays below 2**31.  The arrays are built in their final
-    # type: intp when the cells plus two indices per pair fit the cache
+    # flat code stays below 2**31.  The arrays are built in their final
+    # type: intp when rank plus two indices per pair fit the cache
     i32 = np.int32
     steps = 3 ** np.arange(k, dtype=i32)
     digits = (np.arange(3 ** k, dtype=i32)[:, None] // steps % 3).astype(np.int8)
@@ -157,12 +164,15 @@ def _cells(k: int, cap: int):
     progress = digits.sum(axis=1, dtype=np.int8)
     moves = (digits == 1) | ((digits == 0) & (onboard < cap)[:, None])
     kept = (progress > 0) & (progress < 2 * k) & (onboard <= cap)
-    entries = ((digits > 0).sum(axis=1) * (1 + 2 * moves.sum(axis=1)))[kept].sum()
-    fits = entries * np.dtype(np.intp).itemsize + offsets_bytes <= CELL_CACHE_BYTES
+    pairs = ((digits > 0).sum(axis=1) * moves.sum(axis=1))[kept].sum()
+    fits = (digits.size + 2 * pairs) * np.dtype(np.intp).itemsize + offsets_bytes <= CELL_CACHE_BYTES
     it = np.intp if fits else i32
     steps = steps.astype(it)
+    rank = np.full(digits.size, np.iinfo(it).max, dtype=it)  # a non-cell reads past the end
+    rank[digits.size - k:] = np.arange(k)  # the all-done row
     width = 2 * k + 1
     layers = []
+    lo = k
     for p in range(2 * k - 1, 0, -1):
         states = np.flatnonzero(kept & (progress == p)).astype(it)
         sub = digits[states]
@@ -173,18 +183,21 @@ def _cells(k: int, cap: int):
         per_cell = counts[rows]
         by_count = np.argsort(-per_cell, kind="stable")
         rows, js, per_cell = rows[by_count], js[by_count], per_cell[by_count]
+        hi = lo + len(rows)
+        rank[states[rows] * k + js] = np.arange(lo, hi, dtype=it)
         pos = (2 * js + sub[rows, js]) * width
         tgt = 1 + 2 * tjs + sub[trows, tjs]
-        reach = (states[trows] + steps[tjs]) * k + tjs
+        reach = rank[(states[trows] + steps[tjs]) * k + tjs]  # a cell of a layer filled before
         ranks = []
         for r in range(per_cell[0]):  # every cell below the top layer has a move
             n = np.count_nonzero(per_cell > r)  # the cells with more than r moves
             move = first[rows[:n]] + r  # the r-th move of each one's state
             ranks.append((pos[:n] + tgt[move], reach[move]))
-        layers.append((states[rows] * k + js, tuple(ranks)))
-    shape = tuple(layers), offsets
-    _cell_cache[key] = shape, offsets_bytes + sum(
-        cells.nbytes + sum(d.nbytes + v.nbytes for d, v in ranks) for cells, ranks in layers)
+        layers.append((lo, tuple(ranks)))
+        lo = hi
+    shape = lo, tuple(layers), offsets, rank
+    _cell_cache[key] = shape, offsets_bytes + rank.nbytes + sum(
+        d.nbytes + v.nbytes for _, ranks in layers for d, v in ranks)
     held = sum(size for _, size in _cell_cache.values())
     for old in list(_cell_cache)[:-1]:
         if held <= CELL_CACHE_BYTES:
@@ -196,33 +209,33 @@ def _cells(k: int, cap: int):
 def _table_rest(cache: OptCache):
     """Release-free minimum remaining travel over all of the cache's requests, as one table.
 
-    The table holds the cells of _cells only; the all-done row is zero.
-    The returned lookup(pos, loaded, done) takes the cache's point
-    indices and request bitmasks and reads a cell.  Each layer takes the
-    same min over the same float sums as the top-down recursion, so
-    values match it bit for bit.
+    The table holds the cells of _cells only, in its layout: the all-done
+    row is zero, and each layer is filled in its slice.  The returned
+    lookup(pos, loaded, done) takes the cache's point indices and request
+    bitmasks and reads a cell; reading a state that is no cell raises
+    IndexError.  Each layer takes the same min over the same float sums
+    as the top-down recursion, so values match it bit for bit.
     """
     k = cache.m
     take = np.array(cache.dist).ravel().take
-    layers, offsets = _cells(k, min(cache.cap, k))
-    flat = np.empty(3 ** k * k)  # a fill writes every cell before any is read
-    flat[flat.size - k:] = 0.0
-    for cells, ranks in layers:
+    size, layers, offsets, rank = _cells(k, min(cache.cap, k))
+    flat = np.empty(size)
+    flat[:k] = 0.0
+    for lo, ranks in layers:
         # one min per move rank, over the cells that have that many moves;
         # a min returns one of its inputs, so the order of ranks is immaterial
         d_idx, v_idx = ranks[0]
-        best = take(d_idx)
-        best += flat.take(v_idx)
+        layer = flat[lo:lo + len(d_idx)]
+        np.add(take(d_idx), flat.take(v_idx), out=layer)
         for d_idx, v_idx in ranks[1:]:
             cost = take(d_idx)
             cost += flat.take(v_idx)
-            head = best[:len(d_idx)]
+            head = layer[:len(d_idx)]
             np.minimum(head, cost, out=head)
-        flat[cells] = best
-    item = flat.item
+    at, value = memoryview(rank), memoryview(flat)  # each read costs a third of an ndarray.item
 
     def lookup(pos: int, loaded: int, done: int) -> float:
-        return item(offsets[loaded] + 2 * offsets[done] + (pos - 1 >> 1))
+        return value[at[offsets[loaded] + 2 * offsets[done] + (pos - 1 >> 1)]]
 
     return lookup
 

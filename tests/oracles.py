@@ -1,19 +1,25 @@
 """Structure-free oracles the exact solvers are checked against.
 
-For the factor-revealing model: its documented witness and a check of
-a point against the model's constraints before linearization.  For
-matrix validation: the triangle check as a plain Python loop.
+For the factor-revealing model: its documented witness, a check of a
+point against the model's constraints before linearization, and one
+branch's continuous program on its own.  For matrix validation: the
+triangle check as a plain Python loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+from openride.factor_revealing import BIG_M, MilpInstance
+from openride.lp import LinearProgram
 from openride.model import Instance
 from openride.numeric import OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from openride.offline import SearchCapExceeded
 
 NAIVE_CAP = 6
+
+# the 16 binary assignments in the model's branch order, the first binary most significant
+BRANCH_CODES = tuple(((c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1) for c in range(16))
 
 
 def opt_upto_naive(inst: Instance, t: float) -> float:
@@ -134,3 +140,19 @@ def check_unlinearized(alpha: float, x, tol: float = 1e-7) -> list[str]:
     if min(x) < -tol:
         bad.append("nonnegative")
     return bad
+
+
+def substitute(milp: MilpInstance, binaries) -> LinearProgram:
+    """One branch of the model as a continuous program of its own: the four binaries fixed.
+
+    solve_fr solves all 16 branches from one batch; this builds the one
+    whose binaries are given, relaxing each row it does not enforce by
+    BIG_M, so a single simplex solve can be checked against the batch.
+    """
+    b = tuple(binaries)
+    if b not in BRANCH_CODES:
+        raise ValueError("binaries must be four 0/1 values")
+    base = milp.base
+    return LinearProgram(objective=base.objective, a_ub=base.a_ub,
+                         b_ub=base.b_ub + BIG_M * milp.relax[BRANCH_CODES.index(b)],
+                         lb=base.lb, ub=base.ub)

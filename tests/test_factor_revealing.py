@@ -14,11 +14,10 @@ from openride.factor_revealing import (
     build_fr_milp,
     fr_closed_form,
     solve_fr,
-    substitute,
 )
 from openride.experiments import OPTIMAL_ALPHA_HALF_LINE
 
-from oracles import check_unlinearized, witness_solution
+from oracles import check_unlinearized, substitute, witness_solution
 
 ALPHA_STAR = OPTIMAL_ALPHA_HALF_LINE
 

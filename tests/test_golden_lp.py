@@ -17,15 +17,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from openride.factor_revealing import build_fr_milp, solve_fr, substitute
+from openride.factor_revealing import build_fr_milp, solve_fr
 from openride.lp import solve_lp
+
+from oracles import BRANCH_CODES, substitute
 
 GOLDEN = Path(__file__).with_name("golden")
 LP_FILE = GOLDEN / "lp.jsonl"
 FR_FILE = GOLDEN / "fr.jsonl"
 
 ALPHAS = tuple(1.0 + k / 100 for k in range(101))
-CODES = tuple(((c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1) for c in range(16))
 
 
 def lp_lines() -> list[str]:
@@ -33,7 +34,7 @@ def lp_lines() -> list[str]:
     lines = []
     for alpha in ALPHAS:
         milp = build_fr_milp(alpha)
-        for b in CODES:
+        for b in BRANCH_CODES:
             sol = solve_lp(substitute(milp, b))
             lines.append(json.dumps({
                 "alpha": repr(alpha),

@@ -8,8 +8,10 @@ optimal value must agree to 1e-7.
 import numpy as np
 import pytest
 
-from openride.factor_revealing import build_fr_milp, substitute
+from openride.factor_revealing import build_fr_milp
 from openride.lp import LinearProgram, solve_lp
+
+from oracles import BRANCH_CODES, substitute
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -54,8 +56,7 @@ def test_grid_lps_agree_with_highs():
     for k in range(101):
         alpha = 1.0 + k / 100
         milp = build_fr_milp(alpha)
-        for code in range(16):
-            b = ((code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1)
+        for b in BRANCH_CODES:
             seen.add(_assert_agree(substitute(milp, b), f"alpha={alpha} b={b}"))
     assert seen == {"optimal", "infeasible"}
 

@@ -794,7 +794,7 @@ def test_dp_cells_equal_the_recursion_at_eight_requests():
 
 def test_dp_fill_holds_no_temporary_as_long_as_a_layer_of_pairs():
     # W5, the stress instance: 10 line requests with unbounded capacity.
-    # With the index arrays cached, a fill keeps its 4.6 MB table; ranked
+    # With the index arrays cached, a fill keeps its 3.1 MB table; ranked
     # by move count, each layer holds float arrays as long as its cells,
     # not as long as its pairs (14.0 MB at the peak when it did)
     out = run_child("""
@@ -827,7 +827,7 @@ def test_root_at_the_origin_takes_the_off_cell_step():
 
 
 def test_cell_cache_is_bounded_in_bytes():
-    # every k = 10 shape, capacities 1 to 10, held at once would take 169 MiB;
+    # every k = 10 shape, capacities 1 to 10, held at once would take 187 MiB;
     # the cache keeps the newest one and stays under its byte cap
     out = run_child("""
 import random
@@ -849,20 +849,21 @@ print(repr(offline.OptCache(inst).value(10)), len(offline._cell_cache))
 
 def test_cells_are_intp_where_a_shape_fits_the_cache_in_intp():
     # intp up to k = 9 and at k = 10 up to capacity 4, so no take converts an
-    # index; (10, 10) would take 42.1 MiB in intp and stays int32.  Each
-    # cache entry's size counts its arrays and offsets, and the cache holds
-    # no more than its byte cap
+    # index; (10, 4) takes 28.3 MiB in intp, while (10, 5) would take 36.9 MiB
+    # and (10, 10) 43.6 MiB, so they stay int32.  Each cache entry's size
+    # counts its rank array, its index arrays and its offsets, and the cache
+    # holds no more than its byte cap
     out = run_child("""
 import sys
 import numpy as np
 from openride import offline
 
 def nbytes(shape):
-    layers, offsets = shape
-    arrays = [a for cells, ranks in layers for a in (cells, *(i for pair in ranks for i in pair))]
+    _, layers, offsets, rank = shape
+    arrays = [rank, *(i for _, ranks in layers for pair in ranks for i in pair)]
     return arrays, sum(a.nbytes for a in arrays) + sys.getsizeof(offsets) + sum(map(sys.getsizeof, offsets))
 
-for k, cap in ((3, 3), (8, 1), (8, 8), (10, 10)):
+for k, cap in ((3, 3), (8, 1), (8, 8), (10, 4), (10, 5), (10, 10)):
     arrays, _ = nbytes(offline._cells(k, cap))
     types = {"intp" if a.dtype == np.intp else a.dtype.name for a in arrays}
     held = 0
@@ -872,7 +873,21 @@ for k, cap in ((3, 3), (8, 1), (8, 8), (10, 10)):
     assert held <= offline.CELL_CACHE_BYTES, held
     print(k, cap, *sorted(types))
 """, timeout=30)
-    assert out == ["3", "3", "intp", "8", "1", "intp", "8", "8", "intp", "10", "10", "int32"]
+    assert out == ["3", "3", "intp", "8", "1", "intp", "8", "8", "intp", "10", "4", "intp",
+                   "10", "5", "int32", "10", "10", "int32"]
+
+
+def test_a_read_off_the_cells_fails_fast():
+    # the table holds the cells alone: a state with more requests on board
+    # than the capacity allows, or a pickup whose request is untouched, is
+    # no cell, and reading it raises instead of returning a slot no fill wrote
+    inst = make_instance(line(), 1, [(1.0, 2.0, 0.0), (3.0, 4.0, 0.0), (-1.0, -2.0, 0.0)])
+    cache = OptCache(inst)
+    lookup = _table_rest(cache)
+    assert lookup(1, 0b001, 0) == recursive_rest(cache, {})(1, 0b001, 0)
+    for pos, loaded, done in ((1, 0b011, 0), (3, 0b011, 0), (3, 0b001, 0), (5, 0, 0b010)):
+        with pytest.raises(IndexError):
+            lookup(pos, loaded, done)
 
 
 def exact_style_instances(seed):
@@ -892,7 +907,8 @@ def exact_style_instances(seed):
 def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
     # the table is allocated uninitialized: filled with NaN instead, every
     # value a lookup returns is still finite, and every optimum, event order
-    # and plan is the same, bit for bit, as with a table from np.empty
+    # and plan is the same, bit for bit, as with a table from np.empty.  The
+    # table holds the cells alone, so a fill leaves no slot of it NaN
     cfg = FuzzConfig(seed=3, max_requests=5, matrix_nodes=(4, 4))
     cases = exact_style_instances(3) + exact_style_instances(4) + [generate_instance(cfg, i) for i in range(120)]
 
@@ -918,7 +934,7 @@ def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
         out = real_empty(*args, **kwargs)
         if out.dtype.kind == "f":
             out.fill(np.nan)
-            nan_tables.append(out.size)
+            nan_tables.append(out)
         return out
 
     def checked(cache):
@@ -936,3 +952,4 @@ def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
     assert outputs() == want
     assert len(nan_tables) > 120 and len(read) > 8000
     assert all(read)
+    assert not any(np.isnan(table).any() for table in nan_tables)
