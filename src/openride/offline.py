@@ -44,7 +44,9 @@ not fit in memory, so every prefix solve and every plan reads an
 OptCache over just its requests (OptCache._planner), and only the last
 one is kept.
 OptCache keeps each prefix's event order and value; a Schedule is built
-only when opt_upto asks for one.
+only when opt_upto asks for one.  No solve or plan leaves a reference
+cycle, so a run's cache, instance and table are freed when the caller
+drops them.
 """
 
 from __future__ import annotations
@@ -213,8 +215,12 @@ def _table_rest(cache: OptCache):
     row is zero, and each layer is filled in its slice.  The returned
     lookup(pos, loaded, done) takes the cache's point indices and request
     bitmasks and reads a cell; reading a state that is no cell raises
-    IndexError.  Each layer takes the same min over the same float sums
-    as the top-down recursion, so values match it bit for bit.
+    IndexError.  pos must agree with the bitmasks: the pickup of a request
+    on board or the dropoff of a request done, never the origin.  lookup
+    reads only which request pos belongs to and does not check this, so
+    a caller that breaks it is caught by the tests, not at run time.
+    Each layer takes the same min over the same float sums as the
+    top-down recursion, so values match it bit for bit.
     """
     k = cache.m
     take = np.array(cache.dist).ravel().take
@@ -393,6 +399,7 @@ def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
         left = [r for r in left if not space.same_point(r.b, stop)]
     if not space.same_point(nodes[at], o):
         steps.append(Move(nodes[at], o, home[at]))
+    del rest  # rest's closure cell holds rest itself: break the cycle so refcounting frees it
     return total, steps
 
 
@@ -600,6 +607,7 @@ class OptCache:
                     seq.pop()
 
         dfs(0, 0.0, 0, 0, [])
+        del dfs  # dfs's closure cell holds dfs itself: break the cycle so refcounting frees the run
         seq = best[1]
         if best[2] is not None:
             pos, loaded, done = best[2]

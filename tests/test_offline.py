@@ -1,5 +1,6 @@
 """Exact offline solvers: shortest schedules and release-aware optima."""
 
+import gc
 import math
 import os
 import random
@@ -16,7 +17,8 @@ import pytest
 import openride
 from openride import offline
 
-from openride.experiments import FuzzConfig, generate_instance
+from openride.experiments import OPTIMAL_ALPHA_GENERAL, FuzzConfig, fuzz, generate_instance, measure_ratio
+from openride.factor_revealing import solve_fr
 from openride.metric import half_line, line, matrix_space
 from openride.model import (
     Instance,
@@ -42,6 +44,7 @@ from openride.offline import (
 )
 
 from oracles import opt_upto_naive
+from perfbench.workloads import exact_instance
 
 
 def plan(reqs, start, space, capacity, loaded_ids=(), start_time=0.0):
@@ -953,3 +956,56 @@ def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
     assert len(nan_tables) > 120 and len(read) > 8000
     assert all(read)
     assert not any(np.isnan(table).any() for table in nan_tables)
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    # every object a solve, plan or run builds is freed by reference
+    # counting when the caller drops it: no recursive closure is left
+    # holding itself, its cache, instance and table
+    inst = exact_instance(0, 6)  # a matrix instance, capacity 1
+    reqs = (Request(0, 2.0, -1.0, 0.0), Request(1, 1.0, 3.0, 0.0), Request(2, -2.0, 4.0, 1.0))
+    cfg = FuzzConfig(count=10, seed=3, matrix_nodes=(4, 4), alpha=OPTIMAL_ALPHA_GENERAL, check_schedules=True)
+    gc.collect()
+    gc.disable()
+    try:
+        for algo in ("lazy", "replan", "ignore"):
+            measure_ratio(inst, algo, OPTIMAL_ALPHA_GENERAL if algo == "lazy" else None)
+        fuzz(cfg, "lazy")
+        opt_upto(inst, 5.0)
+        plan(reqs, 0.5, line(), 2, loaded_ids=(0,))
+        fastest_delivery_and_return(reqs, 0.5, line())
+        solve_fr(1.5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_every_table_read_is_a_consistent_cell(monkeypatch):
+    # lookup trusts pos to agree with the state's bitmasks, unchecked on the
+    # hot path; every caller must read a cell whose point is the pickup of a
+    # request on board or the dropoff of a request done
+    reads = []
+
+    def recorded(cache):
+        lookup = _table_rest(cache)
+
+        def read(pos, loaded, done):
+            reads.append((pos, loaded, done))
+            return lookup(pos, loaded, done)
+
+        return read
+
+    monkeypatch.setattr(offline, "_table_rest", recorded)
+    cfg = FuzzConfig(count=200, seed=5, matrix_nodes=(4, 4), alpha=OPTIMAL_ALPHA_GENERAL, check_schedules=True)
+    for algo in ("lazy", "replan", "ignore"):
+        fuzz(cfg, algo)
+        for i in range(8):  # every (space, capacity) of the exact-large pool
+            measure_ratio(exact_instance(1, i), algo, OPTIMAL_ALPHA_GENERAL if algo == "lazy" else None)
+
+    def consistent(pos, loaded, done):
+        if pos < 1 or loaded & done:
+            return False
+        return bool((loaded if pos & 1 else done) >> (pos - 1 >> 1) & 1)
+
+    assert len(reads) > 20_000
+    assert [read for read in reads if not consistent(*read)] == []
