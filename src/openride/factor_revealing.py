@@ -209,8 +209,10 @@ def solve_fr(alpha: float) -> FrSolution:
 
     The branch LPs differ only in b_ub, so ``solve_lps`` solves the base
     program once per branch row base.b_ub + BIG_M * relax[c], from one
-    batch set-up; each branch still pivots from its own fresh tableau,
-    and no basis or pivot carries over from one branch to the next.
+    batch set-up.  The branches share one tableau, each as its own
+    right-hand-side column, and share each pivot until their ratio tests
+    part them; every branch still gets the result, pivot count and bits
+    it would get on a tableau of its own.
     The reported optimum is the best branch.  Among branches tying on
     the objective the one whose solution vector is lexicographically
     largest wins (the extreme witness, with the latest start times

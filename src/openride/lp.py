@@ -17,21 +17,29 @@ A program holds read-only copies of its data.  ``solve_lps`` solves
 one program once per row of a batch of right-hand sides.  It checks
 the batch and builds the parts of the standard form that do not depend
 on b_ub once per call: the ``[A | bound rows | I]`` block, the shift
-``a_ub @ lb`` and the bound rows' right-hand side ``ub - lb``.  It
-finds the rows to negate and their artificial columns for every
-right-hand side together, and fills one tableau per right-hand side in
-a single array, padded to the widest.  Each tableau then pivots on its
-own: no basis or pivot carries over from one right-hand side to the
-next, and padding columns stay zero and never enter.  ``solve_lp`` is
-the one-row batch.
+``a_ub @ lb`` and the bound rows' right-hand side ``ub - lb``.  The
+rows whose shifted b negates the same rows of the standard form share
+one tableau: one body (every column but the right-hand side, with one
+artificial column per negated row) and one right-hand-side column
+each.  The entering column depends on the body alone, so it is read
+once; each column then runs its own ratio test, and one rank-1 pivot
+updates the body and every column that chose that row.  A tableau
+splits into copies, each holding the body and only its own columns,
+where its columns pick different rows or some fail the phase-one
+infeasibility test.  Every entry gets the same divide, multiply and
+subtract as on a tableau of its own, so each right-hand side gets the
+status, pivot count and bits it would get alone.  A program with no
+variables takes the same path with an empty body.  ``solve_lp`` is the
+one-row batch.
 
 Each pivot is one rank-1 array update of the whole tableau.  Every
 entry still gets one multiply and one subtract, as it would in a loop
 over rows, so the values are the same bit for bit (up to the sign of
 an exact zero, which no comparison sees).  The entering column is found
-by an array mask; the ratio test runs in row order over the pivot
-column and the right-hand side as Python floats, whose division gives
-the same bits as numpy's.
+by an array mask.  The ratio test divides the right-hand sides of the
+rows with a positive pivot entry in one numpy step, whose division
+gives the same bits as Python's, and compares the ratios in row order
+as Python floats.
 """
 
 from __future__ import annotations
@@ -123,33 +131,75 @@ def _set_costs(T: np.ndarray, basis: list[int], z: np.ndarray) -> None:
     T[-1] = z
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], enter_limit: int, tol: float):
-    """Optimize in place; the last tableau row holds reduced costs.
+@dataclass(eq=False)
+class _Group:
+    """Right-hand sides that have followed one pivot path so far.
 
-    Returns (status, pivots) where status is "optimal" or "unbounded".
+    T holds the shared body (every column but the right-hand sides) and
+    then one right-hand-side column per entry of cols, the positions of
+    those right-hand sides in the batch; its last row holds reduced
+    costs.  pivots counts the path's pivots over both phases.
     """
-    m = T.shape[0] - 1
-    pivots = 0
-    while True:
-        improving = T[-1, :enter_limit] > tol
-        col = int(improving.argmax())  # Bland: smallest improving index
-        if not improving[col]:
-            return "optimal", pivots
-        rhs = T[:m, -1].tolist()
-        best, row = np.inf, -1
-        for i, a in enumerate(T[:m, col].tolist()):
-            if a > tol:
-                ratio = rhs[i] / a
-                if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
+
+    T: np.ndarray
+    basis: list[int]
+    cols: list[int]
+    pivots: int
+
+    @property
+    def width(self) -> int:
+        return self.T.shape[1] - len(self.cols)
+
+    def take(self, keep: list[int]) -> _Group:
+        """A copy holding the body and only the right-hand sides at positions keep."""
+        width = self.width
+        T = np.concatenate((self.T[:, :width], self.T[:, [width + c for c in keep]]), axis=1)
+        return _Group(T, list(self.basis), [self.cols[c] for c in keep], self.pivots)
+
+
+def _run_simplex(group: _Group, enter_limit: int, tol: float) -> list[tuple[str, _Group]]:
+    """Optimize in place, splitting the group where its right-hand sides pick different rows.
+
+    Every right-hand side shares the entering column, which depends on
+    the body alone, and runs its own ratio test.  Returns (status,
+    group) pairs that cover the group's right-hand sides, status being
+    "optimal", "unbounded" or "numerical"; the pivot limit counts this
+    phase's pivots only.
+    """
+    start = group.pivots
+    m = group.T.shape[0] - 1
+    stack, done = [group], []
+    while stack:
+        g = stack.pop()
+        T, width = g.T, g.width
+        improving = (T[-1, :enter_limit] > tol).nonzero()[0]
+        if not improving.size:
+            done.append(("optimal", g))
+            continue
+        col = int(improving[0])  # Bland: smallest improving index
+        rows = (T[:m, col] > tol).nonzero()[0]
+        if not rows.size:
+            done.append(("unbounded", g))
+            continue
+        ranks = [g.basis[i] for i in rows.tolist()]
+        picks = {}  # pivot row -> positions of the right-hand sides choosing it
+        for c, ratios in enumerate((T[rows, width:] / T[rows, col, None]).T.tolist()):
+            best, pick = np.inf, -1
+            for j, ratio in enumerate(ratios):
+                if ratio < best - tol or (ratio <= best + tol and (pick < 0 or ranks[j] < ranks[pick])):
                     if ratio < best:
                         best = ratio
-                    row = i
-        if row < 0:
-            return "unbounded", pivots
-        _pivot(T, basis, row, col)
-        pivots += 1
-        if pivots > _MAX_PIVOTS:
-            return "numerical", pivots
+                    pick = j
+            picks.setdefault(int(rows[pick]), []).append(c)
+        for row, keep in picks.items():
+            h = g if len(picks) == 1 else g.take(keep)
+            _pivot(h.T, h.basis, row, col)
+            h.pivots += 1
+            if h.pivots - start > _MAX_PIVOTS:
+                done.append(("numerical", h))
+            else:
+                stack.append(h)
+    return done
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -161,18 +211,18 @@ def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
 
     The rows are checked as one (rows, len(b_ub)) batch and copied, and
     each gets the solution a program of its own with that b_ub would.
+    Rows that negate the same rows of the standard form share one
+    tableau, each as its own right-hand-side column, and split apart
+    only where their ratio tests or phase-one tests disagree.
     """
     b_rows = np.array(b_rows, dtype=float)
     k = lp.a_ub.shape[0]
     _check_rhs(b_rows, b_rows.shape[:1] + (k,))
     n = lp.objective.shape[0]
-    if n == 0:
-        return [LpSolution("optimal", np.zeros(0), 0.0, (), 0) for _ in b_rows]
 
     # y = x - lb >= 0 with finite upper bounds as rows: A y + s = b with
     # slacks; negate rows to make b nonnegative, and give each negated
-    # row an artificial column as its basic variable, numbered in row
-    # order; rows needing fewer artificials leave the padding at zero
+    # row an artificial column as its basic variable, numbered in row order
     bounded = np.isfinite(lp.ub).nonzero()[0]
     m = k + bounded.shape[0]
     block = np.zeros((m, n + m))  # [A | bound rows | I]
@@ -183,58 +233,75 @@ def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
     np.subtract(b_rows, lp.a_ub @ lp.lb, out=b[:, :k])
     b[:, k:] = lp.ub[bounded] - lp.lb[bounded]
     negated = b < 0
-    art = np.cumsum(negated, axis=1) - 1
-    sign = np.where(negated, -1.0, 1.0)
-    T = np.zeros((b.shape[0], m + 1, n + m + int(negated.sum(axis=1).max(initial=0)) + 1))
-    np.multiply(block, sign[:, :, None], out=T[:, :m, : n + m])
-    np.multiply(b, sign, out=T[:, :m, -1])
-    r, i = negated.nonzero()
-    T[r, i, n + m + art[r, i]] = 1.0
-    return [_two_phase(lp, T[j], b_rows[j], negated[j].nonzero()[0].tolist())
-            for j in range(b.shape[0])]
+    groups = {}
+    for j, row in enumerate(negated):
+        groups.setdefault(row.tobytes(), []).append(j)
+    out = [None] * b.shape[0]
+    for cols in groups.values():
+        art_rows = negated[cols[0]].nonzero()[0]
+        width = n + m + art_rows.shape[0]
+        sign = np.where(negated[cols[0]], -1.0, 1.0)[:, None]
+        T = np.zeros((m + 1, width + len(cols)))
+        np.multiply(block, sign, out=T[:m, : n + m])
+        np.multiply(b[cols].T, sign, out=T[:m, width:])
+        T[art_rows, np.arange(n + m, width)] = 1.0
+        basis = list(range(n, n + m))
+        for j, i in enumerate(art_rows.tolist()):
+            basis[i] = n + m + j
+        _two_phase(lp, _Group(T, basis, cols, 0), b_rows, out)
+    return out
 
 
-def _two_phase(lp: LinearProgram, T: np.ndarray, b_ub: np.ndarray, art_rows: list[int]) -> LpSolution:
-    """Solve one right-hand side's tableau in place; art_rows are its negated rows."""
+def _two_phase(lp: LinearProgram, group: _Group, b_rows: np.ndarray, out: list) -> None:
+    """Solve a fresh group in place, storing each solution at its batch position in out."""
     n = lp.objective.shape[0]
-    m = T.shape[0] - 1
-    n_art = len(art_rows)
-    ncols = n + m + n_art
-    basis = list(range(n, n + m))
-    for j, i in enumerate(art_rows):
-        basis[i] = n + m + j
-    pivots = 0
-    if n_art:
+    m = group.T.shape[0] - 1
+    width = group.width
+
+    def fail(status, cols, pivots):
+        for j in cols:
+            out[j] = LpSolution(status, None, None, (), pivots)
+
+    groups = [group]
+    if width > n + m:
         # phase one: maximize minus the sum of artificials
-        z = np.zeros(T.shape[1])
-        z[n + m : ncols] = -1.0
-        _set_costs(T, basis, z)
-        status, p1 = _run_simplex(T, basis, ncols, LP_TOL)
-        pivots += p1
-        if status == "numerical":
-            return LpSolution("numerical", None, None, (), pivots)
-        if T[-1, -1] > 1e-7:  # leftover artificial mass, see row invariant
-            return LpSolution("infeasible", None, None, (), pivots)
-        for i in range(m):  # drive leftover zero-level artificials out
-            if basis[i] >= n + m:
-                nonzero = (np.abs(T[i, : n + m]) > 1e-7).nonzero()[0]
-                if nonzero.size:
-                    _pivot(T, basis, i, int(nonzero[0]))
-                    pivots += 1
+        z = np.zeros(group.T.shape[1])
+        z[n + m : width] = -1.0
+        _set_costs(group.T, group.basis, z)
+        groups = []
+        for status, g in _run_simplex(group, width, LP_TOL):
+            if status == "numerical":
+                fail(status, g.cols, g.pivots)
+                continue
+            # leftover artificial mass, see row invariant
+            infeasible = (g.T[-1, width:] > 1e-7).tolist()
+            if any(infeasible):
+                fail("infeasible", [j for j, bad in zip(g.cols, infeasible) if bad], g.pivots)
+                if all(infeasible):
+                    continue
+                g = g.take([c for c, bad in enumerate(infeasible) if not bad])
+            for i in range(m):  # drive leftover zero-level artificials out
+                if g.basis[i] >= n + m:
+                    nonzero = (np.abs(g.T[i, : n + m]) > 1e-7).nonzero()[0]
+                    if nonzero.size:
+                        _pivot(g.T, g.basis, i, int(nonzero[0]))
+                        g.pivots += 1
+            groups.append(g)
 
     # phase two over the real objective, artificials barred from entering
-    z = np.zeros(T.shape[1])
-    z[:n] = lp.objective
-    _set_costs(T, basis, z)
-    status, p2 = _run_simplex(T, basis, n + m, LP_TOL)
-    pivots += p2
-    if status != "optimal":
-        return LpSolution(status, None, None, (), pivots)
-
-    y = np.zeros(T.shape[1] - 1)
-    y[basis] = T[:m, -1]
-    x = lp.lb + y[:n]
-    value = float(lp.objective @ x)
-    resid = lp.a_ub @ x - b_ub
-    active = tuple((resid >= -1e-7).nonzero()[0].tolist())
-    return LpSolution("optimal", x, value, active, pivots)
+    for g in groups:
+        z = np.zeros(g.T.shape[1])
+        z[:n] = lp.objective
+        _set_costs(g.T, g.basis, z)
+        for status, h in _run_simplex(g, n + m, LP_TOL):
+            if status != "optimal":
+                fail(status, h.cols, h.pivots)
+                continue
+            y = np.zeros((width, len(h.cols)))
+            y[h.basis] = h.T[:m, width:]
+            for c, j in enumerate(h.cols):
+                x = lp.lb + y[:n, c]
+                value = float(lp.objective @ x)
+                resid = lp.a_ub @ x - b_rows[j]
+                active = tuple((resid >= -1e-7).nonzero()[0].tolist())
+                out[j] = LpSolution("optimal", x, value, active, h.pivots)

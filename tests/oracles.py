@@ -3,15 +3,19 @@
 For the factor-revealing model: its documented witness, a check of a
 point against the model's constraints before linearization, and one
 branch's continuous program on its own.  For matrix validation: the
-triangle check as a plain Python loop.
+triangle check as a plain Python loop.  For the dense simplex: one
+right-hand side on a tableau of its own, pivoted row by row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
+
+from openride import lp as lp_module
 from openride.factor_revealing import BIG_M, MilpInstance
-from openride.lp import LinearProgram
+from openride.lp import LP_TOL, LinearProgram, LpSolution
 from openride.model import Instance
 from openride.numeric import OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
 from openride.offline import SearchCapExceeded
@@ -156,3 +160,116 @@ def substitute(milp: MilpInstance, binaries) -> LinearProgram:
     return LinearProgram(objective=base.objective, a_ub=base.a_ub,
                          b_ub=base.b_ub + BIG_M * milp.relax[BRANCH_CODES.index(b)],
                          lb=base.lb, ub=base.ub)
+
+
+def _loop_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and abs(T[i, col]) > 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
+def _loop_set_costs(T, basis, z):
+    priced = [i for i in range(len(basis)) if z[basis[i]] != 0.0]
+    for i in priced:
+        z -= z[basis[i]] * T[i]
+    T[-1] = z
+
+
+def _loop_run_simplex(T, basis, enter_limit, tol):
+    m = T.shape[0] - 1
+    pivots = 0
+    while True:
+        col = -1
+        for j in range(enter_limit):
+            if T[-1, j] > tol:
+                col = j
+                break
+        if col < 0:
+            return "optimal", pivots
+        best, row = np.inf, -1
+        for i in range(m):
+            if T[i, col] > tol:
+                ratio = T[i, -1] / T[i, col]
+                if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
+                    if ratio < best:
+                        best = ratio
+                    row = i
+        if row < 0:
+            return "unbounded", pivots
+        _loop_pivot(T, basis, row, col)
+        pivots += 1
+        if pivots > lp_module._MAX_PIVOTS:
+            return "numerical", pivots
+
+
+def solve_lp_naive(lp: LinearProgram, b_ub=None) -> LpSolution:
+    """lp with b_ub in place of its own, on a tableau of its own, pivoted row by row.
+
+    The two-phase simplex the library runs, with the same pivot rules and
+    tolerances, for one right-hand side: every row operation is a Python
+    loop, and nothing is shared with another right-hand side.  A row
+    negated to make its right-hand side nonnegative gets an artificial
+    column, numbered in row order; the pivot limit counts each phase's
+    pivots, read from the library at call time.
+    """
+    b_ub = lp.b_ub if b_ub is None else np.asarray(b_ub, dtype=float)
+    n, k = lp.objective.shape[0], lp.a_ub.shape[0]
+    shift = lp.a_ub @ lp.lb
+    bounded = [j for j in range(n) if np.isfinite(lp.ub[j])]
+    m = k + len(bounded)
+    rows = []  # (coefficients over the variables and slacks, right-hand side)
+    for i in range(k):
+        coef = np.zeros(n + m)
+        coef[:n] = lp.a_ub[i]
+        coef[n + i] = 1.0
+        rows.append((coef, b_ub[i] - shift[i]))
+    for r, j in enumerate(bounded):
+        coef = np.zeros(n + m)
+        coef[j] = coef[n + k + r] = 1.0
+        rows.append((coef, lp.ub[j] - lp.lb[j]))
+    art_rows = [i for i, (_, rhs) in enumerate(rows) if rhs < 0]
+    width = n + m + len(art_rows)
+    T = np.zeros((m + 1, width + 1))
+    basis = list(range(n, n + m))
+    for i, (coef, rhs) in enumerate(rows):
+        sign = -1.0 if rhs < 0 else 1.0
+        T[i, : n + m] = coef * sign
+        T[i, -1] = rhs * sign
+    for j, i in enumerate(art_rows):
+        T[i, n + m + j] = 1.0
+        basis[i] = n + m + j
+
+    pivots = 0
+    if art_rows:
+        z = np.zeros(width + 1)
+        z[n + m : width] = -1.0
+        _loop_set_costs(T, basis, z)
+        status, p1 = _loop_run_simplex(T, basis, width, LP_TOL)
+        pivots += p1
+        if status == "numerical":
+            return LpSolution("numerical", None, None, (), pivots)
+        if T[-1, -1] > 1e-7:
+            return LpSolution("infeasible", None, None, (), pivots)
+        for i in range(m):
+            if basis[i] >= n + m:
+                for j in range(n + m):
+                    if abs(T[i, j]) > 1e-7:
+                        _loop_pivot(T, basis, i, j)
+                        pivots += 1
+                        break
+    z = np.zeros(width + 1)
+    z[:n] = lp.objective
+    _loop_set_costs(T, basis, z)
+    status, p2 = _loop_run_simplex(T, basis, n + m, LP_TOL)
+    pivots += p2
+    if status != "optimal":
+        return LpSolution(status, None, None, (), pivots)
+    y = np.zeros(width)
+    for i in range(m):
+        y[basis[i]] = T[i, -1]
+    x = lp.lb + y[:n]
+    resid = lp.a_ub @ x - b_ub
+    active = tuple(i for i in range(k) if resid[i] >= -1e-7)
+    return LpSolution("optimal", x, float(lp.objective @ x), active, pivots)

@@ -9,6 +9,8 @@ import pytest
 from openride import lp as lp_module
 from openride.lp import LinearProgram, solve_lp, solve_lps
 
+from oracles import solve_lp_naive
+
 
 def _lp(c, a, b, lb=None, ub=None):
     c = np.asarray(c, dtype=float)
@@ -29,7 +31,17 @@ def test_basic_2d():
 
 def test_empty_program():
     sol = solve_lp(_lp([], np.zeros((0, 0)), []))
-    assert sol.status == "optimal" and sol.value == 0.0
+    assert sol.status == "optimal" and sol.value == 0.0 and sol.active_rows == ()
+    # rows without variables decide alone, as they do with one zero column:
+    # infeasible beyond 1e-7 of artificial mass, active where -b_ub >= -1e-7
+    for b_ub, status, active in [([-2e-7], "infeasible", ()), ([-5e-8], "optimal", (0,)),
+                                 ([0.0, 3.0, 5e-8], "optimal", (0, 2))]:
+        empty = solve_lp(_lp([], np.zeros((len(b_ub), 0)), b_ub))
+        zero_column = solve_lp(_lp([0.0], np.zeros((len(b_ub), 1)), b_ub))
+        assert (empty.status, empty.active_rows) == (zero_column.status, zero_column.active_rows)
+        assert (empty.status, empty.active_rows) == (status, active)
+        if status == "optimal":
+            assert empty.value == 0.0 and empty.x.shape == (0,)
 
 
 def test_unbounded():
@@ -176,43 +188,7 @@ def test_non_finite_data_is_rejected(field, value):
 
 
 # ---------------------------------------------------------------------------
-# the array pivots against the row-by-row loops they replaced
-
-
-def _loop_pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            T[i] -= T[i, col] * T[row]
-    basis[row] = col
-
-
-def _loop_run_simplex(T, basis, enter_limit, tol):
-    m = T.shape[0] - 1
-    pivots = 0
-    while True:
-        z = T[-1, :enter_limit]
-        col = -1
-        for j in range(enter_limit):
-            if z[j] > tol:
-                col = j
-                break
-        if col < 0:
-            return "optimal", pivots
-        best, row = np.inf, -1
-        for i in range(m):
-            if T[i, col] > tol:
-                ratio = T[i, -1] / T[i, col]
-                if ratio < best - tol or (ratio <= best + tol and (row < 0 or basis[i] < basis[row])):
-                    if ratio < best:
-                        best = ratio
-                    row = i
-        if row < 0:
-            return "unbounded", pivots
-        _loop_pivot(T, basis, row, col)
-        pivots += 1
-        if pivots > lp_module._MAX_PIVOTS:
-            return "numerical", pivots
+# the array pivots against a reference that pivots row by row
 
 
 def _exact(sol):
@@ -220,7 +196,7 @@ def _exact(sol):
     return sol.status, sol.iterations, repr(sol.value), repr(x), sol.active_rows
 
 
-def test_array_pivots_equal_the_row_loops(monkeypatch):
+def test_array_pivots_equal_the_row_loops():
     rng = np.random.default_rng(7)
     programs = []
     for case in range(1500):
@@ -237,10 +213,7 @@ def test_array_pivots_equal_the_row_loops(monkeypatch):
         ub = np.where(rng.random(n) < 0.5, lb + rng.integers(0, 4, size=n), np.inf)
         programs.append(_lp(c, a, b, lb, ub))
     got = [_exact(solve_lp(p)) for p in programs]
-    monkeypatch.setattr(lp_module, "_pivot", _loop_pivot)
-    monkeypatch.setattr(lp_module, "_run_simplex", _loop_run_simplex)
-    want = [_exact(solve_lp(p)) for p in programs]
-    assert got == want
+    assert got == [_exact(solve_lp_naive(p)) for p in programs]
     assert {g[0] for g in got} == {"optimal", "infeasible", "unbounded"}
 
 
@@ -273,10 +246,10 @@ def _random_batches(rng, cases):
         yield base, rows
 
 
-def test_solve_lps_equals_fresh_programs_bit_for_bit(monkeypatch):
+def test_solve_lps_equals_fresh_programs_bit_for_bit():
     rng = np.random.default_rng(19)
     seen = {"lb": False, "inf_ub": False, "no_rows": False, "mixed_artificials": False}
-    got, want, statuses = [], [], set()
+    got, fresh, want, statuses = [], [], [], set()
     for base, rows in _random_batches(rng, 300):
         c, a, lb, ub = base.objective, base.a_ub, base.lb, base.ub
         seen["lb"] |= bool((lb != 0).any())
@@ -287,17 +260,60 @@ def test_solve_lps_equals_fresh_programs_bit_for_bit(monkeypatch):
         batch = [_exact(s) for s in solve_lps(base, rows)]
         assert len(batch) == len(rows)
         got += batch
-        want += [_exact(solve_lp(LinearProgram(c, a, b, lb, ub))) for b in rows]
+        fresh += [_exact(solve_lp(LinearProgram(c, a, b, lb, ub))) for b in rows]
+        want += [_exact(solve_lp_naive(base, b)) for b in rows]
         statuses |= {s[0] for s in batch}
-    assert got == want
+    assert got == fresh == want
     assert all(seen.values()), seen
     assert statuses == {"optimal", "infeasible", "unbounded"}
-    # every row still pivots through the module's loop: with the row-by-row
-    # pivots in its place, the batch gives the same results
-    monkeypatch.setattr(lp_module, "_pivot", _loop_pivot)
-    monkeypatch.setattr(lp_module, "_run_simplex", _loop_run_simplex)
-    rng = np.random.default_rng(19)
-    assert [_exact(s) for base, rows in _random_batches(rng, 300) for s in solve_lps(base, rows)] == got
+
+
+def test_shared_tableaus_split_as_the_reference_does(monkeypatch):
+    # rows near one base b_ub share their first pivots; each result must
+    # still be the reference's, bit for bit and in input order
+    pivots = []
+    pivot = lp_module._pivot
+
+    def counted(*args):
+        pivots.append(None)
+        pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(("shared_then_split", "ends_while_others_go_on", "several_groups",
+                          "numerical_beside_optimal"), False)
+    cases = []
+    for case in range(400):
+        c, a, lb, ub = _random_base(rng, case)
+        b = rng.integers(-1, 4, size=a.shape[0]).astype(float)
+        rows = np.tile(b, (int(rng.integers(2, 7)), 1))
+        moved = rng.random(rows.shape) < 0.3
+        rows[moved] += rng.integers(-2, 3, size=int(moved.sum()))
+        cases.append((LinearProgram(c, a, b, lb, ub), rows))
+    for limit in (lp_module._MAX_PIVOTS, 1):
+        # the limit counts each phase's pivots, in the reference as in the batch
+        monkeypatch.setattr(lp_module, "_MAX_PIVOTS", limit)
+        for base, rows in cases:
+            pivots.clear()
+            got = solve_lps(base, rows)
+            assert [_exact(s) for s in got] == [_exact(solve_lp_naive(base, b)) for b in rows]
+            groups = {}
+            for j, negated in enumerate(rows - base.a_ub @ base.lb < 0):
+                groups.setdefault(negated.tobytes(), []).append(j)
+            seen["several_groups"] |= len(groups) > 1
+            runs = [s.iterations for s in got]
+            if len(groups) == 1:
+                # fewer pivots than the paths take, more than the longest one
+                seen["shared_then_split"] |= max(runs) < len(pivots) < sum(runs)
+            for cols in groups.values():
+                ends = {got[j].status for j in cols}
+                stopped = ends & {"infeasible", "unbounded"}
+                seen["ends_while_others_go_on"] |= "optimal" in ends and bool(stopped)
+            ends = {s.status for s in got}
+            seen["numerical_beside_optimal"] |= {"numerical", "optimal"} <= ends
+    assert all(seen.values()), seen
+    base = cases[1][0]
+    assert solve_lps(base, np.zeros((0, base.a_ub.shape[0]))) == []
 
 
 @pytest.mark.parametrize("b_ub", [
