@@ -40,7 +40,7 @@ from .model import (
     Unload,
     Wait,
 )
-from .numeric import CHECK_TOL, TIE_EPS, TOLERANCE
+from .numeric import CHECK_TOL, TIE_EPS, TOLERANCE, real
 from .offline import OptCache, fastest_delivery_and_return, shortest_schedule
 
 
@@ -292,7 +292,7 @@ class LazyPolicy:
     name = "lazy"
 
     def __init__(self, alpha: float):
-        if not 0 <= alpha < math.inf:
+        if not 0 <= real(alpha, "alpha") < math.inf:
             raise ValueError("alpha must be finite and nonnegative")
         self.alpha = alpha
 

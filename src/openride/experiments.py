@@ -22,9 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
-from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space
+from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space, short_repr
 from .model import EdgePos, Instance, Trace, make_instance, validate_schedule
-from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE
+from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE, is_int, real
 from .offline import DEFAULT_SEARCH_CAP, OptCache
 
 # the half-line impossibility threshold
@@ -39,9 +39,9 @@ def gen_halfline_lb(alpha: float, epsilon: float = 1e-4) -> Instance:
     ratio approaches (3 + sqrt(3)) / 2 as alpha approaches the upper
     end and epsilon approaches zero.
     """
-    if not 1.0 <= alpha < OPTIMAL_ALPHA_HALF_LINE:
+    if not 1.0 <= real(alpha, "alpha") < OPTIMAL_ALPHA_HALF_LINE:
         raise ValueError("alpha must lie in [1, (1+sqrt(3))/2)")
-    if not 0.0 < epsilon < 1.0:
+    if not 0.0 < real(epsilon, "epsilon") < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     far = 4.0 * alpha - 2.0
     return make_instance(
@@ -107,14 +107,6 @@ HORIZON = 10.0
 SAME_POINT_PROB = 0.25
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 @dataclass(frozen=True)
 class FuzzConfig:
     """Generator settings; every field is checked when the config is built."""
@@ -132,27 +124,32 @@ class FuzzConfig:
     def __post_init__(self):
         def bad(field_name, rule):
             value = getattr(self, field_name)
-            raise ValueError(f"fuzz config: {field_name} must be {rule}, got {value!r}")
+            raise ValueError(f"fuzz config: {field_name} must be {rule}, got {short_repr(value)}")
 
-        if not _is_int(self.count) or self.count < 0:
+        if not is_int(self.count) or self.count < 0:
             bad("count", "a nonnegative integer")
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             bad("seed", "an integer")
-        if not (_is_int(self.max_requests) and 1 <= self.max_requests <= DEFAULT_SEARCH_CAP):
+        if not (is_int(self.max_requests) and 1 <= self.max_requests <= DEFAULT_SEARCH_CAP):
             bad("max_requests", f"an integer from 1 to the search cap {DEFAULT_SEARCH_CAP}")
         if self.workers is not None and not (
-                _is_int(self.workers) and 0 <= self.workers <= MAX_FUZZ_WORKERS):
+                is_int(self.workers) and 0 <= self.workers <= MAX_FUZZ_WORKERS):
             bad("workers", f"null or an integer from 0 to {MAX_FUZZ_WORKERS}")
-        if self.alpha is not None and not (_is_real(self.alpha) and self.alpha >= 0):
-            bad("alpha", "a finite nonnegative number or null")
+        if self.alpha is not None:
+            try:
+                alpha = real(self.alpha)
+            except ValueError:
+                alpha = math.nan
+            if not 0 <= alpha < math.inf:
+                bad("alpha", "a finite nonnegative number or null")
         if (not isinstance(self.spaces, (tuple, list)) or not self.spaces
                 or any(k not in (LINE, HALF_LINE, MATRIX) for k in self.spaces)):
             bad("spaces", f"a non-empty list of {LINE}, {HALF_LINE}, {MATRIX}")
         if (not isinstance(self.capacities, (tuple, list)) or not self.capacities
-                or any(c is not None and not (_is_int(c) and c >= 1) for c in self.capacities)):
+                or any(c is not None and not (is_int(c) and c >= 1) for c in self.capacities)):
             bad("capacities", "a non-empty list of positive integers or unbounded")
         nodes = self.matrix_nodes
-        if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2 and all(map(_is_int, nodes))
+        if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2 and all(map(is_int, nodes))
                 and 1 <= nodes[0] <= nodes[1] <= MAX_MATRIX_NODES):
             bad("matrix_nodes", f"two integers lo, hi with 1 <= lo <= hi <= {MAX_MATRIX_NODES}")
         if not isinstance(self.check_schedules, bool):
@@ -355,11 +352,12 @@ def sweep_lower_bounds(alphas) -> list[SweepRow]:
     server can be lured arbitrarily far out, giving 1 + 3 / (alpha + 1);
     between 1 and (1 + sqrt(3)) / 2 the four-request family gives
     2 + 1 / (2 alpha).  The reported source is the binding expression.
+    Each alpha must be a finite nonnegative number, kept as given.
     """
     rows = []
     for alpha in alphas:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= real(alpha, "alpha") < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         candidates = [("1+alpha", 1.0 + alpha)]
         if alpha < 1.0:
             candidates.append(("1+3/(alpha+1)", 1.0 + 3.0 / (alpha + 1.0)))

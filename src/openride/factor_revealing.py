@@ -54,6 +54,7 @@ import numpy as np
 
 from .lp import LinearProgram, LpSolution, solve_lps
 from .lp import solve_lp  # noqa: F401  perfbench/tracing.py wraps the simplex here by name
+from .numeric import real
 
 VARIABLES = (
     "prev_start",
@@ -120,9 +121,9 @@ class FrSolution:
 
 def build_fr_milp(alpha: float) -> MilpInstance:
     """Assemble the model for one waiting parameter, alpha in [1, 2]."""
-    if not 1.0 <= alpha <= 2.0:
+    a = real(alpha, "alpha")
+    if not 1.0 <= a <= 2.0:
         raise ValueError("the model covers waiting parameters in [1, 2]")
-    a = float(alpha)
     # name, rhs, coefficients by variable index, and the (binary, value)
     # that enforces the row, or None for a row every branch enforces
     rows = (
@@ -180,9 +181,10 @@ def build_fr_milp(alpha: float) -> MilpInstance:
 
 def fr_closed_form(alpha: float) -> float:
     """max{3 + 1/alpha - alpha, 1 + alpha}, the model's optimal value."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    return max(3.0 + 1.0 / alpha - alpha, 1.0 + alpha)
+    a = real(alpha, "alpha")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"alpha must be positive and finite, got {a!r}")
+    return max(3.0 + 1.0 / a - a, 1.0 + a)
 
 
 def _check_branch(milp: MilpInstance, code: int, b_ub: np.ndarray, sol: LpSolution) -> None:

@@ -52,8 +52,11 @@ LP_TOL = 1e-9
 _MAX_PIVOTS = 20000
 
 
-def _frozen(values) -> np.ndarray:
-    a = np.array(values, dtype=float)
+def _frozen(values, name: str) -> np.ndarray:
+    try:
+        a = np.array(values, dtype=float)
+    except (OverflowError, ValueError, TypeError):
+        raise ValueError(f"{name} must be an array of numbers inside the float range") from None
     a.flags.writeable = False
     return a
 
@@ -80,7 +83,7 @@ class LinearProgram:
 
     def __post_init__(self):
         for name in ("objective", "a_ub", "b_ub", "lb", "ub"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
         if self.objective.ndim != 1:
             raise ValueError("objective must be a vector")
         n = self.objective.shape[0]

@@ -5,20 +5,19 @@ reals), and finite symmetric distance matrices standing in for general
 metric spaces.  Points on the line variants are floats; points of a
 matrix space are integer node indices.  The origin is 0 in every kind.
 A matrix is checked once, when its space is built, however it is built:
-each entry must be a real number and is stored as a float, and the
-matrix must satisfy the metric axioms.  A violation raises the
+each entry must be a real number, read by numeric.real as a float, and
+the matrix must satisfy the metric axioms.  A violation raises the
 SemanticError an instance raises.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import TOLERANCE
+from .numeric import TOLERANCE, is_int, real
 
 LINE = "line"
 HALF_LINE = "halfline"
@@ -80,15 +79,14 @@ class MetricSpace:
 
     def is_point(self, p: Point) -> bool:
         if self.kind == MATRIX:
-            return isinstance(p, int) and not isinstance(p, bool) and 0 <= p < len(self.matrix)
-        try:
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
-                return False
-        except OverflowError:  # an int beyond the float range
+            return is_int(p) and 0 <= p < len(self.matrix)
+        if not isinstance(p, (int, float)):  # a point is an int or a float, not any other real
             return False
-        if self.kind == HALF_LINE:
-            return p >= -TOLERANCE
-        return True
+        try:
+            x = p if isinstance(p, float) else real(p)  # a float needs no conversion
+        except ValueError:  # a bool, or an int beyond the float range
+            return False
+        return math.isfinite(x) and (self.kind != HALF_LINE or x >= -TOLERANCE)
 
     def not_a_point(self, p) -> str:
         return f"{short_repr(p)} is not a point of the {self.kind} space"
@@ -177,15 +175,12 @@ def half_line() -> MetricSpace:
 
 
 def _entry(v, i: int, j: int) -> float:
-    """float(v) for a real, non-boolean entry d[i][j]; else the matrix is invalid."""
+    """real(v) for the entry d[i][j]; else the matrix is invalid."""
     try:
-        # int and float first: they skip the slower abstract-class check
-        if not isinstance(v, bool) and isinstance(v, (int, float, numbers.Real)):
-            return float(v)
-        reason = "is not a number"
-    except OverflowError:
-        reason = "is beyond the float range"
-    raise SemanticError(f"invalid distance matrix: finite: d[{i}][{j}] = {short_repr(v)} {reason}", "metric.d")
+        return real(v)
+    except ValueError as e:
+        raise SemanticError(f"invalid distance matrix: finite: d[{i}][{j}] = {short_repr(v)} {e}",
+                            "metric.d") from None
 
 
 def _rows(d) -> tuple[tuple[float, ...], ...]:

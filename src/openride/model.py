@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from .metric import (HALF_LINE, LINE, MATRIX, InstanceError, MetricSpace, Point, SemanticError,
                      matrix_space, short_repr)
-from .numeric import TOLERANCE
+from .numeric import TOLERANCE, is_int, real
 
 
 class ParseError(InstanceError):
@@ -65,7 +64,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         cap = self.capacity
-        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
+        if cap is not None and not (is_int(cap) and cap >= 1):
             raise SemanticError("capacity must be a positive integer or None", "capacity")
         seen: set[int] = set()
         for r in self.requests:
@@ -344,13 +343,11 @@ class Trace:
 
 
 def _number(v, where: str) -> float:
-    """float(v) for a real, non-boolean number, as metric._entry reads a matrix entry; else fail at where."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):
-        raise SemanticError(f"{short_repr(v)} is not a number", where)
+    """real(v), as metric._entry reads a matrix entry; else fail at where."""
     try:
-        return float(v)
-    except OverflowError:
-        raise SemanticError("integer is beyond the float range", where) from None
+        return real(v)
+    except ValueError as e:
+        raise SemanticError(f"{short_repr(v)} {e}", where) from None
 
 
 def instance_from_dict(obj: dict) -> Instance:
@@ -380,7 +377,7 @@ def instance_from_dict(obj: dict) -> Instance:
     cap = obj["capacity"]
     if cap == "inf":
         capacity = None
-    elif isinstance(cap, int) and not isinstance(cap, bool) and cap >= 1:
+    elif is_int(cap) and cap >= 1:
         capacity = cap
     else:
         raise SemanticError("capacity must be a positive integer or \"inf\"", "capacity")

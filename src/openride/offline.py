@@ -56,7 +56,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .metric import MetricSpace, Point
+from .metric import MetricSpace, Point, short_repr
 from .model import Instance, Load, Move, Schedule, Unload, Wait
 from .numeric import TIE_EPS
 
@@ -311,21 +311,44 @@ def _reconstruct_free(cache: OptCache, lookup, row, loaded: int, done: int, orde
     return seq
 
 
+def _check_request_set(requests, inst: Instance | None = None) -> None:
+    """Refuse a request listed twice and, given inst, one that is not inst's own, naming its id.
+
+    A request is inst's own when it is inst's object with that id or has
+    the same fields; identity, the engine's case, is tested first.
+    """
+    seen = set()
+    for r in requests:
+        if r.id in seen:
+            raise ValueError(f"request {short_repr(r.id)} is listed twice")
+        seen.add(r.id)
+        if inst is not None:
+            own = inst._by_id.get(r.id)
+            if own is None:
+                raise ValueError(f"request {short_repr(r.id)} is not in the instance")
+            if own is not r and own != r:
+                raise ValueError(f"request {short_repr(r.id)} differs from the instance's request with that id")
+
+
 def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
                       start_time: float = 0.0) -> Schedule:
     """Minimal-length schedule serving the given requests from start.
 
-    The requests belong to the cache's instance; the plan reads the
-    release-free DP of the cache that OptCache._planner gives for them,
-    with every other request marked done.  Release times are ignored for
-    routing; a wait is only inserted when a pickup would happen before
-    its request is released relative to start_time.  loaded_ids marks
-    requests already on board (their pickups are skipped; they count
-    against capacity from the start).  Ties are broken toward the
-    lexicographically smallest event order by request id.
+    The requests belong to the cache's instance: before any table is
+    read, a request listed twice, an id the instance lacks, or a request
+    whose fields differ from the instance's request with that id raises
+    ValueError naming the id.  The plan reads the release-free DP of the
+    cache that OptCache._planner gives for them, with every other
+    request marked done.  Release times are ignored for routing; a wait
+    is only inserted when a pickup would happen before its request is
+    released relative to start_time.  loaded_ids marks requests already
+    on board (their pickups are skipped; they count against capacity
+    from the start).  Ties are broken toward the lexicographically
+    smallest event order by request id.
     """
     if len(requests) > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(f"{len(requests)} requests exceed the search cap {DEFAULT_SEARCH_CAP}")
+    _check_request_set(requests, cache.inst)
     space = cache.inst.space
     space.check_point(start)
     if not requests:
@@ -354,8 +377,10 @@ def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
     smallest stop order on ties, then home.  A move to the same point is
     skipped; a stop unloads, in id order, every request left whose
     dropoff is the same point.  Each point is checked once, and the
-    distance tables are read unchecked.
+    distance tables are read unchecked.  A request listed twice raises
+    ValueError naming its id.
     """
+    _check_request_set(onboard)
     space.check_point(pos)
     pts = sorted({r.b for r in onboard})
     if len(pts) > DEFAULT_SEARCH_CAP:

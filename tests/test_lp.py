@@ -178,13 +178,17 @@ def test_random_lps_match_vertex_enumeration(n, m, seed):
     ("a_ub", np.nan), ("a_ub", -np.inf),
     ("b_ub", np.nan), ("b_ub", np.inf), ("b_ub", -np.inf),
     ("lb", np.nan), ("ub", np.nan),
+    pytest.param("objective", [10 ** 400], id="objective-beyond-float"),
+    pytest.param("a_ub", [["x"]], id="a_ub-string"),
+    pytest.param("ub", [[1.0], [2.0, 3.0]], id="ub-ragged"),
 ])
 def test_non_finite_data_is_rejected(field, value):
-    # a single inf would turn the rank-1 pivot's 0 * inf into NaN
+    # a single inf would turn the rank-1 pivot's 0 * inf into NaN; a value
+    # that is no float is named by its field too
     data = {"objective": [1.0], "a_ub": [[1.0]], "b_ub": [1.0], "lb": [0.0], "ub": [np.inf]}
-    data[field] = np.full(np.shape(data[field]), value)
+    data[field] = value if isinstance(value, list) else np.full(np.shape(data[field]), value)
     with pytest.raises(ValueError, match=field):
-        LinearProgram(**{k: np.asarray(v, dtype=float) for k, v in data.items()})
+        LinearProgram(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,8 @@ def test_shortest_schedule_shares_the_instance_cache():
                         continue
                     for start in starts:
                         for own, t0 in refs:
-                            want = shortest_schedule(reqs, start, own, loaded, t0)
+                            own_reqs = [own.inst.request(r.id) for r in reqs]
+                            want = shortest_schedule(own_reqs, start, own, loaded, t0)
                             assert shortest_schedule(reqs, start, cache, loaded, t0) == want
     inst = make_instance(line(), 1, triples=[(1.0, 2.0, 0.0), (3.0, 4.0, 0.0)])
     cache = OptCache(inst)
@@ -334,6 +335,32 @@ def test_shortest_schedule_shares_the_instance_cache():
         shortest_schedule([inst.request(0)], 0.0, cache, loaded_ids=(1,))
     with pytest.raises(ValueError):
         shortest_schedule(inst.requests, 0.0, cache, loaded_ids=(0, 1))
+
+
+TWO_REQUESTS = make_instance(line(), 2, [(1.0, 2.0, 0.0), (3.0, 4.0, 1.0)])
+R0, R1 = TWO_REQUESTS.request(0), TWO_REQUESTS.request(1)
+
+
+@pytest.mark.parametrize("reqs, message", [
+    ([R0, R1, R0], "request 0 is listed twice"),
+    ([R0, Request(7, 1.0, 2.0, 0.0)], "request 7 is not in the instance"),
+    ([replace(R1, b=5.0), R0], "request 1 differs from the instance's request"),
+    ([R0, replace(R1, release=0.0)], "request 1 differs from the instance's request"),
+], ids=["repeated", "unknown-id", "other-dropoff", "other-release"])
+def test_shortest_schedule_refuses_a_foreign_request_set(monkeypatch, reqs, message):
+    # refused by id before any table is read
+    built = []
+    monkeypatch.setattr(offline, "_table_rest", lambda cache: built.append(cache.m) or _table_rest(cache))
+    with pytest.raises(ValueError, match=message):
+        shortest_schedule(reqs, 0.0, OptCache(TWO_REQUESTS))
+    assert built == []
+
+
+def test_planners_take_equal_copies_and_refuse_repeats():
+    cache = OptCache(TWO_REQUESTS)
+    assert shortest_schedule([replace(R0), replace(R1)], 0.0, cache) == shortest_schedule([R0, R1], 0.0, cache)
+    with pytest.raises(ValueError, match="request 1 is listed twice"):
+        fastest_delivery_and_return([R1, R0, R1], 0.0, line())
 
 
 # ---------------------------------------------------------------------------
