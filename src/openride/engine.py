@@ -104,9 +104,8 @@ class Simulation:
 
     def fastest_return_plan(self):
         """Duration and steps of the quickest deliver-all-and-go-home route."""
-        onboard = [self.inst.request(rid) for rid in self.loaded]
         total, lead, steps = self._plan_from_here(
-            lambda p: fastest_delivery_and_return(onboard, p, self.space))
+            lambda p: fastest_delivery_and_return(self.loaded, p, self.opt_cache))
         return total, lead + steps
 
     # -- commands issued by policies ---------------------------------
@@ -143,11 +142,10 @@ class Simulation:
 
     def start_replan_schedule(self) -> None:
         """Re-plan over all unserved requests, keeping what is on board."""
-        reqs = [self.inst.request(rid) for rid in sorted(self.pending)]
-        loaded = sorted(self.loaded)
+        ids = sorted(self.pending)
 
         def plan(p):
-            sched = shortest_schedule(reqs, p, self.opt_cache, loaded, self.time)
+            sched = shortest_schedule(ids, p, self.opt_cache, self.loaded, self.time)
             length = 0  # summed in action order from int 0, as schedule_length sums
             for act in sched.actions:
                 if isinstance(act, Move):
@@ -163,8 +161,8 @@ class Simulation:
             index=index,
             start_time=self.time,
             start_pos=self.pos,
-            request_ids=tuple(sorted(self.pending)),
-            loaded=tuple(loaded),
+            request_ids=tuple(ids),
+            loaded=tuple(sorted(self.loaded)),
             length=total,
             interrupted=False,
             schedule=sched,

@@ -73,12 +73,13 @@ def measure_ratio(inst: Instance, algo: str, alpha: float | None = None,
     """Run algo once; return its trace, the offline optimum and their ratio.
 
     A zero optimum gives ratio 1 when the run also finishes at time 0,
-    and infinity otherwise.  OPT is solved before the run, so an
-    instance above the search cap fails before it is simulated.
+    and infinity otherwise.  A bad algo or alpha fails before OPT is
+    solved, and an instance above the search cap before the run.
     """
+    policy = make_policy(algo, alpha)
     cache = opt_cache if opt_cache is not None else OptCache(inst)
     opt = cache.value(len(inst.requests))
-    trace = simulate(inst, make_policy(algo, alpha), cache)
+    trace = simulate(inst, policy, cache)
     if opt <= TOLERANCE:
         return trace, opt, 1.0 if trace.completion <= TOLERANCE else math.inf
     return trace, opt, trace.completion / opt

@@ -174,7 +174,7 @@ def build_fr_milp(alpha: float) -> MilpInstance:
     relax.flags.writeable = False
     objective = np.zeros(n)
     objective[[_T2, _S2]] = 1.0
-    base = LinearProgram(objective=objective, a_ub=a_ub, b_ub=[r[1] for r in rows],
+    base = LinearProgram(objective=objective, a_ub=a_ub, b_ub=np.array([r[1] for r in rows]),
                          lb=np.zeros(n), ub=np.full(n, BOX_BOUND))
     return MilpInstance(alpha=a, names=tuple(r[0] for r in rows), base=base, relax=relax)
 

@@ -13,24 +13,25 @@ these programs produce.  Everything is dense numpy; the intended scale
 is tens of variables and rows, far below where sparsity or revised
 factorizations would pay off.
 
-A program holds read-only copies of its data.  ``solve_lps`` solves
-one program once per row of a batch of right-hand sides.  It checks
-the batch and builds the parts of the standard form that do not depend
-on b_ub once per call: the ``[A | bound rows | I]`` block, the shift
-``a_ub @ lb`` and the bound rows' right-hand side ``ub - lb``.  The
-rows whose shifted b negates the same rows of the standard form share
-one tableau: one body (every column but the right-hand side, with one
-artificial column per negated row) and one right-hand-side column
-each.  The entering column depends on the body alone, so it is read
-once; each column then runs its own ratio test, and one rank-1 pivot
-updates the body and every column that chose that row.  A tableau
-splits into copies, each holding the body and only its own columns,
-where its columns pick different rows or some fail the phase-one
-infeasibility test.  Every entry gets the same divide, multiply and
-subtract as on a tableau of its own, so each right-hand side gets the
-status, pivot count and bits it would get alone.  A program with no
-variables takes the same path with an empty body.  ``solve_lp`` is the
-one-row batch.
+A program holds read-only copies of its data, each entry read by
+``numeric.real``'s rule unless given as an int or float
+ndarray.  ``solve_lps`` solves one program once per row of a batch of
+right-hand sides, read the same way.  It checks the batch and builds
+the parts of the standard form that do not depend on b_ub once per
+call: the ``[A | bound rows | I]`` block, the shift ``a_ub @ lb`` and
+the bound rows' right-hand side ``ub - lb``.  The rows whose shifted b
+negates the same rows of the standard form share one tableau: one body
+(every column but the right-hand side, with one artificial column per
+negated row) and one right-hand-side column each.  The entering column
+depends on the body alone, so it is read once; each column then runs
+its own ratio test, and one rank-1 pivot updates the body and every
+column that chose that row.  A tableau splits into copies, each holding
+the body and only its own columns, where its columns pick different
+rows or some fail the phase-one infeasibility test.  Every entry gets
+the same divide, multiply and subtract as on a tableau of its own, so
+each right-hand side gets the status, pivot count and bits it would
+get alone.  A program with no variables takes the same path with an
+empty body.  ``solve_lp`` is the one-row batch.
 
 Each pivot is one rank-1 array update of the whole tableau.  Every
 entry still gets one multiply and one subtract, as it would in a loop
@@ -48,12 +49,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import real
+
 LP_TOL = 1e-9
 _MAX_PIVOTS = 20000
 
 
 def _frozen(values, name: str) -> np.ndarray:
     try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            cells = np.array(values, dtype=object)
+            values = np.fromiter(map(real, cells.flat), float, cells.size).reshape(cells.shape)
         a = np.array(values, dtype=float)
     except (OverflowError, ValueError, TypeError):
         raise ValueError(f"{name} must be an array of numbers inside the float range") from None
@@ -206,7 +212,7 @@ def _run_simplex(group: _Group, enter_limit: int, tol: float) -> list[tuple[str,
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    return solve_lps(lp, [lp.b_ub])[0]
+    return solve_lps(lp, lp.b_ub[None])[0]
 
 
 def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
@@ -218,7 +224,7 @@ def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
     tableau, each as its own right-hand-side column, and split apart
     only where their ratio tests or phase-one tests disagree.
     """
-    b_rows = np.array(b_rows, dtype=float)
+    b_rows = _frozen(b_rows, "b_rows")
     k = lp.a_ub.shape[0]
     _check_rhs(b_rows, b_rows.shape[:1] + (k,))
     n = lp.objective.shape[0]

@@ -14,6 +14,8 @@ Three problems are solved exactly for small request sets:
 * fastest_delivery_and_return: quickest way to drop off the requests
   on board and come back to the origin, as its duration and the Moves
   and Unloads the engine follows.
+Both planners take request ids and the run's OptCache, whose instance
+holds the requests; an id listed twice or one it lacks is refused.
 
 OptCache compiles an instance once: its points, checked once, and its
 distance table.  It fills the release-free (position, loaded, done) DP
@@ -56,7 +58,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .metric import MetricSpace, Point, short_repr
+from .metric import Point, short_repr
 from .model import Instance, Load, Move, Schedule, Unload, Wait
 from .numeric import TIE_EPS
 
@@ -311,50 +313,42 @@ def _reconstruct_free(cache: OptCache, lookup, row, loaded: int, done: int, orde
     return seq
 
 
-def _check_request_set(requests, inst: Instance | None = None) -> None:
-    """Refuse a request listed twice and, given inst, one that is not inst's own, naming its id.
-
-    A request is inst's own when it is inst's object with that id or has
-    the same fields; identity, the engine's case, is tested first.
-    """
+def _check_ids(ids, inst: Instance) -> None:
+    """Refuse an id listed twice or one that inst lacks, naming it."""
     seen = set()
-    for r in requests:
-        if r.id in seen:
-            raise ValueError(f"request {short_repr(r.id)} is listed twice")
-        seen.add(r.id)
-        if inst is not None:
-            own = inst._by_id.get(r.id)
-            if own is None:
-                raise ValueError(f"request {short_repr(r.id)} is not in the instance")
-            if own is not r and own != r:
-                raise ValueError(f"request {short_repr(r.id)} differs from the instance's request with that id")
+    for rid in ids:
+        if rid in seen:
+            raise ValueError(f"request {short_repr(rid)} is listed twice")
+        if rid not in inst._by_id:
+            raise ValueError(f"request {short_repr(rid)} is not in the instance")
+        seen.add(rid)
 
 
-def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
+def shortest_schedule(ids, start: Point, cache: OptCache, loaded_ids=(),
                       start_time: float = 0.0) -> Schedule:
-    """Minimal-length schedule serving the given requests from start.
+    """Minimal-length schedule serving the requests with these ids from start.
 
-    The requests belong to the cache's instance: before any table is
-    read, a request listed twice, an id the instance lacks, or a request
-    whose fields differ from the instance's request with that id raises
-    ValueError naming the id.  The plan reads the release-free DP of the
-    cache that OptCache._planner gives for them, with every other
-    request marked done.  Release times are ignored for routing; a wait
-    is only inserted when a pickup would happen before its request is
-    released relative to start_time.  loaded_ids marks requests already
-    on board (their pickups are skipped; they count against capacity
-    from the start).  Ties are broken toward the lexicographically
-    smallest event order by request id.
+    The ids name requests of the cache's instance, which holds their
+    points and release times: before any table is read, an id listed
+    twice or one the instance lacks raises ValueError naming it.  The
+    plan reads the release-free DP of the cache that OptCache._planner
+    gives for them, with every other request marked done.  Release
+    times are ignored for routing; a wait is only inserted when a pickup
+    would happen before its request is released relative to start_time.
+    loaded_ids marks requests already on board (their pickups are
+    skipped; they count against capacity from the start).  Ties are
+    broken toward the lexicographically smallest event order by request
+    id.
     """
-    if len(requests) > DEFAULT_SEARCH_CAP:
-        raise SearchCapExceeded(f"{len(requests)} requests exceed the search cap {DEFAULT_SEARCH_CAP}")
-    _check_request_set(requests, cache.inst)
+    if len(ids) > DEFAULT_SEARCH_CAP:
+        raise SearchCapExceeded(f"{len(ids)} requests exceed the search cap {DEFAULT_SEARCH_CAP}")
+    _check_ids(ids, cache.inst)
     space = cache.inst.space
     space.check_point(start)
-    if not requests:
+    if not ids:
         return Schedule(start, ())
-    cache = cache._planner(requests)
-    order = [cache.index[r.id] for r in sorted(requests, key=lambda r: r.id)]
+    cache = cache._planner(ids)
+    order = [cache.index[rid] for rid in sorted(ids)]
     done = ((1 << cache.m) - 1) ^ sum(1 << j for j in order)  # every other request
     loaded = 0
     for rid in loaded_ids:
@@ -369,24 +363,24 @@ def shortest_schedule(requests, start: Point, cache: OptCache, loaded_ids=(),
     return _build_schedule(cache, seq, start, row, start_time)
 
 
-def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
-    """Quickest drop-everything-and-go-home route.
+def fastest_delivery_and_return(ids, pos: Point, cache: OptCache):
+    """Quickest drop-everything-and-go-home route for the requests with these ids on board.
 
-    Returns (duration, steps): the Moves and Unloads that take the
-    requests onboard to every distinct dropoff, lexicographically
-    smallest stop order on ties, then home.  A move to the same point is
-    skipped; a stop unloads, in id order, every request left whose
-    dropoff is the same point.  Each point is checked once, and the
-    distance tables are read unchecked.  A request listed twice raises
-    ValueError naming its id.
+    The ids name requests of the cache's instance: an id listed twice or
+    one it lacks raises ValueError naming it.  Returns (duration,
+    steps): the Moves and Unloads that take the requests to every
+    distinct dropoff, lexicographically smallest stop order on ties,
+    then home.  A move to the same point is skipped; a stop unloads, in
+    id order, every request left whose dropoff is the same point.  Only
+    pos is checked, as the instance checked the dropoffs.
     """
-    _check_request_set(onboard)
+    _check_ids(ids, cache.inst)
+    space = cache.inst.space
     space.check_point(pos)
-    pts = sorted({r.b for r in onboard})
+    left = [cache.inst.request(rid) for rid in sorted(ids)]
+    pts = sorted({r.b for r in left})
     if len(pts) > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(f"{len(pts)} distinct destinations exceed the search cap {DEFAULT_SEARCH_CAP}")
-    for p in pts:
-        space.check_point(p)
     o = space.origin
     if not pts:  # straight home, the common case, without building the tables
         total = space.raw_distance(pos, o)
@@ -409,7 +403,6 @@ def fastest_delivery_and_return(onboard, pos: Point, space: MetricSpace):
 
     remaining = (1 << len(nodes)) - 2  # every destination, not the start
     total = rest(0, remaining)
-    left = sorted(onboard, key=lambda r: r.id)
     steps: list = []
     cur = at = 0  # the stop just chosen, and the node the server stands at
     while remaining:  # the first next stop that stays optimal, so ties go lexicographically
@@ -481,17 +474,17 @@ class OptCache:
             self._lookup = _table_rest(self)
         return self._lookup
 
-    def _planner(self, requests) -> OptCache:
-        """The cache a solve or plan over these requests reads: this one, or above the cap one over just them.
+    def _planner(self, ids) -> OptCache:
+        """The cache a solve or plan over these ids reads: this one, or above the cap one over just them.
 
         The only rule for what a table covers above the cap.  The last
-        cache is kept, keyed by the requests' ids, so plans from both
+        cache is kept, keyed by the ids, so plans from both
         ends of an edge build one table.  Its positions keep the order of
         this cache's, so a prefix's are the same in both.
         """
         if self.m <= DEFAULT_SEARCH_CAP:
             return self
-        ids = frozenset(r.id for r in requests)
+        ids = frozenset(ids)
         if self._plan is None or self._plan[0] != ids:
             inst = self.inst
             self._plan = (ids, OptCache(Instance(inst.space, inst.capacity, tuple(map(inst.request, ids)))))
@@ -557,7 +550,7 @@ class OptCache:
             raise SearchCapExceeded(f"{k} released requests exceed the search cap {DEFAULT_SEARCH_CAP}")
         if k == 0:
             return (), 0.0
-        planner = self._planner(self.inst.requests[:k])
+        planner = self._planner(self.ids[:k])
         if planner is not self:  # its positions are this cache's first k
             return planner._solve(k)
         dist, cap = self.dist, self.cap

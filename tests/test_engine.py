@@ -15,9 +15,10 @@ from openride.engine import (
     check_lazy_starts,
     simulate,
 )
-from openride.experiments import FuzzConfig, gen_halfline_lb, generate_instance, make_policy
-from openride.metric import half_line, line, matrix_space
+from openride.experiments import OPTIMAL_ALPHA_GENERAL, FuzzConfig, gen_halfline_lb, generate_instance, make_policy
+from openride.metric import HALF_LINE, LINE, MATRIX, half_line, line, matrix_space
 from openride.model import (
+    Instance,
     Load,
     Move,
     Schedule,
@@ -194,6 +195,25 @@ def test_simulate_accepts_shared_cache():
     t1 = simulate(inst, LazyPolicy(1.0), opt_cache=cache)
     t2 = simulate(inst, LazyPolicy(1.0), opt_cache=cache)
     assert t1.completion == t2.completion == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("kind", [LINE, HALF_LINE, MATRIX])
+def test_runs_do_not_see_the_future(kind):
+    # every ratio assumes an online run: dropping the requests of the last
+    # release epoch, ids kept, leaves every event before that epoch as it was
+    cfg = FuzzConfig(seed=5, max_requests=7, spaces=(kind,))
+    compared = 0
+    for i in range(60):
+        inst = generate_instance(cfg, i)
+        epoch = inst.requests[-1].release
+        kept = tuple(r for r in inst.requests if r.release < epoch)
+        early = Instance(inst.space, inst.capacity, kept)
+        for algo, alpha in (("lazy", OPTIMAL_ALPHA_GENERAL), ("lazy", 1.0), ("replan", None), ("ignore", None)):
+            want, got = ([ev for ev in trace_to_dict(simulate(x, make_policy(algo, alpha)))["events"]
+                          if ev["t"] < epoch] for x in (inst, early))
+            assert got == want, (kind, i, algo, alpha)
+            compared += len(want)
+    assert compared > 1500
 
 
 # ---------------------------------------------------------------------------

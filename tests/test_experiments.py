@@ -257,6 +257,22 @@ def test_measure_ratio_solves_opt_before_the_run(monkeypatch):
             measure_ratio(inst, algo, alpha)
 
 
+@pytest.mark.parametrize("algo, alpha, message", [
+    ("lazy", True, "alpha is not a number"),
+    ("greedy", None, "unknown algorithm 'greedy'"),
+], ids=["bool-alpha", "unknown-algo"])
+def test_measure_ratio_checks_the_policy_before_it_solves_opt(monkeypatch, algo, alpha, message):
+    solves = []
+    solve_prefix = OptCache.solve_prefix
+    monkeypatch.setattr(OptCache, "solve_prefix", lambda cache, k: solves.append(k) or solve_prefix(cache, k))
+    inst = make_instance(line(), 1, [(0.0, 1.0, 0.0), (2.0, -1.0, 1.0)])
+    with pytest.raises(ValueError, match=message):
+        competitive_ratio(inst, algo, alpha)
+    assert solves == []
+    competitive_ratio(inst, "replan")  # the count sees the solves of a good run
+    assert solves
+
+
 def test_generate_instance_deterministic():
     cfg = FuzzConfig(seed=42)
     a = generate_instance(cfg, 7)

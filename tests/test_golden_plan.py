@@ -105,7 +105,7 @@ def plan_lines() -> list[str]:
             else:
                 start = rng.uniform(0.0 if space.kind == "halfline" else -3.0, 3.0)
             start_time = rng.choice((0.0, rng.uniform(0.0, inst.requests[-1].release)))
-            sched = shortest_schedule(reqs, start, cache, loaded, start_time)
+            sched = shortest_schedule([r.id for r in reqs], start, cache, loaded, start_time)
             lines.append(canonical_json({
                 "index": index,
                 "ids": sorted(r.id for r in reqs),

@@ -181,11 +181,23 @@ def test_random_lps_match_vertex_enumeration(n, m, seed):
     pytest.param("objective", [10 ** 400], id="objective-beyond-float"),
     pytest.param("a_ub", [["x"]], id="a_ub-string"),
     pytest.param("ub", [[1.0], [2.0, 3.0]], id="ub-ragged"),
+    pytest.param("objective", ["1"], id="objective-string"),
+    pytest.param("ub", ["inf"], id="ub-string"),
+    pytest.param("a_ub", [[True]], id="a_ub-bool"),
+    pytest.param("lb", [None], id="lb-none"),
+    pytest.param("b_rows", [[True]], id="b_rows-bool"),
+    pytest.param("b_rows", [[10 ** 400]], id="b_rows-beyond-float"),
+    pytest.param("b_rows", [["x"]], id="b_rows-string"),
 ])
 def test_non_finite_data_is_rejected(field, value):
     # a single inf would turn the rank-1 pivot's 0 * inf into NaN; a value
-    # that is no float is named by its field too
+    # that is no number by numeric.real's rule (a string, a bool, None) is
+    # named by its field too, and so is a bad batch of right-hand sides
     data = {"objective": [1.0], "a_ub": [[1.0]], "b_ub": [1.0], "lb": [0.0], "ub": [np.inf]}
+    if field == "b_rows":
+        with pytest.raises(ValueError, match=field):
+            solve_lps(LinearProgram(**data), value)
+        return
     data[field] = value if isinstance(value, list) else np.full(np.shape(data[field]), value)
     with pytest.raises(ValueError, match=field):
         LinearProgram(**data)

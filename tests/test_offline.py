@@ -50,7 +50,7 @@ from perfbench.workloads import exact_instance
 def plan(reqs, start, space, capacity, loaded_ids=(), start_time=0.0):
     """shortest_schedule against a cache over exactly the planned requests."""
     cache = OptCache(Instance(space, capacity, tuple(reqs)))
-    return shortest_schedule(reqs, start, cache, loaded_ids, start_time)
+    return shortest_schedule([r.id for r in reqs], start, cache, loaded_ids, start_time)
 
 
 def test_shortest_schedule_line_capacity_one():
@@ -137,9 +137,10 @@ def test_shortest_schedule_start_time_waits_for_release():
     ) == pytest.approx(11.0)
 
 
-def _onboard(dests):
-    """Requests on board with these dropoffs, ids by position."""
-    return [Request(i, b, b, 0.0) for i, b in enumerate(dests)]
+def deliver(dests, pos, space):
+    """fastest_delivery_and_return with requests on board whose dropoffs are dests, ids by position."""
+    inst = Instance(space, None, tuple(Request(i, b, b, 0.0) for i, b in enumerate(dests)))
+    return fastest_delivery_and_return(range(len(dests)), pos, OptCache(inst))
 
 
 def _stops(steps):
@@ -147,28 +148,28 @@ def _stops(steps):
 
 
 def test_fastest_delivery_and_return_halfline():
-    dur, steps = fastest_delivery_and_return(_onboard([1.0, 3.0]), 2.0, half_line())
+    dur, steps = deliver([1.0, 3.0], 2.0, half_line())
     assert dur == pytest.approx(4.0)
     assert steps == [Move(2.0, 3.0, 1.0), Unload(1), Move(3.0, 1.0, 2.0), Unload(0),
                      Move(1.0, 0.0, 1.0)]
 
 
 def test_fastest_delivery_and_return_empty():
-    dur, steps = fastest_delivery_and_return([], 5.0, half_line())
+    dur, steps = deliver([], 5.0, half_line())
     assert dur == pytest.approx(5.0)
     assert steps == [Move(5.0, 0.0, 5.0)]
-    assert fastest_delivery_and_return([], 0.0, half_line()) == (0.0, [])
+    assert deliver([], 0.0, half_line()) == (0.0, [])
 
 
 def test_fastest_delivery_and_return_line_negative():
-    dur, steps = fastest_delivery_and_return(_onboard([-1.0]), -2.0, line())
+    dur, steps = deliver([-1.0], -2.0, line())
     assert dur == pytest.approx(2.0)
     assert _stops(steps) == (-1.0, 0.0)
 
 
 def test_fastest_delivery_and_return_matrix():
     sp = matrix_space([[0, 3, 1], [3, 0, 2], [1, 2, 0]])
-    dur, steps = fastest_delivery_and_return(_onboard([1]), 2, sp)
+    dur, steps = deliver([1], 2, sp)
     assert dur == pytest.approx(5.0)
     assert steps == [Move(2, 1, 2.0), Unload(0), Move(1, 0, 3.0)]
 
@@ -176,7 +177,7 @@ def test_fastest_delivery_and_return_matrix():
 def test_fastest_delivery_and_return_merges_stops_within_tolerance():
     # two dropoffs 1e-12 apart are one stop: both unload there, in id order
     near = 1.0 + 1e-12
-    dur, steps = fastest_delivery_and_return(_onboard([1.0, near]), 2.0, line())
+    dur, steps = deliver([1.0, near], 2.0, line())
     assert dur == pytest.approx(2.0)
     assert steps == [Move(2.0, near, 2.0 - near), Unload(0), Unload(1), Move(near, 0.0, near)]
 
@@ -214,7 +215,7 @@ def test_fastest_delivery_and_return_matches_brute_force():
             cost = sum(space.distance(p, q) for p, q in zip(stops, stops[1:]))
             if best is None or cost < best:
                 best, best_order = cost, order
-        dur, steps = fastest_delivery_and_return(_onboard(dests), pos, space)
+        dur, steps = deliver(dests, pos, space)
         assert dur == best, (case, space.kind, pos, dests)
         # the stops in that order, a move skipped where the server already is
         want, here = [], pos
@@ -326,41 +327,39 @@ def test_shortest_schedule_shares_the_instance_cache():
                         continue
                     for start in starts:
                         for own, t0 in refs:
-                            own_reqs = [own.inst.request(r.id) for r in reqs]
-                            want = shortest_schedule(own_reqs, start, own, loaded, t0)
-                            assert shortest_schedule(reqs, start, cache, loaded, t0) == want
+                            ids = [r.id for r in reqs]
+                            want = shortest_schedule(ids, start, own, loaded, t0)
+                            assert shortest_schedule(ids, start, cache, loaded, t0) == want
     inst = make_instance(line(), 1, triples=[(1.0, 2.0, 0.0), (3.0, 4.0, 0.0)])
     cache = OptCache(inst)
     with pytest.raises(ValueError):
-        shortest_schedule([inst.request(0)], 0.0, cache, loaded_ids=(1,))
+        shortest_schedule([0], 0.0, cache, loaded_ids=(1,))
     with pytest.raises(ValueError):
-        shortest_schedule(inst.requests, 0.0, cache, loaded_ids=(0, 1))
+        shortest_schedule([0, 1], 0.0, cache, loaded_ids=(0, 1))
 
 
 TWO_REQUESTS = make_instance(line(), 2, [(1.0, 2.0, 0.0), (3.0, 4.0, 1.0)])
-R0, R1 = TWO_REQUESTS.request(0), TWO_REQUESTS.request(1)
 
 
-@pytest.mark.parametrize("reqs, message", [
-    ([R0, R1, R0], "request 0 is listed twice"),
-    ([R0, Request(7, 1.0, 2.0, 0.0)], "request 7 is not in the instance"),
-    ([replace(R1, b=5.0), R0], "request 1 differs from the instance's request"),
-    ([R0, replace(R1, release=0.0)], "request 1 differs from the instance's request"),
-], ids=["repeated", "unknown-id", "other-dropoff", "other-release"])
-def test_shortest_schedule_refuses_a_foreign_request_set(monkeypatch, reqs, message):
+@pytest.mark.parametrize("ids, message", [
+    ([0, 1, 0], "request 0 is listed twice"),
+    ([0, 7], "request 7 is not in the instance"),
+], ids=["repeated", "unknown-id"])
+def test_shortest_schedule_refuses_a_foreign_request_set(monkeypatch, ids, message):
     # refused by id before any table is read
     built = []
     monkeypatch.setattr(offline, "_table_rest", lambda cache: built.append(cache.m) or _table_rest(cache))
     with pytest.raises(ValueError, match=message):
-        shortest_schedule(reqs, 0.0, OptCache(TWO_REQUESTS))
+        shortest_schedule(ids, 0.0, OptCache(TWO_REQUESTS))
     assert built == []
 
 
-def test_planners_take_equal_copies_and_refuse_repeats():
+def test_fastest_delivery_and_return_refuses_repeated_and_unknown_ids():
     cache = OptCache(TWO_REQUESTS)
-    assert shortest_schedule([replace(R0), replace(R1)], 0.0, cache) == shortest_schedule([R0, R1], 0.0, cache)
     with pytest.raises(ValueError, match="request 1 is listed twice"):
-        fastest_delivery_and_return([R1, R0, R1], 0.0, line())
+        fastest_delivery_and_return([1, 0, 1], 0.0, cache)
+    with pytest.raises(ValueError, match="request 7 is not in the instance"):
+        fastest_delivery_and_return([0, 7], 0.0, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +479,16 @@ def test_dp_table_above_the_cap_covers_only_the_scope(monkeypatch):
     oracle = recursive_rest(cache, {}, inst.space.table(points, points))
     full = (1 << 14) - 1
     # the branch and bound reads a cache over its prefix, and only the last is kept
-    sub = cache._planner(inst.requests[:5])
+    sub = cache._planner(cache.ids[:5])
     lookup = sub._rest_over()
     assert _step(sub, lookup, sub.dist[0], 0, 0, range(5)) == oracle(0, 0, full ^ 31)
-    assert cache._planner(inst.requests[:5])._rest_over() is lookup
-    cache._planner(inst.requests[:3])
-    assert cache._planner(inst.requests[:5])._rest_over() is not lookup
+    assert cache._planner(cache.ids[:5])._rest_over() is lookup
+    cache._planner(cache.ids[:3])
+    assert cache._planner(cache.ids[:5])._rest_over() is not lookup
     # a plan over a scattered set reads a cache over just its requests
     scope = (1, 4, 5, 9, 13)
-    reqs = [inst.requests[j] for j in scope]
-    sub = cache._planner(reqs)
+    ids = [cache.ids[j] for j in scope]
+    sub = cache._planner(ids)
     hidden = full ^ sum(1 << j for j in scope)
     assert _step(sub, sub._rest_over(), sub.dist[0], 0, 0, range(5)) == oracle(0, 0, hidden)
     # plans from both ends of an edge build one table; a prefix solve, which
@@ -498,10 +497,10 @@ def test_dp_table_above_the_cap_covers_only_the_scope(monkeypatch):
     monkeypatch.setattr(offline, "_table_rest", lambda cache: built.append(cache.m) or _table_rest(cache))
     cache = OptCache(inst)
     for start in (0.5, -1.0):
-        shortest_schedule(reqs, start, cache)
+        shortest_schedule(ids, start, cache)
     assert built == [5]
     cache.solve_prefix(3)
-    shortest_schedule(reqs, 0.5, cache)
+    shortest_schedule(ids, 0.5, cache)
     assert built == [5, 3, 5]
 
 
@@ -596,7 +595,7 @@ def test_single_pass_reconstruction_matches_the_two_pass_oracle():
         for _ in range(3):
             subset = rng.sample(range(m), rng.randint(1, min(m, 8)))
             # this cache within the cap; above it, one over just the subset
-            own = cache._planner([inst.requests[j] for j in subset])
+            own = cache._planner([cache.ids[j] for j in subset])
             lookup = own._rest_over()
             subset = [own.index[cache.ids[j]] for j in subset]
             done = ((1 << own.m) - 1) & ~sum(1 << j for j in subset)
@@ -950,9 +949,9 @@ def test_dp_fill_reads_only_the_cells_it_writes(monkeypatch):
                 sched, value = opt_upto(inst, t, cache)
                 got.append((cache.solve_prefix(cache.prefix_for(t))[0], repr(sched), value.hex()))
             reqs = sorted(inst.requests, key=lambda r: r.release)
-            got.append(repr(shortest_schedule(reqs, inst.space.origin, cache)))
+            got.append(repr(shortest_schedule([r.id for r in reqs], inst.space.origin, cache)))
             tail = reqs[len(reqs) // 2:]
-            got.append(repr(shortest_schedule(tail, tail[0].a, cache, loaded_ids=[tail[0].id])))
+            got.append(repr(shortest_schedule([r.id for r in tail], tail[0].a, cache, loaded_ids=[tail[0].id])))
         return got
 
     want = outputs()
@@ -1000,7 +999,7 @@ def test_a_run_leaves_no_cyclic_garbage():
         fuzz(cfg, "lazy")
         opt_upto(inst, 5.0)
         plan(reqs, 0.5, line(), 2, loaded_ids=(0,))
-        fastest_delivery_and_return(reqs, 0.5, line())
+        fastest_delivery_and_return([0, 1, 2], 0.5, OptCache(Instance(line(), 2, reqs)))
         solve_fr(1.5)
         assert gc.collect() == 0
     finally:
