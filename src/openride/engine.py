@@ -41,7 +41,7 @@ from .model import (
     Wait,
 )
 from .numeric import CHECK_TOL, TIE_EPS, TOLERANCE, real
-from .offline import OptCache, fastest_delivery_and_return, shortest_schedule
+from .offline import OptCache, cache_for, fastest_delivery_and_return, shortest_schedule
 
 
 class EngineError(RuntimeError):
@@ -74,7 +74,7 @@ class Simulation:
         self.events: list[TraceEvent] = []
         self.last_unload = 0.0
         # every policy plans against the cache, so it is built up front
-        self.opt_cache = opt_cache if opt_cache is not None else OptCache(inst)
+        self.opt_cache = cache_for(inst, opt_cache, "opt_cache")
 
     # -- queries used by policies ------------------------------------
 
@@ -339,7 +339,11 @@ class IgnorePolicy:
 
 
 def simulate(inst: Instance, policy, opt_cache: OptCache | None = None) -> Trace:
-    """Run a policy on an instance; deterministic for fixed inputs."""
+    """Run a policy on an instance; deterministic for fixed inputs.
+
+    opt_cache, when given, must be built for inst or an equal instance
+    (see offline.cache_for).
+    """
     return Simulation(inst, policy, opt_cache).run()
 
 
@@ -351,7 +355,7 @@ def _lazy_inputs(trace: Trace, inst: Instance, cache: OptCache | None):
     """The trace's alpha and an OPT cache; a trace without an alpha is refused."""
     if trace.alpha is None:
         raise ValueError("lazy trace checks need a trace with its alpha")
-    return trace.alpha, cache if cache is not None else OptCache(inst)
+    return trace.alpha, cache_for(inst, cache, "cache")
 
 
 def check_alpha_good(trace: Trace, inst: Instance, cache: OptCache | None = None) -> list[dict]:

@@ -5,7 +5,10 @@ policy on each, and compares the online completion time against the
 exact offline optimum.  Generation is deterministic per (seed, index),
 so any worst case found can be regenerated from its index alone; the
 parallel path returns bare numbers from workers and rebuilds the worst
-instance in the parent for exactly this reason.
+instance in the parent for exactly this reason.  The process-pool stack
+(concurrent.futures, multiprocessing and what they import) loads on the
+first fuzz run with workers, so a process that never runs one does not
+carry it.
 
 Coordinates and release times are snapped to small integers with some
 probability.  That is deliberate: coincident points, zero legs and
@@ -18,14 +21,13 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import IgnorePolicy, LazyPolicy, ReplanPolicy, check_alpha_good, check_lazy_starts, simulate
 from .metric import HALF_LINE, LINE, MATRIX, MetricSpace, half_line, line, matrix_space, short_repr
 from .model import EdgePos, Instance, Trace, make_instance, validate_schedule
 from .numeric import CHECK_TOL, OPTIMAL_ALPHA_GENERAL, OPTIMAL_ALPHA_HALF_LINE, TOLERANCE, is_int, real
-from .offline import DEFAULT_SEARCH_CAP, OptCache
+from .offline import DEFAULT_SEARCH_CAP, OptCache, cache_for
 
 # the half-line impossibility threshold
 HALF_LINE_LOWER_BOUND = (3.0 + math.sqrt(3.0)) / 2.0
@@ -73,11 +75,12 @@ def measure_ratio(inst: Instance, algo: str, alpha: float | None = None,
     """Run algo once; return its trace, the offline optimum and their ratio.
 
     A zero optimum gives ratio 1 when the run also finishes at time 0,
-    and infinity otherwise.  A bad algo or alpha fails before OPT is
-    solved, and an instance above the search cap before the run.
+    and infinity otherwise.  A bad algo or alpha, or an opt_cache built
+    for another instance, fails before OPT is solved, and an instance
+    above the search cap before the run.
     """
     policy = make_policy(algo, alpha)
-    cache = opt_cache if opt_cache is not None else OptCache(inst)
+    cache = cache_for(inst, opt_cache, "opt_cache")
     opt = cache.value(len(inst.requests))
     trace = simulate(inst, policy, cache)
     if opt <= TOLERANCE:
@@ -293,11 +296,15 @@ def _fuzz_results(cfg: FuzzConfig, algo: str):
 
     With workers, the instances go out in chunks of FUZZ_CHUNK, at most
     FUZZ_CHUNKS_PER_WORKER chunks per worker in flight, so memory does
-    not grow with cfg.count on either path.
+    not grow with cfg.count on either path.  ProcessPoolExecutor is
+    imported on that path only, so its stack loads on the first run
+    with workers.
     """
     if not (cfg.workers and cfg.workers > 1):
         yield from map(_fuzz_task, ((cfg, algo, i) for i in range(cfg.count)))
         return
+    from concurrent.futures import ProcessPoolExecutor  # its stack loads only here
+
     window: deque = deque()
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         for start in range(0, cfg.count, FUZZ_CHUNK):

@@ -67,11 +67,11 @@ def _frozen(values, name: str) -> np.ndarray:
     return a
 
 
-def _check_rhs(b_ub: np.ndarray, shape: tuple[int, ...]) -> None:
-    if b_ub.shape != shape:
-        raise ValueError(f"b_ub must have shape {shape}, one entry per row, got {b_ub.shape}")
-    if not np.isfinite(b_ub).all():
-        raise ValueError("b_ub entries must be finite")
+def _check_rhs(b: np.ndarray, shape: tuple[int, ...], name: str) -> None:
+    if b.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, one entry per row, got {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ class LinearProgram:
         for name in ("objective", "a_ub", "lb"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite")
-        _check_rhs(self.b_ub, self.a_ub.shape[:1])
+        _check_rhs(self.b_ub, self.a_ub.shape[:1], "b_ub")
         if np.isnan(self.ub).any():
             raise ValueError("ub entries must be numbers or +inf")
         if (self.ub < self.lb).any():
@@ -226,7 +226,7 @@ def solve_lps(lp: LinearProgram, b_rows) -> list[LpSolution]:
     """
     b_rows = _frozen(b_rows, "b_rows")
     k = lp.a_ub.shape[0]
-    _check_rhs(b_rows, b_rows.shape[:1] + (k,))
+    _check_rhs(b_rows, b_rows.shape[:1] + (k,), "b_rows")
     n = lp.objective.shape[0]
 
     # y = x - lb >= 0 with finite upper bounds as rows: A y + s = b with

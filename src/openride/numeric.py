@@ -8,15 +8,16 @@ allow the coarser CHECK_TOL.
 
 What counts as a number is decided here and nowhere else.  is_int(v)
 is an int that is not a bool: a capacity (model), a FuzzConfig count,
-seed, size or worker count (experiments) and a matrix node (metric).
-real(v) reads a real number as a float: an int that is not a bool, a
-float or another numbers.Real, inside the float range.  It reads a
-release time, a line coordinate and a matrix entry (model, metric),
-FuzzConfig's alpha (experiments), the waiting parameter of LazyPolicy
-(engine), fr_closed_form and build_fr_milp (factor_revealing),
-gen_halfline_lb and sweep_lower_bounds (experiments), and each entry
-of a LinearProgram's arrays and solve_lps's b_rows (lp) not given as
-an int or float ndarray, each of which keeps its own range.
+seed, size or worker count (experiments), a matrix node (metric) and
+the prefix k of OptCache.value (offline).  real(v) reads a real number
+as a float: an int that is not a bool, a float or another
+numbers.Real, inside the float range.  It reads a release time, a line
+coordinate and a matrix entry (model, metric), FuzzConfig's alpha
+(experiments), the waiting parameter of LazyPolicy (engine),
+fr_closed_form and build_fr_milp (factor_revealing), gen_halfline_lb
+and sweep_lower_bounds (experiments), opt_upto's cutoff t (offline),
+and each entry of a LinearProgram's arrays and solve_lps's b_rows (lp)
+not given as an int or float ndarray, each of which keeps its own range.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ Three problems are solved exactly for small request sets:
   and Unloads the engine follows.
 Both planners take request ids and the run's OptCache, whose instance
 holds the requests; an id listed twice or one it lacks is refused.
+cache_for gives every caller that takes an optional cache the one it
+reads, and refuses a cache built for another instance.
 
 OptCache compiles an instance once: its points, checked once, and its
 distance table.  It fills the release-free (position, loaded, done) DP
@@ -30,10 +32,11 @@ through one lookup(pos, loaded, done), which maps the state's flat code
 to the cell's place through a per-shape rank array; a state that is no
 cell maps past the table's end, so reading it raises IndexError.  A
 fill's index arrays, rank and lookup's offsets are built once per shape
-(request count, capacity) and cached up to CELL_CACHE_BYTES.  They are
-intp, so no take converts an index, for every shape that fits the cache
-in intp: up to 9 requests, and 10 up to capacity 4.  The larger
-10-request shapes are int32.
+(request count, capacity) and cached up to CELL_CACHE_BYTES.  rank is
+int32, as lookup reads it only through a memoryview.  The index arrays
+are intp, so no take converts an index, for every shape that fits the
+cache with them in intp: up to 9 requests, and 10 up to capacity 4.
+The larger 10-request shapes are int32.
 A root off the cells, such as the origin, takes one explicit DP step
 (_step).  A reconstruction takes it at its start, then reads each target
 from the table.
@@ -53,6 +56,7 @@ drops them.
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_right
 
@@ -60,7 +64,7 @@ import numpy as np
 
 from .metric import Point, short_repr
 from .model import Instance, Load, Move, Schedule, Unload, Wait
-from .numeric import TIE_EPS
+from .numeric import TIE_EPS, is_int, real
 
 DEFAULT_SEARCH_CAP = 10
 CELL_CACHE_BYTES = 32 << 20  # index arrays _cells keeps between tables
@@ -137,17 +141,20 @@ def _cells(k: int, cap: int):
     layer, and writes its first rank straight into the slice.
 
     rank maps the flat code code * k + j of cell (code, j) to its
-    position in the table; every flat code that is no cell maps past the
-    table's end, so reading it raises IndexError.  offsets[mask] is k
-    times the ternary code of a bitmask over the k requests, which lookup
-    reads.  The index arrays are intp, so a fill's take converts none, when the shape's
-    arrays and offsets fit CELL_CACHE_BYTES in intp: every shape up to
-    k = 9, and k = 10 up to capacity 4 (28.3 MiB).  The larger k = 10
-    shapes are int32 (21.8 MiB at unbounded capacity, 43.6 MiB it would
-    take in intp).  Shapes are kept per (k, cap), least recently used
-    first, until they hold more than CELL_CACHE_BYTES; the newest shape
-    is always kept, and none takes more than CELL_CACHE_BYTES (all ten
-    k = 10 shapes, capacities 1 to 10, take 187 MiB together).
+    position in the table, in int32 for every shape, since lookup reads
+    it only through a memoryview; every flat code that is no cell maps
+    to the int32 maximum, past the table's end, so reading it raises
+    IndexError.  offsets[mask] is k times the ternary code of a bitmask
+    over the k requests, which lookup reads.  The index arrays are intp,
+    so a fill's take converts none, when the shape's arrays, rank and
+    offsets fit CELL_CACHE_BYTES with the index arrays in intp: every
+    shape up to k = 9, and k = 10 up to capacity 4 (26.0 MiB).  The
+    larger k = 10 shapes are int32 (21.8 MiB at unbounded capacity,
+    41.3 MiB it would take in intp).  Shapes are kept per (k, cap), least
+    recently used first, until they hold more than CELL_CACHE_BYTES; the
+    newest shape is always kept, and none takes more than
+    CELL_CACHE_BYTES (all ten k = 10 shapes, capacities 1 to 10, take
+    178 MiB together).
     """
     key = (k, cap)
     got = _cell_cache.pop(key, None)
@@ -160,7 +167,8 @@ def _cells(k: int, cap: int):
     offsets_bytes = sys.getsizeof(offsets) + sum(map(sys.getsizeof, offsets))
     # int32 holds every index, argsort's permutation of the cells aside: a
     # flat code stays below 2**31.  The arrays are built in their final
-    # type: intp when rank plus two indices per pair fit the cache
+    # type: rank int32, the index arrays intp when rank plus two intp
+    # indices per pair fit the cache
     i32 = np.int32
     steps = 3 ** np.arange(k, dtype=i32)
     digits = (np.arange(3 ** k, dtype=i32)[:, None] // steps % 3).astype(np.int8)
@@ -169,10 +177,10 @@ def _cells(k: int, cap: int):
     moves = (digits == 1) | ((digits == 0) & (onboard < cap)[:, None])
     kept = (progress > 0) & (progress < 2 * k) & (onboard <= cap)
     pairs = ((digits > 0).sum(axis=1) * moves.sum(axis=1))[kept].sum()
-    fits = (digits.size + 2 * pairs) * np.dtype(np.intp).itemsize + offsets_bytes <= CELL_CACHE_BYTES
+    fits = digits.size * 4 + 2 * pairs * np.dtype(np.intp).itemsize + offsets_bytes <= CELL_CACHE_BYTES
     it = np.intp if fits else i32
     steps = steps.astype(it)
-    rank = np.full(digits.size, np.iinfo(it).max, dtype=it)  # a non-cell reads past the end
+    rank = np.full(digits.size, np.iinfo(i32).max, dtype=i32)  # a non-cell reads past the end
     rank[digits.size - k:] = np.arange(k)  # the all-done row
     width = 2 * k + 1
     layers = []
@@ -188,10 +196,10 @@ def _cells(k: int, cap: int):
         by_count = np.argsort(-per_cell, kind="stable")
         rows, js, per_cell = rows[by_count], js[by_count], per_cell[by_count]
         hi = lo + len(rows)
-        rank[states[rows] * k + js] = np.arange(lo, hi, dtype=it)
+        rank[states[rows] * k + js] = np.arange(lo, hi, dtype=i32)
         pos = (2 * js + sub[rows, js]) * width
         tgt = 1 + 2 * tjs + sub[trows, tjs]
-        reach = rank[(states[trows] + steps[tjs]) * k + tjs]  # a cell of a layer filled before
+        reach = rank[(states[trows] + steps[tjs]) * k + tjs].astype(it, copy=False)  # a cell filled before
         ranks = []
         for r in range(per_cell[0]):  # every cell below the top layer has a move
             n = np.count_nonzero(per_cell > r)  # the cells with more than r moves
@@ -498,8 +506,11 @@ class OptCache:
         """The optimal event order over the first k requests and its completion time.
 
         The order is a tuple of (j, is_unload) events, j a request's
-        position in the cache; opt_upto turns it into a Schedule.
+        position in the cache; opt_upto turns it into a Schedule.  A k
+        that is not an integer from 0 to m raises ValueError naming k.
         """
+        if not (is_int(k) and 0 <= k <= self.m):
+            raise ValueError(f"k must be an integer from 0 to {self.m}, got {short_repr(k)}")
         got = self._solved.get(k)
         if got is None:
             got = self._solve(k)
@@ -635,14 +646,32 @@ class OptCache:
         return tuple(seq), _walk(self, seq, self.points[0], dist[0])
 
 
+def cache_for(inst: Instance, cache: OptCache | None, name: str) -> OptCache:
+    """The OPT cache a run of inst reads: cache, or a new one for None.
+
+    A cache built for another instance, neither inst nor one equal to
+    it, would answer OPT and every plan from that instance, so it raises
+    ValueError naming the parameter, name.
+    """
+    if cache is None:
+        return OptCache(inst)
+    if cache.inst is not inst and cache.inst != inst:
+        raise ValueError(f"{name} is the OptCache of another instance")
+    return cache
+
+
 def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[Schedule, float]:
     """Optimal completion over requests released up to time t.
 
     The schedule starts at the origin at time 0 and may wait for
     releases.  Returns (schedule, completion time).  The cache keeps
-    only event orders; the schedule is built here.
+    only event orders; the schedule is built here.  t is read as a real
+    number; NaN or a non-number raises ValueError naming t, while +inf
+    and -inf mean all requests and none.
     """
-    if cache is None:
-        cache = OptCache(inst)
+    t = real(t, "t")
+    if math.isnan(t):
+        raise ValueError("t is not a number")
+    cache = cache_for(inst, cache, "cache")
     seq, value = cache.solve_prefix(cache.prefix_for(t))
     return _build_schedule(cache, seq, cache.points[0], cache.dist[0]), value

@@ -1,10 +1,16 @@
 """Instance generators, ratio measurement, fuzzing, and the bound sweep."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import openride
 from openride import experiments
 from openride.experiments import (
     HALF_LINE_LOWER_BOUND,
@@ -411,7 +417,8 @@ def test_fuzz_workers_keep_a_bounded_window(monkeypatch):
             flight["most"] = max(flight["most"], flight["now"])
             return Done(fn(*args))
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    # the pool is imported from its module on the path with workers alone
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(experiments, "_fuzz_task",
                         lambda task: (1.0 + (task[2] == 99_998), task[2] % 2))
     report = fuzz(FuzzConfig(count=100_000, workers=3), "ignore")
@@ -419,6 +426,24 @@ def test_fuzz_workers_keep_a_bounded_window(monkeypatch):
     # results come back in index order: the one worst ratio keeps its index
     assert report.worst == 2.0 and report.worst_index == 99_998
     assert report.violations == 50_000 and report.mean == (100_000 + 1.0) / 100_000
+
+
+def test_the_process_pool_loads_for_runs_with_workers_only():
+    # a fresh interpreter: the test process has the pool stack loaded already
+    code = """
+import sys
+import openride
+from openride.experiments import FuzzConfig, fuzz
+pool = ("concurrent.futures", "multiprocessing", "logging", "socket")
+print(sorted(m for m in sys.modules if m in pool))
+serial = fuzz(FuzzConfig(count=8), "ignore")
+print(fuzz(FuzzConfig(count=8, workers=2), "ignore") == serial, "multiprocessing" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(openride.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "True True", ""]
 
 
 # ---------------------------------------------------------------------------

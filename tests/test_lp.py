@@ -188,6 +188,8 @@ def test_random_lps_match_vertex_enumeration(n, m, seed):
     pytest.param("b_rows", [[True]], id="b_rows-bool"),
     pytest.param("b_rows", [[10 ** 400]], id="b_rows-beyond-float"),
     pytest.param("b_rows", [["x"]], id="b_rows-string"),
+    pytest.param("b_rows", [[1.0, 2.0]], id="b_rows-shape"),
+    pytest.param("b_rows", [[np.nan]], id="b_rows-nan"),
 ])
 def test_non_finite_data_is_rejected(field, value):
     # a single inf would turn the rank-1 pivot's 0 * inf into NaN; a value
@@ -339,9 +341,10 @@ def test_shared_tableaus_split_as_the_reference_does(monkeypatch):
 ])
 def test_solve_lps_checks_its_b_ub(b_ub):
     # the batch is (rows, 2): a short or long row, a lone vector, one
-    # non-finite entry, an extra dimension or a scalar fails the whole batch
+    # non-finite entry, an extra dimension or a scalar fails the whole
+    # batch, naming b_rows, the argument that holds it
     base = _lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    with pytest.raises(ValueError, match="b_ub"):
+    with pytest.raises(ValueError, match="^b_rows "):
         solve_lps(base, b_ub)
 
 

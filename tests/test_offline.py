@@ -17,6 +17,7 @@ import pytest
 import openride
 from openride import offline
 
+from openride.engine import IgnorePolicy, LazyPolicy, check_alpha_good, check_lazy_starts, simulate
 from openride.experiments import OPTIMAL_ALPHA_GENERAL, FuzzConfig, fuzz, generate_instance, measure_ratio
 from openride.factor_revealing import solve_fr
 from openride.metric import half_line, line, matrix_space
@@ -269,6 +270,58 @@ def test_opt_upto_empty_prefix():
     sched, value = opt_upto(inst, 0.0)
     assert value == 0.0
     assert sched.actions == ()
+
+
+def _two_requests():
+    return make_instance(line(), 1, [(1.0, 2.0, 0.0), (3.0, -1.0, 1.0)])
+
+
+@pytest.mark.parametrize("t", [math.nan, "3", None], ids=["nan", "string", "none"])
+def test_opt_upto_refuses_a_cutoff_that_is_no_number(t):
+    # NaN compared below every release, so it was answered as all requests
+    with pytest.raises(ValueError, match="^t is not a number$"):
+        opt_upto(_two_requests(), t)
+
+
+def test_opt_upto_takes_infinite_cutoffs_as_all_or_none():
+    inst = _two_requests()
+    assert opt_upto(inst, math.inf)[1] == opt_upto(inst, 1.0)[1] == 7.0
+    assert opt_upto(inst, -math.inf) == (Schedule(0.0, ()), 0.0)
+
+
+@pytest.mark.parametrize("k", [-1, 3, 2.0, True], ids=["negative", "past-m", "float", "bool"])
+def test_prefix_value_refuses_a_k_it_cannot_answer(k):
+    cache = OptCache(_two_requests())
+    with pytest.raises(ValueError, match="^k must be an integer from 0 to 2, got "):
+        cache.value(k)
+    assert cache._solved == {}
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a, c: measure_ratio(a, "ignore", None, c), "opt_cache"),
+    (lambda a, c: simulate(a, IgnorePolicy(), c), "opt_cache"),
+    (lambda a, c: check_alpha_good(simulate(a, LazyPolicy(1.0)), a, c), "cache"),
+    (lambda a, c: check_lazy_starts(simulate(a, LazyPolicy(1.0)), a, c), "cache"),
+    (lambda a, c: opt_upto(a, math.inf, c), "cache"),
+], ids=["measure_ratio", "simulate", "check_alpha_good", "check_lazy_starts", "opt_upto"])
+def test_a_cache_of_another_instance_is_refused(monkeypatch, call, name):
+    # b differs from a in one dropoff: its OPT and plans are not a's
+    a = _two_requests()
+    b = make_instance(line(), 1, [(1.0, 2.5, 0.0), (3.0, -1.0, 1.0)])
+    solves = []
+    real_solve = OptCache._solve
+
+    def counted(self, k):
+        if self.inst is b:
+            solves.append(k)
+        return real_solve(self, k)
+
+    monkeypatch.setattr(OptCache, "_solve", counted)
+    with pytest.raises(ValueError, match=f"^{name} is the OptCache of another instance$"):
+        call(a, OptCache(b))
+    assert solves == []
+    # an equal instance built again is the same instance
+    assert call(a, OptCache(_two_requests())) == call(a, None)
 
 
 def test_opt_cache_shared_across_prefixes():
@@ -877,11 +930,12 @@ print(repr(offline.OptCache(inst).value(10)), len(offline._cell_cache))
 
 
 def test_cells_are_intp_where_a_shape_fits_the_cache_in_intp():
-    # intp up to k = 9 and at k = 10 up to capacity 4, so no take converts an
-    # index; (10, 4) takes 28.3 MiB in intp, while (10, 5) would take 36.9 MiB
-    # and (10, 10) 43.6 MiB, so they stay int32.  Each cache entry's size
-    # counts its rank array, its index arrays and its offsets, and the cache
-    # holds no more than its byte cap
+    # the index arrays are intp up to k = 9 and at k = 10 up to capacity 4, so
+    # no take converts an index; (10, 4) takes 26.0 MiB with them in intp,
+    # while (10, 5) would take 34.7 MiB and (10, 10) 41.3 MiB, so they stay
+    # int32.  rank is int32 for every shape.  Each cache entry's size counts
+    # its rank array, its index arrays and its offsets, and the cache holds
+    # no more than its byte cap
     out = run_child("""
 import sys
 import numpy as np
@@ -894,7 +948,8 @@ def nbytes(shape):
 
 for k, cap in ((3, 3), (8, 1), (8, 8), (10, 4), (10, 5), (10, 10)):
     arrays, _ = nbytes(offline._cells(k, cap))
-    types = {"intp" if a.dtype == np.intp else a.dtype.name for a in arrays}
+    assert arrays[0].dtype == np.int32, (k, cap)  # rank
+    types = {"intp" if a.dtype == np.intp else a.dtype.name for a in arrays[1:]}
     held = 0
     for shape, size in offline._cell_cache.values():
         assert nbytes(shape)[1] == size, (k, cap)
