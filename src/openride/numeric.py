@@ -15,9 +15,10 @@ numbers.Real, inside the float range.  It reads a release time, a line
 coordinate and a matrix entry (model, metric), FuzzConfig's alpha
 (experiments), the waiting parameter of LazyPolicy (engine),
 fr_closed_form and build_fr_milp (factor_revealing), gen_halfline_lb
-and sweep_lower_bounds (experiments), opt_upto's cutoff t (offline),
-and each entry of a LinearProgram's arrays and solve_lps's b_rows (lp)
-not given as an int or float ndarray, each of which keeps its own range.
+and sweep_lower_bounds (experiments), OptCache.prefix_for's cutoff t,
+which opt_upto reads through it (offline), and each entry of a
+LinearProgram's arrays and solve_lps's b_rows (lp) not given as an int
+or float ndarray, each of which keeps its own range.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ def real(v, name: str | None = None) -> float:
     """float(v) for a real number that is not a bool and fits a float.
 
     Anything else raises ValueError "is not a number" or "is beyond the
-    float range", after name when one is given.  int and float are
-    tested first: they skip the slower abstract-class check.
+    float range", after name when one is given.  A float is returned as
+    it is, with no further test, and int and float are tested before the
+    slower abstract-class check.
     """
+    if type(v) is float:
+        return v
     try:
         if not isinstance(v, bool) and isinstance(v, (int, float, numbers.Real)):
             return float(v)

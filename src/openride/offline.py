@@ -21,22 +21,23 @@ reads, and refuses a cache built for another instance.
 
 OptCache compiles an instance once: its points, checked once, and its
 distance table.  It fills the release-free (position, loaded, done) DP
-bottom-up with numpy, one progress layer at a time and one min per move
-rank, so no temporary is longer than a layer.  A state is coded in
-ternary per request: untouched, on board or done.  The table is as long
-as its cells, states with the pickup of a request on board or the
-dropoff of a request done, where some event of the state left the
-server.  It stores them in fill order: the all-done row, then one
-contiguous slice per progress layer.  Every move ends on a cell, read
-through one lookup(pos, loaded, done), which maps the state's flat code
-to the cell's place through a per-shape rank array; a state that is no
-cell maps past the table's end, so reading it raises IndexError.  A
-fill's index arrays, rank and lookup's offsets are built once per shape
-(request count, capacity) and cached up to CELL_CACHE_BYTES.  rank is
-int32, as lookup reads it only through a memoryview.  The index arrays
-are intp, so no take converts an index, for every shape that fits the
-cache with them in intp: up to 9 requests, and 10 up to capacity 4.
-The larger 10-request shapes are int32.
+bottom-up with numpy, one progress layer at a time and one min per block
+of move ranks, so no temporary is longer than the larger of FILL_BLOCK
+entries and a layer.  A state is coded in ternary per request:
+untouched, on board or done.  The table is as long as its cells, states
+with the pickup of a request on board or the dropoff of a request done,
+where some event of the state left the server.  It stores them in fill
+order: the all-done row, then one contiguous slice per progress layer.
+Every move ends on a cell, read through one lookup(pos, loaded, done),
+which maps the state's flat code to the cell's place through a
+per-shape rank array; a state that is no cell maps past the table's
+end, so reading it raises IndexError.  A fill's index arrays, rank and
+lookup's offsets are built once per shape (request count, capacity) and
+cached up to CELL_CACHE_BYTES.  rank is int32, as lookup reads it only
+through a memoryview.  The index arrays are intp, so no take converts
+an index, for every shape that fits the cache with them in intp: up to
+9 requests, and 10 up to capacity 4.  The larger 10-request shapes are
+int32.
 A root off the cells, such as the origin, takes one explicit DP step
 (_step).  A reconstruction takes it at its start, then reads each target
 from the table.
@@ -56,7 +57,6 @@ drops them.
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_right
 
@@ -68,6 +68,10 @@ from .numeric import TIE_EPS, is_int, real
 
 DEFAULT_SEARCH_CAP = 10
 CELL_CACHE_BYTES = 32 << 20  # index arrays _cells keeps between tables
+# most pairs in one block of a fill: 64 KiB of float64.  At twice that, the
+# temporaries of an 8-request fill at unbounded capacity outgrew its table,
+# and the heap was given back and faulted in again on every fill
+FILL_BLOCK = 8192
 
 _INF = float("inf")
 _cell_cache: dict = {}  # (k, cap) -> (shape, bytes), least recently used first
@@ -130,15 +134,21 @@ def _cells(k: int, cap: int):
     The table holds the cells alone, in fill order: the all-done row at
     positions 0 to k-1, then one slice per progress layer, last layer
     first.  Returns (size, layers, offsets, rank), size the table's
-    length and one (lo, ranks) per layer, its slice starting at lo.
+    length and one (lo, blocks) per layer, its slice starting at lo.
     Each cell pairs with every move of its state, and a pair costs entry
     d_idx of the flattened (2k+1)-square distance table plus table entry
     v_idx, the cell the move reaches.  A layer's cells are sorted by
     their move count, largest first (stable), and the pairs are grouped
-    by move rank: ranks[r] = (d_idx, v_idx) holds the r-th move of every
-    cell that has more than r moves, which are the first len(d_idx)
-    cells of the slice.  So a fill needs no float array longer than a
-    layer, and writes its first rank straight into the slice.
+    in blocks of move ranks: a block (d_idx, v_idx) holds moves r to s-1
+    of the first n cells of the slice, those with more than r moves,
+    where every one of them has at least s moves.  Its arrays have shape
+    (s - r, n), row i holding move r + i of each cell, or shape (n,)
+    when s - r is 1.  A block takes at most FILL_BLOCK pairs, so a run
+    of ranks over the same cells that is longer splits by rows; its
+    widths never increase.  So a fill needs no float temporary longer
+    than the larger of FILL_BLOCK entries and a layer's cells, makes
+    one min per block, and writes its first block straight into the
+    slice.
 
     rank maps the flat code code * k + j of cell (code, j) to its
     position in the table, in int32 for every shape, since lookup reads
@@ -200,16 +210,22 @@ def _cells(k: int, cap: int):
         pos = (2 * js + sub[rows, js]) * width
         tgt = 1 + 2 * tjs + sub[trows, tjs]
         reach = rank[(states[trows] + steps[tjs]) * k + tjs].astype(it, copy=False)  # a cell filled before
-        ranks = []
-        for r in range(per_cell[0]):  # every cell below the top layer has a move
+        blocks = []
+        r = 0
+        while r < per_cell[0]:  # every cell below the top layer has a move
             n = np.count_nonzero(per_cell > r)  # the cells with more than r moves
-            move = first[rows[:n]] + r  # the r-th move of each one's state
-            ranks.append((pos[:n] + tgt[move], reach[move]))
-        layers.append((lo, tuple(ranks)))
+            s = min(per_cell[n - 1], r + max(1, FILL_BLOCK // n))  # ranks r..s-1 each cover all n
+            if s - r == 1:
+                move = first[rows[:n]] + r  # the r-th move of each one's state
+            else:
+                move = first[rows[:n]] + np.arange(r, s, dtype=it)[:, None]
+            blocks.append((pos[:n] + tgt[move], reach[move]))
+            r = s
+        layers.append((lo, tuple(blocks)))
         lo = hi
     shape = lo, tuple(layers), offsets, rank
     _cell_cache[key] = shape, offsets_bytes + rank.nbytes + sum(
-        d.nbytes + v.nbytes for _, ranks in layers for d, v in ranks)
+        d.nbytes + v.nbytes for _, blocks in layers for d, v in blocks)
     held = sum(size for _, size in _cell_cache.values())
     for old in list(_cell_cache)[:-1]:
         if held <= CELL_CACHE_BYTES:
@@ -237,16 +253,24 @@ def _table_rest(cache: OptCache):
     size, layers, offsets, rank = _cells(k, min(cache.cap, k))
     flat = np.empty(size)
     flat[:k] = 0.0
-    for lo, ranks in layers:
-        # one min per move rank, over the cells that have that many moves;
-        # a min returns one of its inputs, so the order of ranks is immaterial
-        d_idx, v_idx = ranks[0]
-        layer = flat[lo:lo + len(d_idx)]
-        np.add(take(d_idx), flat.take(v_idx), out=layer)
-        for d_idx, v_idx in ranks[1:]:
+    for lo, blocks in layers:
+        # one min per block of move ranks, over the cells the block covers,
+        # folded into the head of the layer's slice; a min returns one of
+        # its inputs, so the order of ranks is immaterial
+        d_idx, v_idx = blocks[0]  # over every cell of the layer
+        layer = flat[lo:lo + d_idx.shape[-1]]
+        if d_idx.ndim == 1:
+            np.add(take(d_idx), flat.take(v_idx), out=layer)
+        else:
             cost = take(d_idx)
             cost += flat.take(v_idx)
-            head = layer[:len(d_idx)]
+            cost.min(axis=0, out=layer)
+        for d_idx, v_idx in blocks[1:]:
+            cost = take(d_idx)
+            cost += flat.take(v_idx)
+            if cost.ndim == 2:
+                cost = cost.min(axis=0)
+            head = layer[:len(cost)]
             np.minimum(head, cost, out=head)
     at, value = memoryview(rank), memoryview(flat)  # each read costs a third of an ndarray.item
 
@@ -499,7 +523,14 @@ class OptCache:
         return self._plan[1]
 
     def prefix_for(self, t: float) -> int:
-        """The number of requests released by t: those whose release time is at most t, exactly."""
+        """The number of requests released by t: those whose release time is at most t, exactly.
+
+        t is read as a real number; NaN or a non-number raises ValueError
+        naming t, while +inf and -inf mean all requests and none.
+        """
+        t = real(t, "t")
+        if t != t:  # NaN compares below every release time
+            raise ValueError("t is not a number")
         return bisect_right(self.rel, t)
 
     def solve_prefix(self, k: int) -> tuple[tuple, float]:
@@ -666,12 +697,10 @@ def opt_upto(inst: Instance, t: float, cache: OptCache | None = None) -> tuple[S
     The schedule starts at the origin at time 0 and may wait for
     releases.  Returns (schedule, completion time).  The cache keeps
     only event orders; the schedule is built here.  t is read as a real
-    number; NaN or a non-number raises ValueError naming t, while +inf
-    and -inf mean all requests and none.
+    number by OptCache.prefix_for, before any solve; NaN or a non-number
+    raises ValueError naming t, while +inf and -inf mean all requests
+    and none.
     """
-    t = real(t, "t")
-    if math.isnan(t):
-        raise ValueError("t is not a number")
     cache = cache_for(inst, cache, "cache")
     seq, value = cache.solve_prefix(cache.prefix_for(t))
     return _build_schedule(cache, seq, cache.points[0], cache.dist[0]), value

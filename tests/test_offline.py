@@ -175,6 +175,14 @@ def test_fastest_delivery_and_return_matrix():
     assert steps == [Move(2, 1, 2.0), Unload(0), Move(1, 0, 3.0)]
 
 
+def test_fastest_delivery_and_return_search_cap():
+    # distinct dropoffs count against the cap, not requests
+    assert deliver([float(x) for x in range(1, DEFAULT_SEARCH_CAP + 1)], 0.0, line())[0] == 20.0
+    many = [float(x) for x in range(1, DEFAULT_SEARCH_CAP + 2)]
+    with pytest.raises(SearchCapExceeded, match="^11 distinct destinations exceed the search cap 10$"):
+        deliver(many, 0.0, line())
+
+
 def test_fastest_delivery_and_return_merges_stops_within_tolerance():
     # two dropoffs 1e-12 apart are one stop: both unload there, in id order
     near = 1.0 + 1e-12
@@ -287,6 +295,18 @@ def test_opt_upto_takes_infinite_cutoffs_as_all_or_none():
     inst = _two_requests()
     assert opt_upto(inst, math.inf)[1] == opt_upto(inst, 1.0)[1] == 7.0
     assert opt_upto(inst, -math.inf) == (Schedule(0.0, ()), 0.0)
+
+
+@pytest.mark.parametrize("t, want", [(math.nan, None), ("3", None), (None, None), (math.inf, 2),
+                                     (-math.inf, 0)], ids=["nan", "string", "none", "inf", "-inf"])
+def test_prefix_for_refuses_a_cutoff_that_is_no_number(t, want):
+    # NaN compared below every release, so it was answered as every request
+    cache = OptCache(_two_requests())
+    if want is None:
+        with pytest.raises(ValueError, match="^t is not a number$"):
+            cache.prefix_for(t)
+    else:
+        assert cache.prefix_for(t) == want
 
 
 @pytest.mark.parametrize("k", [-1, 3, 2.0, True], ids=["negative", "past-m", "float", "bool"])
@@ -959,6 +979,34 @@ for k, cap in ((3, 3), (8, 1), (8, 8), (10, 4), (10, 5), (10, 10)):
 """, timeout=30)
     assert out == ["3", "3", "intp", "8", "1", "intp", "8", "8", "intp", "10", "4", "intp",
                    "10", "5", "int32", "10", "10", "int32"]
+
+
+def test_fill_blocks_hold_every_move_once():
+    # a layer's moves are stored in blocks of move ranks over the same
+    # cells: 1-D for a single rank, else 2-D with at least 2 rows and at
+    # most FILL_BLOCK pairs, never wider than the block before.  Together
+    # they hold each pair of a cell and a move of its state once
+    out = run_child("""
+from openride import offline
+
+for k, cap in ((3, 3), (5, 2), (8, 1), (8, 2), (8, 8), (10, 10)):
+    _, layers, _, _ = offline._cells(k, cap)
+    pairs = 0
+    assert any(d.ndim == 2 for _, blocks in layers for d, _ in blocks), (k, cap)
+    for lo, blocks in layers:
+        widths = [d.shape[-1] for d, _ in blocks]
+        assert widths == sorted(widths, reverse=True), (k, cap, lo)
+        for d, v in blocks:
+            assert d.shape == v.shape and d.ndim in (1, 2), (k, cap, lo)
+            if d.ndim == 2:
+                assert 2 <= len(d) and d.size <= offline.FILL_BLOCK, (k, cap, lo, d.shape)
+            pairs += d.size
+    print(f"{k},{cap}:{sum(map(len, (b for _, b in layers)))}:{pairs}")
+""", timeout=30)
+    # blocks per fill, where one per move rank would be 36 at (8, 1), 65 at
+    # (8, 2) and 92 at (8, 8); the pairs are as many as when it was
+    assert out == ["3,3:8:99", "5,2:12:1360", "8,1:15:8192", "8,2:21:40448", "8,8:59:180792",
+                   "10,10:113:2558790"]
 
 
 def test_a_read_off_the_cells_fails_fast():
